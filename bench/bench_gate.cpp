@@ -1,9 +1,9 @@
 /**
  * @file
  * Bench regression gate: compares a freshly produced BENCH_*.json
- * report against a committed baseline (bench/baselines/*.json) with
- * per-metric relative tolerances, and fails when a gated metric
- * drifts outside its band.
+ * report against a committed baseline (a JSON file under
+ * bench/baselines/) with per-metric relative tolerances, and fails
+ * when a gated metric drifts outside its band.
  *
  * The simulator is deterministic for a fixed (config, seed), so the
  * gated metrics are exactly reproducible run to run; the tolerances

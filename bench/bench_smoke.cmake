@@ -3,7 +3,8 @@
 # Runs one bench binary twice — --jobs 2 then --jobs 1 — with the
 # same trials/seed and a tiny measure window, and requires the two
 # JSON reports to be identical apart from the fields that legitimately
-# differ (jobs, wall time, events/sec rate).
+# differ (jobs, wall time, events/sec rate, calibrated host
+# parallelism).
 
 # SMOKE_TAG keeps report filenames distinct when several smoke tests
 # share WORK_DIR and run in parallel.
@@ -35,7 +36,7 @@ foreach(which j1 j2)
     file(STRINGS ${WORK_DIR}/${SMOKE_TAG}_${which}.json lines_${which})
     set(norm_${which} "")
     foreach(line IN LISTS lines_${which})
-        if(NOT line MATCHES "\"(jobs|wall_seconds|events_per_second)\":")
+        if(NOT line MATCHES "\"(jobs|wall_seconds|events_per_second|effective_parallelism)\":")
             string(APPEND norm_${which} "${line}\n")
         endif()
     endforeach()

@@ -16,6 +16,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -25,9 +27,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "platform/harness.hpp"
@@ -174,6 +178,10 @@ printUsage(const char *bench_name)
         bench_name, bench_name);
 }
 
+/** Upper bounds of --trials and --jobs (cli_args.hpp range checks). */
+inline constexpr std::uint64_t maxTrials = 1'000'000;
+inline constexpr std::uint64_t maxJobs = 1024;
+
 /**
  * Parse the shared bench flags. Exits with usage on error, so bench
  * main()s stay one-liners.
@@ -194,26 +202,19 @@ parseArgs(int argc, char **argv, const char *bench_name)
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
         if (!std::strcmp(a, "--trials")) {
-            o.trial.trials = std::atoi(numeric(a, i));
-            if (o.trial.trials < 1) {
-                std::fprintf(stderr, "%s: --trials must be >= 1\n",
-                             argv[0]);
-                std::exit(2);
-            }
+            o.trial.trials = static_cast<int>(
+                unsignedFlag(argv[0], a, numeric(a, i), 1, maxTrials));
         } else if (!std::strcmp(a, "--jobs")) {
-            o.trial.jobs = std::atoi(numeric(a, i));
-            if (o.trial.jobs < 1) {
-                std::fprintf(stderr, "%s: --jobs must be >= 1\n",
-                             argv[0]);
-                std::exit(2);
-            }
+            o.trial.jobs = static_cast<int>(
+                unsignedFlag(argv[0], a, numeric(a, i), 1, maxJobs));
         } else if (!std::strcmp(a, "--seed")) {
-            o.trial.seed = std::strtoull(numeric(a, i), nullptr, 0);
+            o.trial.seed = unsignedFlag(argv[0], a, numeric(a, i), 0,
+                                        UINT64_MAX, true);
             o.seedSet = true;
         } else if (!std::strcmp(a, "--warmup-sec")) {
-            o.warmupSec = std::atof(numeric(a, i));
+            o.warmupSec = secondsFlag(argv[0], a, numeric(a, i));
         } else if (!std::strcmp(a, "--measure-sec")) {
-            o.measureSec = std::atof(numeric(a, i));
+            o.measureSec = secondsFlag(argv[0], a, numeric(a, i));
         } else if (!std::strcmp(a, "--json")) {
             o.jsonPath = numeric(a, i);
         } else if (!std::strcmp(a, "--no-json")) {
@@ -395,6 +396,72 @@ runTriggerTrials(
 }
 
 //
+// Host block
+//
+
+/**
+ * What the host running a bench can deliver. hardware_concurrency()
+ * is what the OS reports; in a shared container the throughput of
+ * that many threads can sit far below it, so wall-clock speedup
+ * checks arm on the calibrated number instead (see shard_scale).
+ */
+struct HostInfo
+{
+    unsigned hardwareThreads = 0;
+    /** Cores' worth of throughput hardwareThreads threads get. */
+    double effectiveParallelism = 0.0;
+};
+
+/** Wall seconds @p threads threads take to each spin @p n rounds. */
+inline double
+spinSeconds(unsigned threads, std::uint64_t n)
+{
+    std::atomic<std::uint64_t> sink{0};
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([n, &sink] {
+            std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+            }
+            sink.fetch_add(x, std::memory_order_relaxed);
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/**
+ * Effective parallelism over @p k threads: k threads each spin the
+ * work one thread spun alone, and k * t1 / tk is how many cores'
+ * worth of throughput the host delivers. Costs about 40 ms.
+ */
+inline double
+effectiveParallelism(unsigned k)
+{
+    constexpr std::uint64_t n = 20'000'000; // ~15 ms per thread
+    spinSeconds(1, n / 4);                  // wake the core up
+    const double t1 = spinSeconds(1, n);
+    const double tk = spinSeconds(k, n);
+    return tk > 0.0 ? k * t1 / tk : 0.0;
+}
+
+inline HostInfo
+measureHost()
+{
+    HostInfo h;
+    h.hardwareThreads = std::max(1u, std::thread::hardware_concurrency());
+    h.effectiveParallelism = effectiveParallelism(h.hardwareThreads);
+    return h;
+}
+
+//
 // JSON report (writer and jsonSummary live in obs/json.hpp)
 //
 
@@ -407,7 +474,8 @@ class BenchReport
 {
   public:
     explicit BenchReport(const BenchOptions &options)
-        : opts(options), started(std::chrono::steady_clock::now())
+        : opts(options), hostInfo(measureHost()),
+          started(std::chrono::steady_clock::now())
     {
         json.beginObject();
         json.field("bench", opts.name);
@@ -500,6 +568,9 @@ class BenchReport
         json.endObject();
     }
 
+    /** Host calibration, taken before the bench's timed work. */
+    const HostInfo &host() const { return hostInfo; }
+
     /** Free-form scalar rows (ablation sweeps). */
     void
     addScalars(
@@ -548,6 +619,14 @@ class BenchReport
             json.field("dashboard", !opts.obs->dashboardPath.empty());
             json.endObject();
         }
+        // Host-measured, so it varies run to run like wall_seconds
+        // (the jobs-determinism smoke diff skips it).
+        json.beginObject("host");
+        json.field("hardware_concurrency",
+                   static_cast<std::uint64_t>(hostInfo.hardwareThreads));
+        json.field("effective_parallelism",
+                   hostInfo.effectiveParallelism);
+        json.endObject();
         const double wall =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - started)
@@ -608,6 +687,7 @@ class BenchReport
 
   private:
     BenchOptions opts;
+    HostInfo hostInfo;
     std::chrono::steady_clock::time_point started;
     JsonWriter json;
     std::uint64_t totalEvents = 0;

@@ -17,10 +17,14 @@
  *     pure functions of the global event set — are bit-identical
  *     for every swept shard count. Always enforced.
  *  2. Speedup: at the largest swept island count, 4 shards must be
- *     at least 3x faster than 1 shard. Only enforced when the host
- *     has >= 4 hardware threads (a 1-core CI box cannot exhibit
- *     parallel speedup); override the threshold with
- *     CORM_SHARD_SPEEDUP_MIN (0 disables).
+ *     at least 3x faster than 1 shard. Only enforced when the host's
+ *     calibrated effective parallelism (bench_util.hpp HostInfo, a
+ *     spin test of all hardware threads against one) is at least
+ *     3.5: a shared container can report 4 threads and deliver one
+ *     core, which cannot exhibit parallel speedup. Override the
+ *     threshold with CORM_SHARD_SPEEDUP_MIN (0 disables). The
+ *     default ctest set runs with it disabled; the wall-clock claim
+ *     is the opt-in `perf` ctest label (bench/CMakeLists.txt).
  *
  * Custom flags, consumed before the shared bench CLI:
  *
@@ -48,7 +52,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -126,8 +129,10 @@ main(int argc, char **argv)
                         "islands x shards on a tree fabric");
     corm::bench::BenchReport report(opts);
 
-    const unsigned hw = std::thread::hardware_concurrency();
-    std::printf("host: %u hardware thread(s)\n", hw);
+    const corm::bench::HostInfo &host = report.host();
+    std::printf("host: %u hardware thread(s), effective parallelism "
+                "%.2f\n",
+                host.hardwareThreads, host.effectiveParallelism);
     std::printf("%-14s | %8s %8s | %9s %9s %8s | %7s %7s\n", "cell",
                 "wall s", "speedup", "windows", "boundary", "applied",
                 "conv ms", "ev/us");
@@ -408,10 +413,13 @@ main(int argc, char **argv)
     double speedupMin = 3.0;
     if (const char *env = std::getenv("CORM_SHARD_SPEEDUP_MIN"))
         speedupMin = std::atof(env);
+    // Cores' worth of measured throughput the 4-shard claim needs.
+    constexpr double minParallelism = 3.5;
     bool speedupHolds = true;
     if (wall1Largest > 0.0 && wall4Largest > 0.0) {
         const double s = wall1Largest / wall4Largest;
-        const bool enforce = hw >= 4 && speedupMin > 0.0;
+        const bool enforce = host.effectiveParallelism >= minParallelism
+            && speedupMin > 0.0;
         std::printf("[shard speedup @ n=%d] 4 shards %.2fx vs 1 shard "
                     "(%s, need >= %.2f)\n",
                     largestN, s,

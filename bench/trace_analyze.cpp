@@ -23,12 +23,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "cli_args.hpp"
 #include "obs/flowprofile.hpp"
 
 namespace {
@@ -53,13 +53,9 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
             jsonOut = argv[++i];
         } else if (!std::strcmp(argv[i], "--top") && i + 1 < argc) {
-            const long n = std::strtol(argv[++i], nullptr, 10);
-            if (n < 0) {
-                std::fprintf(stderr,
-                             "trace_analyze: --top wants >= 0\n");
-                return 2;
-            }
-            topK = static_cast<std::size_t>(n);
+            topK = corm::bench::unsignedFlag("trace_analyze", argv[i],
+                                             argv[i + 1], 0, 1'000'000);
+            ++i;
         } else if (!path) {
             path = argv[i];
         } else {

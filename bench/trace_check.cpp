@@ -36,15 +36,18 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "cli_args.hpp"
 #include "obs/tracecheck.hpp"
 
 namespace {
+
+/** Upper bound of the numeric flags (far beyond any real trace). */
+constexpr std::uint64_t maxCount = 1'000'000'000;
 
 int
 usage(const char *argv0)
@@ -69,24 +72,15 @@ main(int argc, char **argv)
             params.require_flow = true;
         } else if (!std::strcmp(argv[i], "--min-steps")
                    && i + 1 < argc) {
-            const long n = std::strtol(argv[++i], nullptr, 10);
-            if (n < 1) {
-                std::fprintf(stderr,
-                             "trace_check: --min-steps wants >= 1\n");
-                return 2;
-            }
-            params.min_steps = static_cast<std::size_t>(n);
+            params.min_steps = corm::bench::unsignedFlag(
+                "trace_check", argv[i], argv[i + 1], 1, maxCount);
+            ++i;
             params.require_flow = true; // depth bar implies the chain
         } else if (!std::strcmp(argv[i], "--expect-tracks")
                    && i + 1 < argc) {
-            const long n = std::strtol(argv[++i], nullptr, 10);
-            if (n < 1) {
-                std::fprintf(
-                    stderr,
-                    "trace_check: --expect-tracks wants >= 1\n");
-                return 2;
-            }
-            params.expect_tracks = static_cast<std::size_t>(n);
+            params.expect_tracks = corm::bench::unsignedFlag(
+                "trace_check", argv[i], argv[i + 1], 1, maxCount);
+            ++i;
         } else if (!std::strcmp(argv[i], "--stitched-flows")) {
             params.require_stitched = true;
         } else if (!std::strcmp(argv[i], "--monotone-flows")) {

@@ -1599,11 +1599,11 @@ class CoordFabric : public CoordTransport
     /**
      * Sharded replacement of wireSend + Mailbox::send: same flight
      * bookkeeping and fault semantics, but the delivery is a
-     * boundary message posted through the engine. A successfully
-     * transmitted flight is erased immediately — the flight record
-     * only exists to feed drop/replay chains, and the payload rides
-     * the boundary message itself, so the receiving shard never
-     * touches this shard's flight map.
+     * boundary message posted through the engine. The flight record
+     * stays local unless weather drops the attempt — it only exists
+     * to feed drop/replay chains, and the payload rides the boundary
+     * message itself, so the receiving shard never touches this
+     * shard's flight map.
      */
     void
     shardWireSend(IslandId from, IslandId to, const CoordMessage &msg,
@@ -1616,7 +1616,7 @@ class CoordFabric : public CoordTransport
             return;
         }
         const std::uint64_t tag = ++st.nextTag;
-        Flight &f = st.flights[tag];
+        Flight f;
         f.msg = msg;
         f.originSentAt = origin;
         f.hopSentAt = nowFor(from);
@@ -1629,15 +1629,19 @@ class CoordFabric : public CoordTransport
         if (msg.type == MsgType::tune)
             st.stats.wireTunes.add();
         ++wireFrom[from];
-        shardTransmit(st, *lk->second, tag);
+        shardTransmit(st, *lk->second, tag, f);
     }
 
-    /** One wire attempt of a sharded flight (first send or replay). */
-    void
-    shardTransmit(ShardState &st, Link &link, std::uint64_t tag)
+    /**
+     * One wire attempt of a sharded flight (first send or replay).
+     * Returns true if the attempt was posted; false if weather
+     * dropped it, in which case shardDrop has recorded (or
+     * abandoned) the flight under @p tag.
+     */
+    bool
+    shardTransmit(ShardState &st, Link &link, std::uint64_t tag,
+                  Flight &f)
     {
-        auto it = st.flights.find(tag);
-        Flight &f = it->second;
         Lane &lane = link.laneFrom(f.from);
         // Barrier-time churn actions (a leave's bucket flush, say)
         // transmit while the shard sims are parked at placement-
@@ -1656,8 +1660,8 @@ class CoordFabric : public CoordTransport
             if (CORM_TRACE_ACTIVE(st.rec))
                 st.rec->instant(laneTrackOn(st, lane), tnow,
                                 "hop:drop", "coord");
-            shardDrop(st, it, lane.id);
-            return;
+            shardDrop(st, tag, f, lane.id);
+            return false;
         }
         // Mirror Mailbox::send: base latency plus weather delay,
         // clamped to in-order delivery unless reordering was drawn.
@@ -1706,28 +1710,30 @@ class CoordFabric : public CoordTransport
             d.flags |= corm::sim::ShardMessage::flagDuplicate;
             engine_->post(shardOfNode(f.from), shardOfNode(f.to), d);
         }
-        st.flights.erase(it);
+        return true;
     }
 
-    /** Weather ate a sharded wire attempt: back off or abandon. */
+    /**
+     * Weather ate a sharded wire attempt: back off or abandon. The
+     * first drop of a flight is where its record enters the flight
+     * map; a replay's record is already there.
+     */
     void
-    shardDrop(ShardState &st,
-              std::map<std::uint64_t, Flight>::iterator it,
+    shardDrop(ShardState &st, std::uint64_t tag, const Flight &dropped,
               std::uint64_t laneId)
     {
-        Flight &f = it->second;
         st.stats.linkDrops.add();
-        if (f.attempts > cfg.replayAttempts) {
-            shardAbandon(st, it, laneId);
+        if (dropped.attempts > cfg.replayAttempts) {
+            shardAbandon(st, tag, dropped, laneId);
             return;
         }
+        Flight &f = st.flights.try_emplace(tag, dropped).first->second;
         const corm::sim::Tick wait = f.timeout;
         const double next = static_cast<double>(f.timeout)
             * (cfg.replayBackoff > 1.0 ? cfg.replayBackoff : 1.0);
         f.timeout = std::min(
             cfg.replayCap, static_cast<corm::sim::Tick>(next));
         const IslandId from = f.from;
-        const std::uint64_t tag = it->first;
         simFor(from).schedule(
             wait, [this, from, tag] { shardReplay(from, tag); });
     }
@@ -1742,7 +1748,7 @@ class CoordFabric : public CoordTransport
         Flight &f = it->second;
         auto lk = links.find(linkKey(f.from, f.to));
         if (lk == links.end()) {
-            shardAbandon(st, it, 0);
+            shardAbandon(st, tag, f, 0);
             return;
         }
         ++f.attempts;
@@ -1759,7 +1765,8 @@ class CoordFabric : public CoordTransport
                                 + msgTypeName(f.msg.type),
                             "coord", {{"attempt", f.attempts}});
         }
-        shardTransmit(st, *lk->second, tag);
+        if (shardTransmit(st, *lk->second, tag, f))
+            st.flights.erase(it);
     }
 
     /**
@@ -1770,13 +1777,12 @@ class CoordFabric : public CoordTransport
      * lane ids are never 0: linkKey is at least 1).
      */
     void
-    shardAbandon(ShardState &st,
-                 std::map<std::uint64_t, Flight>::iterator it,
+    shardAbandon(ShardState &st, std::uint64_t tag, const Flight &f,
                  std::uint64_t laneId)
     {
-        const CoordMessage msg = it->second.msg;
-        const IslandId from = it->second.from, to = it->second.to;
-        st.flights.erase(it);
+        const CoordMessage msg = f.msg;
+        const IslandId from = f.from, to = f.to;
+        st.flights.erase(tag); // no record if the first attempt died
         st.stats.abandoned.add();
         if (laneId == 0)
             laneId = laneIdOf(from, to);

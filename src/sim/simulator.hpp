@@ -14,6 +14,17 @@
  *  - The pending queue is a hand-rolled binary min-heap of 24-byte
  *    POD entries (time, sequence, slot). Sift operations move PODs,
  *    never callbacks.
+ *  - Beside the heap sits a sorted run: an array of the same entries
+ *    in ascending (time, sequence) order, read through a cursor. When
+ *    drain() starts with the run used up and at least spillMin
+ *    entries in the heap, it sorts the heap's buffer in place and
+ *    swaps it into the run; the heap carries on in the old run's
+ *    buffer, so a spill copies nothing and allocates nothing. A
+ *    workload scheduled up front (hundreds of thousands of events)
+ *    is then consumed sequentially, and only the events scheduled
+ *    while it runs pay heap operations — at a shallow depth. Every
+ *    pop takes the earlier head of the two sources, so dispatch
+ *    order is the same total (time, sequence) order either way.
  *  - Callbacks live in a slot table addressed by the heap entries.
  *    An EventId encodes (generation, slot); cancel() flips the
  *    slot's tombstone flag in O(1) — no hash lookup — and the
@@ -29,6 +40,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -113,7 +125,8 @@ class Simulator
         // queue is dead, one O(n) sweep re-packs it. Charged to the
         // >= n/2 cancels that made it necessary, cancel stays O(1)
         // amortized and pop cost tracks the number of *live* events.
-        if (deadEntries > 64 && deadEntries * 2 > heap.size())
+        if (deadEntries > 64
+            && deadEntries * 2 > heap.size() + (run.size() - runPos))
             compact();
     }
 
@@ -137,21 +150,19 @@ class Simulator
 
     /**
      * Time of the earliest live (non-cancelled) pending event, or
-     * maxTick when none is pending. Tombstoned entries at the top of
-     * the heap are retired on the way, so the answer never depends on
-     * compaction timing — sharded window planning (sim/sharded.hpp)
-     * relies on this being a pure function of the live event set.
+     * maxTick when none is pending. Tombstoned entries at the head of
+     * the heap and of the sorted run are retired on the way, so the
+     * answer never depends on compaction or spill timing — sharded
+     * window planning (sim/sharded.hpp) relies on this being a pure
+     * function of the live event set.
      */
     Tick
     nextEventAt()
     {
-        while (!heap.empty()) {
-            const HeapEntry &top = heap.front();
-            if (slots[top.slot].state != SlotState::cancelled)
-                return top.when;
-            freeSlot(top.slot);
-            --deadEntries;
-            popTop();
+        while (const HeapEntry *top = peekNext()) {
+            if (slots[top->slot].state != SlotState::cancelled)
+                return top->when;
+            sweepDead(popNext());
         }
         return maxTick;
     }
@@ -188,8 +199,8 @@ class Simulator
     bool
     step()
     {
-        while (!heap.empty()) {
-            if (dispatch(popTop()))
+        while (peekNext()) {
+            if (dispatch(popNext()))
                 return true;
         }
         return false;
@@ -331,6 +342,44 @@ class Simulator
         siftUp(heap.size() - 1);
     }
 
+    /** True if the run's head is the earliest queued entry. */
+    bool
+    runLeads() const
+    {
+        return runPos < run.size()
+            && (heap.empty() || before(run[runPos], heap.front()));
+    }
+
+    /**
+     * Earliest queued entry across the heap and the sorted run, or
+     * nullptr when both are empty. The pointer is invalidated by any
+     * queue mutation.
+     */
+    const HeapEntry *
+    peekNext() const
+    {
+        if (runLeads())
+            return &run[runPos];
+        return heap.empty() ? nullptr : &heap.front();
+    }
+
+    /** Remove and return the earliest entry. Requires peekNext(). */
+    HeapEntry popNext() { return runLeads() ? run[runPos++] : popTop(); }
+
+    /**
+     * Turn a large heap into the sorted run (file comment). Called
+     * only once the run is used up, so the run's buffer holds no
+     * live entry and can become the heap's.
+     */
+    void
+    spill()
+    {
+        std::sort(heap.begin(), heap.end(), before);
+        run.clear();
+        heap.swap(run);
+        runPos = 0;
+    }
+
     /**
      * Resolve one popped entry: free tombstones, else run the
      * callback. Returns true if a live event was dispatched. Takes
@@ -340,12 +389,9 @@ class Simulator
     bool
     dispatch(HeapEntry e)
     {
-        Slot &s = slots[e.slot];
-        if (s.state == SlotState::cancelled) {
-            freeSlot(e.slot);
-            --deadEntries;
+        if (sweepDead(e))
             return false;
-        }
+        Slot &s = slots[e.slot];
         // Move the callback out and retire the id before running, so
         // the callback can freely schedule (and even cancel) events —
         // including ids that land in this same slot.
@@ -358,27 +404,42 @@ class Simulator
         return true;
     }
 
+    /** Free @p e's slot if it is a tombstone; true if it was. */
+    bool
+    sweepDead(const HeapEntry &e)
+    {
+        if (slots[e.slot].state != SlotState::cancelled)
+            return false;
+        freeSlot(e.slot);
+        --deadEntries;
+        return true;
+    }
+
     /**
      * Drop every tombstoned entry from the heap and restore the heap
-     * property bottom-up (Floyd heapify, O(n)). Entries parked in
-     * the drain() batch scratch are not in the heap and keep their
-     * share of deadEntries until dispatched.
+     * property bottom-up (Floyd heapify, O(n)), then filter the
+     * run's unconsumed tail in place (a stable filter, so it stays
+     * sorted). Entries parked in the drain() batch scratch are in
+     * neither and keep their share of deadEntries until dispatched.
      */
     void
     compact()
     {
         std::size_t kept = 0;
         for (const HeapEntry &e : heap) {
-            if (slots[e.slot].state == SlotState::cancelled) {
-                freeSlot(e.slot);
-                --deadEntries;
-            } else {
+            if (!sweepDead(e))
                 heap[kept++] = e;
-            }
         }
         heap.resize(kept);
         for (std::size_t i = kept / 2; i-- > 0;)
             siftDown(i);
+        kept = 0;
+        for (std::size_t i = runPos; i < run.size(); ++i) {
+            if (!sweepDead(run[i]))
+                run[kept++] = run[i];
+        }
+        run.resize(kept);
+        runPos = 0;
     }
 
     /** Execute events with when <= until, honouring cancellations. */
@@ -386,11 +447,15 @@ class Simulator
     drain(Tick until)
     {
         stopFlag = false;
-        while (!heap.empty() && !stopFlag) {
-            if (heap.front().when > until)
+        if (runPos == run.size() && heap.size() >= spillMin)
+            spill();
+        while (!stopFlag) {
+            const HeapEntry *top = peekNext();
+            if (!top || top->when > until)
                 break;
-            HeapEntry first = popTop();
-            if (heap.empty() || heap.front().when != first.when) {
+            HeapEntry first = popNext();
+            top = peekNext();
+            if (!top || top->when != first.when) {
                 // Fast path: a lone event at this timestamp.
                 dispatch(first);
                 continue;
@@ -405,8 +470,8 @@ class Simulator
             const Tick when = first.when;
             const std::size_t base = batch.size();
             batch.push_back(first);
-            while (!heap.empty() && heap.front().when == when)
-                batch.push_back(popTop());
+            while ((top = peekNext()) && top->when == when)
+                batch.push_back(popNext());
             std::size_t i = base;
             for (; i < batch.size() && !stopFlag; ++i)
                 dispatch(batch[i]);
@@ -419,13 +484,22 @@ class Simulator
         }
     }
 
+    /**
+     * Heap size at which drain() spills into the sorted run. Large
+     * enough that the queues of the paper's RUBiS scenarios never
+     * reach it and keep the plain heap path.
+     */
+    static constexpr std::size_t spillMin = 4096;
+
     Tick currentTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t executed = 0;
     bool stopFlag = false;
     std::size_t liveEvents = 0;
-    std::size_t deadEntries = 0; ///< tombstones in heap or batch
+    std::size_t deadEntries = 0; ///< tombstones in heap, run or batch
     std::vector<HeapEntry> heap;
+    std::vector<HeapEntry> run; ///< sorted run, consumed from runPos
+    std::size_t runPos = 0;
     std::vector<HeapEntry> batch; ///< drain() scratch, see above
     std::vector<Slot> slots;
     std::vector<std::uint32_t> freeSlots;

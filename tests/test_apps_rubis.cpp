@@ -61,8 +61,9 @@ TEST(RubisCatalog, WriteFlagMatchesDatabaseUsage)
             if (s.tier == Tier::db)
                 touches_db = true;
         }
-        if (spec.write)
+        if (spec.write) {
             EXPECT_TRUE(touches_db) << spec.name;
+        }
     }
 }
 

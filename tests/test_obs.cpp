@@ -176,8 +176,9 @@ TEST(Trace, JsonWellFormedAgainstOwnParser)
             EXPECT_DOUBLE_EQ(e.get("id")->num,
                              static_cast<double>(id));
         }
-        if (ph == "X")
+        if (ph == "X") {
             ASSERT_NE(e.get("dur"), nullptr);
+        }
     }
     EXPECT_EQ(flows, 3u);
     ASSERT_NE(doc.get("displayTimeUnit"), nullptr);

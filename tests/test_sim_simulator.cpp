@@ -5,8 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <ostream>
+#include <set>
+#include <sstream>
+#include <utility>
 #include <vector>
 
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/types.hpp"
 
@@ -305,6 +313,258 @@ TEST(Simulator, ExecutedEventsCounts)
     sim.cancel(id); // cancelled events do not count as executed
     sim.runToCompletion();
     EXPECT_EQ(sim.executedEvents(), 2u);
+}
+
+namespace {
+
+/**
+ * Reference model for the order-equivalence fuzz test: the
+ * Simulator's public semantics — (when, seq) order, same-timestamp
+ * batches, stop mid-batch, re-entrant runs — over a std::set, with
+ * none of its data-structure tricks (slot table, tombstones, heap,
+ * sorted run, compaction).
+ */
+class ReferenceSim
+{
+  public:
+    using Key = std::pair<Tick, std::uint64_t>;
+
+    Tick now() const { return clock; }
+    std::size_t pendingEvents() const { return live.size(); }
+    std::uint64_t executedEvents() const { return executed; }
+    bool stopRequested() const { return stop; }
+    void requestStop() { stop = true; }
+
+    std::uint64_t
+    scheduleAt(Tick when, std::function<void()> cb)
+    {
+        when = std::max(when, clock);
+        live[++seq] = {when, std::move(cb)};
+        queue.insert({when, seq});
+        return seq;
+    }
+
+    void
+    cancel(std::uint64_t id)
+    {
+        auto it = live.find(id);
+        if (it == live.end())
+            return;
+        queue.erase({it->second.first, id});
+        live.erase(it);
+    }
+
+    Tick
+    nextEventAt() const
+    {
+        return queue.empty() ? maxTick : queue.begin()->first;
+    }
+
+    bool
+    step()
+    {
+        if (queue.empty())
+            return false;
+        const Key k = *queue.begin();
+        queue.erase(queue.begin());
+        dispatch(k);
+        return true;
+    }
+
+    void
+    runUntil(Tick until)
+    {
+        stop = false;
+        while (!stop && !queue.empty() && queue.begin()->first <= until) {
+            const Tick when = queue.begin()->first;
+            std::vector<Key> batch;
+            while (!queue.empty() && queue.begin()->first == when) {
+                batch.push_back(*queue.begin());
+                queue.erase(queue.begin());
+            }
+            std::size_t i = 0;
+            for (; i < batch.size() && !stop; ++i) {
+                if (live.count(batch[i].second))
+                    dispatch(batch[i]);
+            }
+            for (; i < batch.size(); ++i) {
+                if (live.count(batch[i].second))
+                    queue.insert(batch[i]);
+            }
+        }
+        if (!stop && clock < until)
+            clock = until;
+    }
+
+    void runFor(Tick d) { runUntil(clock + d); }
+
+  private:
+    void
+    dispatch(const Key &k)
+    {
+        auto it = live.find(k.second);
+        std::function<void()> cb = std::move(it->second.second);
+        live.erase(it);
+        clock = k.first;
+        ++executed;
+        cb();
+    }
+
+    Tick clock = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t executed = 0;
+    bool stop = false;
+    std::set<Key> queue;
+    std::map<std::uint64_t, std::pair<Tick, std::function<void()>>> live;
+};
+
+/** One observation: what happened, at which time, with what state. */
+struct Obs
+{
+    char what; // 'd' dispatch, 'n' nextEventAt, 's' step, 'r' run end
+    std::uint64_t tag;
+    Tick now;
+    std::uint64_t pending;
+    std::uint64_t executed;
+    Tick next;
+
+    bool operator==(const Obs &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Obs &o)
+{
+    return os << o.what << " tag " << o.tag << " now " << o.now
+              << " pending " << o.pending << " executed " << o.executed
+              << " next " << o.next;
+}
+
+/**
+ * A random program of schedules, cancels (stale ids included), mass
+ * cancels, steps, runs and nested runs from inside callbacks, with
+ * stops requested mid-batch. Every decision comes from @p seed, so
+ * two queue implementations with the same semantics produce the
+ * same observation log. Four bulk loads above the spill size leave
+ * events pending across spills and compactions.
+ */
+template <typename Sim>
+std::vector<Obs>
+runProgram(std::uint64_t seed)
+{
+    Sim sim;
+    corm::sim::Rng rng(seed);
+    std::vector<Obs> log;
+    std::vector<std::uint64_t> ids; // by tag
+    int depth = 0;
+    int nestedBulks = 0; // armed for the final drain, see below
+
+    const auto observe = [&](char what, std::uint64_t tag) {
+        log.push_back({what, tag, sim.now(), sim.pendingEvents(),
+                       sim.executedEvents(), 0});
+    };
+    std::function<void(Tick, Tick)> schedule;
+    const auto fire = [&](std::uint64_t tag) {
+        observe('d', tag);
+        const std::uint64_t roll = rng.uniformInt(100);
+        if (roll < 20) {
+            // Children, some at this very timestamp (a later batch).
+            const std::uint64_t kids = 1 + rng.uniformInt(3);
+            for (std::uint64_t k = 0; k < kids; ++k)
+                schedule(sim.now(), rng.uniformInt(3) * rng.uniformInt(50));
+        } else if (roll < 30) {
+            sim.cancel(ids[rng.uniformInt(ids.size())]);
+        } else if (roll < 33) {
+            sim.requestStop();
+        } else if (roll < 36 && depth < 2) {
+            ++depth;
+            sim.runFor(rng.uniformInt(40));
+            --depth;
+            observe('r', tag);
+        } else if (roll < 40) {
+            log.push_back({'n', tag, sim.now(), sim.pendingEvents(),
+                           sim.executedEvents(), sim.nextEventAt()});
+        } else if (roll == 40 && depth == 0 && nestedBulks > 0) {
+            // A bulk load plus a nested run from inside a batch: the
+            // nested drain may spill while the outer batch still
+            // holds popped entries, which a stop then pushes back
+            // into the heap.
+            --nestedBulks;
+            for (int k = 0; k < 4500; ++k)
+                schedule(sim.now(), rng.uniformInt(3) * rng.uniformInt(500));
+            ++depth;
+            sim.runFor(rng.uniformInt(40));
+            --depth;
+            observe('r', tag);
+        }
+    };
+    schedule = [&](Tick base, Tick delay) {
+        const std::uint64_t tag = ids.size();
+        ids.push_back(
+            sim.scheduleAt(base + delay, [&fire, tag] { fire(tag); }));
+    };
+
+    for (int bulk = 0; bulk < 4; ++bulk) {
+        // Bulk load well above Simulator's spill size, spread over a
+        // horizon with many same-timestamp ties.
+        const std::uint64_t n = 5000 + rng.uniformInt(2000);
+        for (std::uint64_t i = 0; i < n; ++i)
+            schedule(sim.now(), rng.uniformInt(4000));
+        for (int op = 0; op < 60; ++op) {
+            const std::uint64_t roll = rng.uniformInt(100);
+            if (roll < 30) {
+                sim.runUntil(sim.now() + rng.uniformInt(200));
+            } else if (roll < 45) {
+                for (std::uint64_t k = rng.uniformInt(20); k > 0; --k) {
+                    log.push_back({'s', 0, sim.now(), sim.pendingEvents(),
+                                   sim.executedEvents(), sim.step()});
+                }
+            } else if (roll < 60) {
+                for (std::uint64_t k = rng.uniformInt(50); k > 0; --k)
+                    schedule(sim.now(), rng.uniformInt(3000));
+            } else if (roll < 75) {
+                for (std::uint64_t k = rng.uniformInt(50); k > 0; --k)
+                    sim.cancel(ids[rng.uniformInt(ids.size())]);
+            } else if (roll < 80) {
+                // Mass cancel: enough tombstones to force compaction
+                // of both the heap and the run.
+                for (std::uint64_t t = 0; t < ids.size(); ++t) {
+                    if (rng.chance(0.7))
+                        sim.cancel(ids[t]);
+                }
+            } else {
+                sim.runFor(rng.uniformInt(100));
+            }
+            log.push_back({'n', 0, sim.now(), sim.pendingEvents(),
+                           sim.executedEvents(), sim.nextEventAt()});
+        }
+    }
+    // Final drain: once it has used up the sorted run, a nested
+    // bulk load finds the run empty and spills inside the batch.
+    nestedBulks = 3;
+    sim.runUntil(maxTick - 1);
+    observe('r', 0);
+    return log;
+}
+
+} // namespace
+
+TEST(SimulatorFuzz, DispatchOrderMatchesReferenceModel)
+{
+    for (std::uint64_t i = 0; i < 12; ++i) {
+        const std::uint64_t seed = 0x51de5eed00000000ULL + i;
+        const std::vector<Obs> got = runProgram<Simulator>(seed);
+        const std::vector<Obs> want = runProgram<ReferenceSim>(seed);
+        if (got == want)
+            continue;
+        const auto [g, w] =
+            std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+        std::ostringstream where;
+        where << "failing seed 0x" << std::hex << seed << std::dec
+              << ": diverges at observation " << (g - got.begin());
+        if (g != got.end() && w != want.end())
+            where << "\n  got  " << *g << "\n  want " << *w;
+        FAIL() << where.str();
+    }
 }
 
 TEST(TimeUnits, ConversionsRoundTrip)
