@@ -62,6 +62,7 @@
 #include <string>
 #include <vector>
 
+#include "coord/flattable.hpp"
 #include "coord/island.hpp"
 #include "coord/message.hpp"
 #include "coord/transport.hpp"
@@ -219,12 +220,12 @@ class CoordFabric : public CoordTransport
     void
     attach(ResourceIsland &island)
     {
-        islands[island.id()] = &island;
+        setIsland(island);
         dirty = true;
     }
 
     /** Number of attached islands. */
-    std::size_t islandCount() const { return islands.size(); }
+    std::size_t islandCount() const { return liveIslands_; }
 
     /** Parameters in force. */
     const FabricParams &params() const { return cfg; }
@@ -243,7 +244,7 @@ class CoordFabric : public CoordTransport
         ensureBuilt();
         ShardState &st = stateFor(msg.src);
         st.stats.sent.add();
-        if (!islands.count(msg.dst) || !islands.count(msg.src)) {
+        if (!attached(msg.dst) || !attached(msg.src)) {
             // Routine under churn (a peer keeps sending to a
             // departed island for a beat), so debug, not warn. The
             // lost delta is attributed, not silently dropped.
@@ -252,7 +253,7 @@ class CoordFabric : public CoordTransport
                          msgTypeName(msg.type),
                          static_cast<unsigned>(msg.src),
                          static_cast<unsigned>(msg.dst),
-                         islands.size());
+                         islandCount());
             return;
         }
         if (msg.dst == msg.src) {
@@ -414,7 +415,7 @@ class CoordFabric : public CoordTransport
             &fn)
     {
         ensureBuilt();
-        for (auto &[key, link] : links) {
+        for (Link *link : linksInKeyOrder()) {
             fn(link->loToHi.name(), link->laneLoHi.id);
             fn(link->hiToLo.name(), link->laneHiLo.id);
         }
@@ -511,7 +512,7 @@ class CoordFabric : public CoordTransport
                                  corm::interconnect::Mailbox &)> &fn)
     {
         ensureBuilt();
-        for (auto &[key, link] : links) {
+        for (Link *link : linksInKeyOrder()) {
             fn(link->loToHi.name(), link->loToHi);
             fn(link->hiToLo.name(), link->hiToLo);
         }
@@ -588,7 +589,7 @@ class CoordFabric : public CoordTransport
     maxWireSends() const
     {
         std::uint64_t m = 0;
-        for (const auto &[id, isl] : islands)
+        for (IslandId id : liveIds())
             m = std::max(m, wireSendsFrom(id));
         return m;
     }
@@ -599,10 +600,10 @@ class CoordFabric : public CoordTransport
     {
         ensureBuilt();
         std::size_t m = 0;
-        for (auto &[key, link] : links) {
-            m = std::max(m, link->loToHi.pendingHighWater());
-            m = std::max(m, link->hiToLo.pendingHighWater());
-        }
+        links.forEach([&m](std::uint64_t, const std::unique_ptr<Link> &l) {
+            m = std::max({m, l->loToHi.pendingHighWater(),
+                          l->hiToLo.pendingHighWater()});
+        });
         return m;
     }
 
@@ -611,8 +612,8 @@ class CoordFabric : public CoordTransport
     parentOf(IslandId island)
     {
         ensureBuilt();
-        auto it = parent.find(island);
-        return it == parent.end() ? island : it->second;
+        const std::uint32_t p = parentId(island);
+        return p == noParent ? island : static_cast<IslandId>(p);
     }
 
     /** Link hops between two attached islands (0 for self). */
@@ -622,7 +623,7 @@ class CoordFabric : public CoordTransport
         ensureBuilt();
         int hops = 0;
         IslandId at = from;
-        while (at != to && hops <= 2 * static_cast<int>(islands.size())) {
+        while (at != to && hops <= 2 * static_cast<int>(islandCount())) {
             at = nextHopFrom(at, to);
             ++hops;
         }
@@ -636,7 +637,11 @@ class CoordFabric : public CoordTransport
     // ------------------------------------------------------------------
 
     /** True while @p id is an attached (live) member. */
-    bool attached(IslandId id) const { return islands.count(id) != 0; }
+    bool
+    attached(IslandId id) const
+    {
+        return id < islands.size() && islands[id] != nullptr;
+    }
 
     /**
      * Route epoch: bumps on every membership or route change
@@ -675,19 +680,19 @@ class CoordFabric : public CoordTransport
     void
     join(ResourceIsland &island, corm::sim::Tick now = 0)
     {
-        if (dirty || islands.empty()) {
+        if (dirty || liveIslands_ == 0) {
             attach(island);
             return;
         }
         const IslandId id = island.id();
-        if (islands.count(id))
+        if (attached(id))
             return;
         ChurnScope scope(*this, now);
-        islands[id] = &island;
+        setIsland(island);
         growNodeTables(static_cast<std::size_t>(id) + 1);
         switch (cfg.topology) {
           case FabricTopology::mesh:
-            for (const auto &[other, isl] : islands)
+            for (IslandId other : liveIds())
                 if (other != id)
                     ensureLink(other, id);
             break;
@@ -722,7 +727,7 @@ class CoordFabric : public CoordTransport
     leave(IslandId id, corm::sim::Tick now = 0)
     {
         ensureBuilt();
-        if (!islands.count(id))
+        if (!attached(id))
             return;
         if (id == hubId) {
             logger.warn("leave(%u) ignored: the hub cannot depart",
@@ -753,7 +758,7 @@ class CoordFabric : public CoordTransport
     crash(IslandId id, corm::sim::Tick now = 0)
     {
         ensureBuilt();
-        if (!islands.count(id))
+        if (!attached(id))
             return;
         if (id == hubId) {
             logger.warn("crash(%u) ignored: the hub cannot depart",
@@ -798,7 +803,7 @@ class CoordFabric : public CoordTransport
                   corm::sim::Tick now = 0)
     {
         ensureBuilt();
-        if (src == dst || !islands.count(src) || !islands.count(dst))
+        if (src == dst || !attached(src) || !attached(dst))
             return false;
         const IslandId dstHome = resolveEntity(dst, entity);
         if (resolveEntity(src, entity) != src
@@ -930,10 +935,67 @@ class CoordFabric : public CoordTransport
         std::uint64_t seq = 0;    ///< per-shard-state program order
     };
 
+    /**
+     * Lazily registered trace track ids (-1 = not registered yet),
+     * indexed by island id: one per node, and one per directional
+     * (from, to) lane in the sender's row.
+     */
+    struct TrackIds
+    {
+        std::vector<int> nodes;
+        std::vector<std::vector<std::pair<IslandId, int>>> lanes;
+
+        int &
+        node(IslandId n)
+        {
+            if (n >= nodes.size())
+                nodes.resize(static_cast<std::size_t>(n) + 1, -1);
+            return nodes[n];
+        }
+
+        int &
+        lane(IslandId from, IslandId to)
+        {
+            if (from >= lanes.size())
+                lanes.resize(static_cast<std::size_t>(from) + 1);
+            for (auto &[peer, trk] : lanes[from])
+                if (peer == to)
+                    return trk;
+            return lanes[from].emplace_back(to, -1).second;
+        }
+    };
+
+    /**
+     * "<prefix><type>" trace event names, built once per message type
+     * so a traced hop formats no string.
+     */
+    struct TypedNames
+    {
+        std::array<std::string, 5> byType; ///< [0] = unknown type
+
+        explicit TypedNames(const char *prefix)
+        {
+            for (std::size_t t = 0; t < byType.size(); ++t)
+                byType[t] = std::string(prefix)
+                    + msgTypeName(static_cast<MsgType>(t));
+        }
+
+        const std::string &
+        operator()(MsgType t) const
+        {
+            const auto i = static_cast<std::size_t>(t);
+            return byType[i < byType.size() ? i : 0];
+        }
+    };
+
+    static inline const TypedNames hopName{"hop:"};
+    static inline const TypedNames replayName{"replay:"};
+    static inline const TypedNames dupName{"hop:dup:"};
+
     struct ShardState
     {
-        std::map<std::uint64_t, Flight> flights;
-        std::map<std::uint64_t, AggBucket> aggBuckets;
+        FlatTable<Flight> flights;
+        FlatTable<AggBucket> aggBuckets;
         std::uint64_t nextTag = 0;
         std::size_t aggHighWater = 0;
         /** Abandons awaiting drainAbandoned() (sharded mode only). */
@@ -943,8 +1005,7 @@ class CoordFabric : public CoordTransport
         /** Window-local trace recorder (sharded capture only). */
         corm::obs::TraceRecorder *rec = nullptr;
         /** Lazy track ids on this shard's window recorder. */
-        std::map<std::uint64_t, int> laneTracks;
-        std::map<IslandId, int> nodeTracks;
+        TrackIds tracks;
         /** Window-local lane activity log (see drainLaneActivity). */
         std::vector<LaneEvent> laneLog;
         std::uint64_t laneLogSeq = 0;
@@ -1012,7 +1073,64 @@ class CoordFabric : public CoordTransport
             wireInto.resize(span, 0);
             aggDepth.resize(span, 0);
             seen.resize(span);
+            parent.resize(span, noParent);
+            children.resize(span);
         }
+    }
+
+    /** Install @p island in the id-indexed membership table. */
+    void
+    setIsland(ResourceIsland &island)
+    {
+        const std::size_t id = island.id();
+        if (id >= islands.size())
+            islands.resize(id + 1, nullptr);
+        if (islands[id] == nullptr)
+            ++liveIslands_;
+        islands[id] = &island;
+    }
+
+    /** Attached island ids, ascending. */
+    std::vector<IslandId>
+    liveIds() const
+    {
+        std::vector<IslandId> ids;
+        ids.reserve(liveIslands_);
+        for (std::size_t id = 0; id < islands.size(); ++id)
+            if (islands[id] != nullptr)
+                ids.push_back(static_cast<IslandId>(id));
+        return ids;
+    }
+
+    /** Tree parent of @p node, or noParent. */
+    std::uint32_t
+    parentId(IslandId node) const
+    {
+        return node < parent.size() ? parent[node] : noParent;
+    }
+
+    /** Live link between @p a and @p b, or null. */
+    Link *
+    linkBetween(IslandId a, IslandId b)
+    {
+        std::unique_ptr<Link> *l = links.find(linkKey(a, b));
+        return l ? l->get() : nullptr;
+    }
+
+    /** Live links in link-key order, the order monitor lane
+     *  registration depends on. */
+    std::vector<Link *>
+    linksInKeyOrder()
+    {
+        std::vector<Link *> v;
+        v.reserve(links.size());
+        links.forEach([&v](std::uint64_t, std::unique_ptr<Link> &l) {
+            v.push_back(l.get());
+        });
+        std::sort(v.begin(), v.end(), [](const Link *a, const Link *b) {
+            return linkKey(a->lo, a->hi) < linkKey(b->lo, b->hi);
+        });
+        return v;
     }
 
     /** makeLink unless the endpoint pair is already live (a re-join
@@ -1020,21 +1138,13 @@ class CoordFabric : public CoordTransport
     void
     ensureLink(IslandId a, IslandId b)
     {
-        if (!links.count(linkKey(a, b)))
+        if (!links.contains(linkKey(a, b)))
             makeLink(a, b);
     }
 
     /** Rebuild routes over the live membership, dropping stale
      *  entries that routed to or through departed nodes. */
-    void
-    rebuildLiveRoutes()
-    {
-        nextHop.clear();
-        std::vector<IslandId> ids;
-        for (const auto &[id, isl] : islands)
-            ids.push_back(id);
-        buildRoutes(ids);
-    }
+    void rebuildLiveRoutes() { buildRoutes(liveIds()); }
 
     /** First BFS-order tree node with spare fanout (join placement —
      *  deterministic for a given call sequence). */
@@ -1045,11 +1155,10 @@ class CoordFabric : public CoordTransport
             static_cast<std::size_t>(std::max(1, cfg.treeFanout));
         std::vector<IslandId> q{hubId};
         for (std::size_t i = 0; i < q.size(); ++i) {
-            auto it = children.find(q[i]);
-            if (it == children.end() || it->second.size() < k)
+            const std::vector<IslandId> &kids = children[q[i]];
+            if (kids.size() < k)
                 return q[i];
-            for (IslandId c : it->second)
-                q.push_back(c);
+            q.insert(q.end(), kids.begin(), kids.end());
         }
         return hubId;
     }
@@ -1060,11 +1169,11 @@ class CoordFabric : public CoordTransport
     fallbackFor(IslandId id) const
     {
         if (cfg.fallbackParent != 0 && cfg.fallbackParent != id
-            && islands.count(cfg.fallbackParent))
+            && attached(cfg.fallbackParent))
             return cfg.fallbackParent;
-        auto it = parent.find(id);
-        if (it != parent.end() && islands.count(it->second))
-            return it->second;
+        const std::uint32_t p = parentId(id);
+        if (p != noParent && attached(static_cast<IslandId>(p)))
+            return static_cast<IslandId>(p);
         return hubId;
     }
 
@@ -1075,13 +1184,13 @@ class CoordFabric : public CoordTransport
     {
         std::size_t guard = 0;
         IslandId at = node;
-        while (at != hubId && ++guard <= parent.size() + 1) {
+        while (at != hubId && ++guard <= liveIslands_ + 1) {
             if (at == root)
                 return true;
-            auto it = parent.find(at);
-            if (it == parent.end())
+            const std::uint32_t p = parentId(at);
+            if (p == noParent)
                 return false;
-            at = it->second;
+            at = static_cast<IslandId>(p);
         }
         return at == root;
     }
@@ -1096,31 +1205,24 @@ class CoordFabric : public CoordTransport
     std::vector<IslandId>
     detachNode(IslandId id)
     {
-        islands.erase(id);
-        for (auto it = links.begin(); it != links.end();) {
-            if (it->second->lo == id || it->second->hi == id) {
-                retired.push_back(std::move(it->second));
-                it = links.erase(it);
-            } else {
-                ++it;
-            }
+        islands[id] = nullptr;
+        --liveIslands_;
+        std::vector<std::uint64_t> dead;
+        links.forEach([&](std::uint64_t key, std::unique_ptr<Link> &l) {
+            if (l->lo == id || l->hi == id)
+                dead.push_back(key);
+        });
+        for (std::uint64_t key : dead) {
+            std::unique_ptr<Link> l;
+            links.take(key, l);
+            retired.push_back(std::move(l));
         }
         std::vector<IslandId> orphans;
-        auto cit = children.find(id);
-        if (cit != children.end()) {
-            orphans = cit->second;
-            children.erase(cit);
-        }
-        auto pit = parent.find(id);
-        if (pit != parent.end()) {
-            auto up = children.find(pit->second);
-            if (up != children.end()) {
-                auto &v = up->second;
-                v.erase(std::remove(v.begin(), v.end(), id), v.end());
-                if (v.empty())
-                    children.erase(up);
-            }
-            parent.erase(pit);
+        orphans.swap(children[id]);
+        if (const std::uint32_t p = parentId(id); p != noParent) {
+            auto &v = children[p];
+            v.erase(std::remove(v.begin(), v.end(), id), v.end());
+            parent[id] = noParent;
         }
         return orphans;
     }
@@ -1130,12 +1232,11 @@ class CoordFabric : public CoordTransport
     void
     applyReparent(IslandId child, IslandId fallback)
     {
-        if (!islands.count(child))
+        if (!attached(child))
             return; // departed while orphaned
-        if (!islands.count(fallback))
-            fallback = islands.count(cfg.fallbackParent)
-                           ? cfg.fallbackParent
-                           : hubId;
+        if (!attached(fallback))
+            fallback = attached(cfg.fallbackParent) ? cfg.fallbackParent
+                                                    : hubId;
         if (fallback == child || inSubtree(fallback, child))
             fallback = hubId;
         parent[child] = fallback;
@@ -1179,9 +1280,10 @@ class CoordFabric : public CoordTransport
     {
         std::vector<std::uint64_t> keys;
         for (ShardState &st : states)
-            for (const auto &[key, b] : st.aggBuckets)
+            st.aggBuckets.forEach([&](std::uint64_t key, const AggBucket &b) {
                 if (b.node == id || (includeDest && b.proto.dst == id))
                     keys.push_back(key);
+            });
         std::sort(keys.begin(), keys.end());
         for (std::uint64_t key : keys)
             flushBucket(key);
@@ -1195,9 +1297,10 @@ class CoordFabric : public CoordTransport
     {
         std::vector<std::uint64_t> keys;
         for (ShardState &st : states)
-            for (const auto &[key, b] : st.aggBuckets)
+            st.aggBuckets.forEach([&](std::uint64_t key, const AggBucket &b) {
                 if (b.proto.dst == dst && b.proto.entity == entity)
                     keys.push_back(key);
+            });
         std::sort(keys.begin(), keys.end());
         for (std::uint64_t key : keys)
             flushBucket(key);
@@ -1210,14 +1313,14 @@ class CoordFabric : public CoordTransport
     {
         ShardState &st = stateFor(id);
         std::vector<std::uint64_t> keys;
-        for (const auto &[key, b] : st.aggBuckets)
+        st.aggBuckets.forEach([&](std::uint64_t key, const AggBucket &b) {
             if (b.node == id)
                 keys.push_back(key);
+        });
         std::sort(keys.begin(), keys.end());
         for (std::uint64_t key : keys) {
-            auto it = st.aggBuckets.find(key);
-            AggBucket b = std::move(it->second);
-            st.aggBuckets.erase(it);
+            AggBucket b;
+            st.aggBuckets.take(key, b);
             if (aggDepth[b.node] > 0)
                 --aggDepth[b.node];
             st.stats.abandoned.add();
@@ -1280,24 +1383,24 @@ class CoordFabric : public CoordTransport
         dirty = false;
         // Retire (don't destroy) old links: their mailboxes may
         // still hold scheduled deliveries referencing themselves.
-        for (auto &[key, link] : links)
-            retired.push_back(std::move(link));
-        links.clear();
-        nextHop.clear();
-        parent.clear();
-        children.clear();
-        if (islands.empty())
+        links.forEach([this](std::uint64_t, std::unique_ptr<Link> &l) {
+            retired.push_back(std::move(l));
+        });
+        links = {};
+        parent.assign(parent.size(), noParent);
+        for (std::vector<IslandId> &kids : children)
+            kids.clear();
+        const std::vector<IslandId> ids = liveIds();
+        if (ids.empty()) {
+            buildRoutes(ids);
             return;
+        }
+        hubId = attached(cfg.hub) ? cfg.hub : ids.front();
 
-        std::vector<IslandId> ids;
-        for (const auto &[id, isl] : islands)
-            ids.push_back(id);
-        hubId = islands.count(cfg.hub) ? cfg.hub : ids.front();
-
-        // Size the node-indexed tables from the topology (islands is
-        // an ordered map, so ids.back() is the highest attached id).
-        // Grow-only: re-attachment rebuilds must not discard the
-        // accumulated per-node tallies or dedup windows.
+        // Size the node-indexed tables from the topology (ids.back()
+        // is the highest attached id). Grow-only: re-attachment
+        // rebuilds must not discard the accumulated per-node tallies
+        // or dedup windows.
         growNodeTables(static_cast<std::size_t>(ids.back()) + 1);
 
         switch (cfg.topology) {
@@ -1373,22 +1476,33 @@ class CoordFabric : public CoordTransport
             corm::interconnect::Mailbox &mb =
                 d == 0 ? link->loToHi : link->hiToLo;
             const IslandId receiver = d == 0 ? link->hi : link->lo;
+            // The flight record carries the span id, so the
+            // mailbox's flow side-band is not needed here.
             mb.setReceiver([this, receiver](std::uint64_t w0,
                                             std::uint64_t w1,
                                             std::uint64_t w2,
                                             std::uint64_t tag,
-                                            std::uint64_t flow) {
-                onWireDeliver(receiver, w0, w1, w2, tag, flow);
+                                            std::uint64_t) {
+                onWireDeliver(receiver, w0, w1, w2, tag);
             });
             mb.setDropObserver(
                 [this](std::uint64_t tag) { onWireDrop(tag); });
         }
-        links[linkKey(a, b)] = std::move(link);
+        links.tryEmplace(linkKey(a, b)).first = std::move(link);
     }
 
+    /**
+     * Fill the route table over the live @p ids. Every entry starts
+     * as its own destination — the answer for a pair with no route —
+     * so only live pairs are computed.
+     */
     void
     buildRoutes(const std::vector<IslandId> &ids)
     {
+        routeSpan_ = wireFrom.size();
+        nextHop.resize(routeSpan_ * routeSpan_);
+        for (std::size_t i = 0; i < nextHop.size(); ++i)
+            nextHop[i] = static_cast<IslandId>(i % routeSpan_);
         for (IslandId from : ids) {
             for (IslandId to : ids) {
                 if (from == to)
@@ -1405,22 +1519,19 @@ class CoordFabric : public CoordTransport
                     next = treeNextHop(from, to);
                     break;
                 }
-                nextHop[routeKey(from, to)] = next;
+                nextHop[from * routeSpan_ + to] = next;
             }
         }
     }
 
-    static std::uint32_t
-    routeKey(IslandId from, IslandId to)
-    {
-        return (static_cast<std::uint32_t>(from) << 16) | to;
-    }
-
+    /** Next hop from @p from toward @p to; @p to itself when no route
+     *  was built (including ids outside the table). */
     IslandId
     nextHopFrom(IslandId from, IslandId to) const
     {
-        auto it = nextHop.find(routeKey(from, to));
-        return it == nextHop.end() ? to : it->second;
+        return from < routeSpan_ && to < routeSpan_
+            ? nextHop[from * routeSpan_ + to]
+            : to;
     }
 
     /**
@@ -1440,22 +1551,25 @@ class CoordFabric : public CoordTransport
         IslandId below = to;
         std::size_t guard = 0;
         while (at != hubId) {
-            auto it = parent.find(at);
-            if (it == parent.end() || ++guard > parent.size())
+            const std::uint32_t p = parentId(at);
+            if (p == noParent || ++guard > liveIslands_)
                 return from;
-            const IslandId p = it->second;
             if (p == from)
                 return at;
             below = at;
-            at = p;
+            at = static_cast<IslandId>(p);
         }
         if (from == hubId)
             return below;
-        auto it = parent.find(from);
-        return it == parent.end() ? from : it->second;
+        const std::uint32_t p = parentId(from);
+        return p == noParent ? from : static_cast<IslandId>(p);
     }
 
-    bool isTreeHub(IslandId node) const { return children.count(node); }
+    bool
+    isTreeHub(IslandId node) const
+    {
+        return node < children.size() && !children[node].empty();
+    }
 
     /**
      * Forward @p msg from @p node toward msg.dst: fold eligible
@@ -1492,9 +1606,8 @@ class CoordFabric : public CoordTransport
             (static_cast<std::uint64_t>(node) << 48)
             | (static_cast<std::uint64_t>(msg.dst) << 32)
             | msg.entity;
-        auto it = sst.aggBuckets.find(key);
-        if (it == sst.aggBuckets.end()) {
-            AggBucket &b = sst.aggBuckets[key];
+        auto [b, fresh] = sst.aggBuckets.tryEmplace(key);
+        if (fresh) {
             b.proto = msg;
             b.proto.src = node; // the batch originates at the hub
             b.node = node;
@@ -1514,7 +1627,6 @@ class CoordFabric : public CoordTransport
                                   [this, key] { flushBucket(key); });
             return;
         }
-        AggBucket &b = it->second;
         sst.stats.aggFolded.add();
         b.proto.value += msg.value;
         b.proto.coalesced += msg.coalesced;
@@ -1540,11 +1652,9 @@ class CoordFabric : public CoordTransport
         // the shard state on whichever thread the flush timer fires.
         const IslandId node = static_cast<IslandId>(key >> 48);
         ShardState &sst = stateFor(node);
-        auto it = sst.aggBuckets.find(key);
-        if (it == sst.aggBuckets.end())
+        AggBucket b;
+        if (!sst.aggBuckets.take(key, b))
             return;
-        AggBucket b = std::move(it->second);
-        sst.aggBuckets.erase(it);
         if (aggDepth[b.node] > 0)
             --aggDepth[b.node];
         sst.stats.aggBatches.add();
@@ -1569,9 +1679,9 @@ class CoordFabric : public CoordTransport
             shardWireSend(from, to, msg, origin, hopsSoFar);
             return;
         }
-        auto lk = links.find(linkKey(from, to));
+        Link *lk = linkBetween(from, to);
         ShardState &st = states[0];
-        if (lk == links.end()) {
+        if (lk == nullptr) {
             // Topology changed under an in-flight message: the next
             // hop is gone (or routing answered the unroutable
             // sentinel). Attribute rather than lose the delta.
@@ -1579,7 +1689,7 @@ class CoordFabric : public CoordTransport
             return;
         }
         const std::uint64_t tag = ++st.nextTag;
-        Flight &f = st.flights[tag];
+        Flight &f = st.flights.tryEmplace(tag).first;
         f.msg = msg;
         f.originSentAt = origin;
         f.hopSentAt = sim.now();
@@ -1592,8 +1702,8 @@ class CoordFabric : public CoordTransport
         if (msg.type == MsgType::tune)
             st.stats.wireTunes.add();
         ++wireFrom[from];
-        lk->second->dir(from).send(msg.encodeWord0(), msg.encodeWord1(),
-                                   msg.encodeWord2(), tag, msg.trace);
+        lk->dir(from).send(msg.encodeWord0(), msg.encodeWord1(),
+                           msg.encodeWord2(), tag, msg.trace);
     }
 
     /**
@@ -1610,8 +1720,8 @@ class CoordFabric : public CoordTransport
                   corm::sim::Tick origin, int hopsSoFar)
     {
         ShardState &st = stateFor(from);
-        auto lk = links.find(linkKey(from, to));
-        if (lk == links.end()) {
+        Link *lk = linkBetween(from, to);
+        if (lk == nullptr) {
             dropAttributed(from, msg, from, to);
             return;
         }
@@ -1629,7 +1739,7 @@ class CoordFabric : public CoordTransport
         if (msg.type == MsgType::tune)
             st.stats.wireTunes.add();
         ++wireFrom[from];
-        shardTransmit(st, *lk->second, tag, f);
+        shardTransmit(st, *lk, tag, f);
     }
 
     /**
@@ -1680,7 +1790,7 @@ class CoordFabric : public CoordTransport
             // sender-side span and the receiver-side continuation.
             st.rec->complete(
                 laneTrackOn(st, lane), tnow, when - tnow,
-                std::string("hop:") + msgTypeName(f.msg.type), "coord",
+                hopName(f.msg.type), "coord",
                 {{"entity", static_cast<std::uint64_t>(f.msg.entity)},
                  {"seq", static_cast<int>(f.msg.seq)},
                  {"hop", f.hopsSoFar + 1}});
@@ -1727,7 +1837,9 @@ class CoordFabric : public CoordTransport
             shardAbandon(st, tag, dropped, laneId);
             return;
         }
-        Flight &f = st.flights.try_emplace(tag, dropped).first->second;
+        auto [f, fresh] = st.flights.tryEmplace(tag);
+        if (fresh)
+            f = dropped;
         const corm::sim::Tick wait = f.timeout;
         const double next = static_cast<double>(f.timeout)
             * (cfg.replayBackoff > 1.0 ? cfg.replayBackoff : 1.0);
@@ -1742,12 +1854,12 @@ class CoordFabric : public CoordTransport
     shardReplay(IslandId from, std::uint64_t tag)
     {
         ShardState &st = stateFor(from);
-        auto it = st.flights.find(tag);
-        if (it == st.flights.end())
+        Flight *fp = st.flights.find(tag);
+        if (fp == nullptr)
             return;
-        Flight &f = it->second;
-        auto lk = links.find(linkKey(f.from, f.to));
-        if (lk == links.end()) {
+        Flight &f = *fp;
+        Link *lk = linkBetween(f.from, f.to);
+        if (lk == nullptr) {
             shardAbandon(st, tag, f, 0);
             return;
         }
@@ -1759,14 +1871,13 @@ class CoordFabric : public CoordTransport
             st.stats.wireTunes.add();
         ++wireFrom[f.from];
         if (CORM_TRACE_ACTIVE(st.rec)) {
-            Lane &lane = lk->second->laneFrom(f.from);
+            Lane &lane = lk->laneFrom(f.from);
             st.rec->instant(laneTrackOn(st, lane), simFor(from).now(),
-                            std::string("replay:")
-                                + msgTypeName(f.msg.type),
-                            "coord", {{"attempt", f.attempts}});
+                            replayName(f.msg.type), "coord",
+                            {{"attempt", f.attempts}});
         }
-        if (shardTransmit(st, *lk->second, tag, f))
-            st.flights.erase(it);
+        if (shardTransmit(st, *lk, tag, f))
+            st.flights.erase(tag);
     }
 
     /**
@@ -1791,7 +1902,7 @@ class CoordFabric : public CoordTransport
             // Deliberately no flowEnd, same as abandonFlight: an
             // abandoned message's span dangles.
             st.rec->instant(
-                laneTrackOn(st, laneId, from, to), when, "abandon",
+                laneTrackOn(st, from, to), when, "abandon",
                 "coord",
                 {{"entity", static_cast<std::uint64_t>(msg.entity)}});
         }
@@ -1821,9 +1932,7 @@ class CoordFabric : public CoordTransport
                 const CoordMessage m =
                     CoordMessage::decode(e.w0, e.w1, e.w2);
                 st.rec->instant(nodeTrackOn(st, node),
-                                simFor(node).now(),
-                                std::string("hop:dup:")
-                                    + msgTypeName(m.type),
+                                simFor(node).now(), dupName(m.type),
                                 "coord");
             }
             return;
@@ -1860,17 +1969,17 @@ class CoordFabric : public CoordTransport
     onWireDrop(std::uint64_t tag)
     {
         ShardState &st = states[0];
-        auto it = st.flights.find(tag);
-        if (it == st.flights.end())
+        Flight *fp = st.flights.find(tag);
+        if (fp == nullptr)
             return; // a duplicate copy was eaten; nothing pending
-        Flight &f = it->second;
+        Flight &f = *fp;
         st.stats.linkDrops.add();
         if (CORM_TRACE_ACTIVE(rec_)) {
             rec_->instant(linkTrack(f.from, f.to), sim.now(),
                           "hop:drop", "coord");
         }
         if (f.attempts > cfg.replayAttempts) {
-            abandonFlight(it);
+            abandonFlight(tag);
             return;
         }
         const corm::sim::Tick wait = f.timeout;
@@ -1885,13 +1994,13 @@ class CoordFabric : public CoordTransport
     replayFlight(std::uint64_t tag)
     {
         ShardState &st = states[0];
-        auto it = st.flights.find(tag);
-        if (it == st.flights.end())
+        Flight *fp = st.flights.find(tag);
+        if (fp == nullptr)
             return;
-        Flight &f = it->second;
-        auto lk = links.find(linkKey(f.from, f.to));
-        if (lk == links.end()) {
-            abandonFlight(it);
+        Flight &f = *fp;
+        Link *lk = linkBetween(f.from, f.to);
+        if (lk == nullptr) {
+            abandonFlight(tag);
             return;
         }
         ++f.attempts;
@@ -1903,25 +2012,23 @@ class CoordFabric : public CoordTransport
         ++wireFrom[f.from];
         if (CORM_TRACE_ACTIVE(rec_)) {
             rec_->instant(linkTrack(f.from, f.to), sim.now(),
-                          std::string("replay:")
-                              + msgTypeName(f.msg.type),
-                          "coord", {{"attempt", f.attempts}});
+                          replayName(f.msg.type), "coord",
+                          {{"attempt", f.attempts}});
             if (f.msg.trace != 0)
                 rec_->flowStep(linkTrack(f.from, f.to), sim.now(),
                                f.msg.trace, "coord.span", "coord");
         }
-        lk->second->dir(f.from).send(f.msg.encodeWord0(),
-                                     f.msg.encodeWord1(),
-                                     f.msg.encodeWord2(), tag,
-                                     f.msg.trace);
+        lk->dir(f.from).send(f.msg.encodeWord0(), f.msg.encodeWord1(),
+                             f.msg.encodeWord2(), tag, f.msg.trace);
     }
 
     void
-    abandonFlight(std::map<std::uint64_t, Flight>::iterator it)
+    abandonFlight(std::uint64_t tag)
     {
-        const CoordMessage msg = it->second.msg;
-        const IslandId from = it->second.from, to = it->second.to;
-        states[0].flights.erase(it);
+        Flight f;
+        states[0].flights.take(tag, f);
+        const CoordMessage &msg = f.msg;
+        const IslandId from = f.from, to = f.to;
         states[0].stats.abandoned.add();
         logger.debug("abandoning %s for island %u on link %u-%u "
                      "after replay budget",
@@ -1944,35 +2051,28 @@ class CoordFabric : public CoordTransport
 
     void
     onWireDeliver(IslandId node, std::uint64_t w0, std::uint64_t w1,
-                  std::uint64_t w2, std::uint64_t tag,
-                  std::uint64_t flow)
+                  std::uint64_t w2, std::uint64_t tag)
     {
         ShardState &st = states[0];
-        auto it = st.flights.find(tag);
-        if (it == st.flights.end()) {
+        Flight f;
+        if (!st.flights.take(tag, f)) {
             // Second copy of a duplicated wire message: the first
             // copy consumed the flight record.
             st.stats.duplicates.add();
             if (CORM_TRACE_ACTIVE(rec_)) {
-                CoordMessage m = CoordMessage::decode(w0, w1, w2);
-                m.trace = flow;
-                rec_->instant(nodeTrack(node), sim.now(),
-                              std::string("hop:dup:")
-                                  + msgTypeName(m.type),
+                const CoordMessage m = CoordMessage::decode(w0, w1, w2);
+                rec_->instant(nodeTrack(node), sim.now(), dupName(m.type),
                               "coord");
             }
             return;
         }
-        Flight f = std::move(it->second);
-        st.flights.erase(it);
         ++wireInto[node];
         const int hops = f.hopsSoFar + 1;
         CoordMessage msg = f.msg; // wire words + out-of-band fields
         if (CORM_TRACE_ACTIVE(rec_)) {
             rec_->complete(
                 linkTrack(f.from, f.to), f.hopSentAt,
-                sim.now() - f.hopSentAt,
-                std::string("hop:") + msgTypeName(msg.type), "coord",
+                sim.now() - f.hopSentAt, hopName(msg.type), "coord",
                 {{"entity", static_cast<std::uint64_t>(msg.entity)},
                  {"seq", static_cast<int>(msg.seq)},
                  {"hop", hops}});
@@ -2012,13 +2112,12 @@ class CoordFabric : public CoordTransport
                  int hops)
     {
         ShardState &sst = stateFor(msg.dst);
-        auto dit = islands.find(msg.dst);
-        if (dit == islands.end()) {
+        if (!attached(msg.dst)) {
             // Destination departed while the message was in flight.
             dropAttributed(msg.dst, msg, msg.src, msg.dst);
             return;
         }
-        ResourceIsland &dst = *dit->second;
+        ResourceIsland &dst = *islands[msg.dst];
         if (!migrated_.empty()
             && (msg.type == MsgType::tune
                 || msg.type == MsgType::trigger)) {
@@ -2186,19 +2285,15 @@ class CoordFabric : public CoordTransport
         return false;
     }
 
-    /** Per-link trace track (lazy). */
+    /** Per-link trace track (lazy), kept in the (lo, hi) lane slot. */
     int
     linkTrack(IslandId a, IslandId b)
     {
-        const std::uint32_t key = linkKey(a, b);
-        auto it = linkTracks.find(key);
-        if (it != linkTracks.end())
-            return it->second;
-        const int trk = rec_->track(
-            "fabric", cfg.name + "."
-                          + std::to_string(std::min(a, b)) + "-"
-                          + std::to_string(std::max(a, b)));
-        linkTracks[key] = trk;
+        const IslandId lo = std::min(a, b), hi = std::max(a, b);
+        int &trk = tracks_.lane(lo, hi);
+        if (trk < 0)
+            trk = rec_->track("fabric", cfg.name + "." + std::to_string(lo)
+                                            + "-" + std::to_string(hi));
         return trk;
     }
 
@@ -2206,12 +2301,16 @@ class CoordFabric : public CoordTransport
     int
     nodeTrack(IslandId node)
     {
-        auto it = nodeTracks.find(node);
-        if (it != nodeTracks.end())
-            return it->second;
-        const int trk = rec_->track(
-            "fabric", cfg.name + "@" + std::to_string(node));
-        nodeTracks[node] = trk;
+        return nodeTrackIn(tracks_, *rec_, node);
+    }
+
+    /** Node track of @p node on @p r, cached in @p ids. */
+    int
+    nodeTrackIn(TrackIds &ids, corm::obs::TraceRecorder &r, IslandId node)
+    {
+        int &trk = ids.node(node);
+        if (trk < 0)
+            trk = r.track("fabric", cfg.name + "@" + std::to_string(node));
         return trk;
     }
 
@@ -2232,13 +2331,7 @@ class CoordFabric : public CoordTransport
     {
         if (!sharded())
             return nodeTrack(node);
-        auto it = st.nodeTracks.find(node);
-        if (it != st.nodeTracks.end())
-            return it->second;
-        const int trk = st.rec->track(
-            "fabric", cfg.name + "@" + std::to_string(node));
-        st.nodeTracks[node] = trk;
-        return trk;
+        return nodeTrackIn(st.tracks, *st.rec, node);
     }
 
     /**
@@ -2248,23 +2341,20 @@ class CoordFabric : public CoordTransport
      * its sender shard.
      */
     int
-    laneTrackOn(ShardState &st, std::uint64_t laneId, IslandId from,
-                IslandId to)
+    laneTrackOn(ShardState &st, IslandId from, IslandId to)
     {
-        auto it = st.laneTracks.find(laneId);
-        if (it != st.laneTracks.end())
-            return it->second;
-        const int trk = st.rec->track(
-            "fabric", cfg.name + "." + std::to_string(from) + "-"
-                          + std::to_string(to));
-        st.laneTracks[laneId] = trk;
+        int &trk = st.tracks.lane(from, to);
+        if (trk < 0)
+            trk = st.rec->track("fabric", cfg.name + "."
+                                              + std::to_string(from) + "-"
+                                              + std::to_string(to));
         return trk;
     }
 
     int
     laneTrackOn(ShardState &st, const Lane &lane)
     {
-        return laneTrackOn(st, lane.id, lane.from, lane.to);
+        return laneTrackOn(st, lane.from, lane.to);
     }
 
     /** Directional lane id from the endpoint pair (see makeLink). */
@@ -2331,22 +2421,34 @@ class CoordFabric : public CoordTransport
     FabricParams cfg;
     IslandId hubId = 0;
     bool dirty = true;
-    std::map<IslandId, ResourceIsland *> islands;
-    std::map<std::uint32_t, std::unique_ptr<Link>> links;
+    /** Attached islands by id (null = not attached) and their count. */
+    std::vector<ResourceIsland *> islands;
+    std::size_t liveIslands_ = 0;
+    /** Live links by linkKey. */
+    FlatTable<std::unique_ptr<Link>> links;
     std::vector<std::unique_ptr<Link>> retired;
-    std::map<std::uint32_t, IslandId> nextHop;
-    std::map<IslandId, IslandId> parent;
-    std::map<IslandId, std::vector<IslandId>> children;
+    /**
+     * Next hop, row-major routeSpan_ x routeSpan_ (row = from),
+     * rebuilt over the live membership on every membership change.
+     */
+    std::vector<IslandId> nextHop;
+    std::size_t routeSpan_ = 0;
+    /** Tree parent by id (the root is its own parent). */
+    static constexpr std::uint32_t noParent = ~std::uint32_t{0};
+    std::vector<std::uint32_t> parent;
+    /** Tree children by id; a node with children is a tree hub. */
+    std::vector<std::vector<IslandId>> children;
     /** Per-shard mutable state; exactly one entry in legacy mode. */
     std::vector<ShardState> states = std::vector<ShardState>(1);
     mutable FabricStats merged_; ///< stats() scratch (sharded)
     corm::sim::ShardedEngine *engine_ = nullptr;
     std::vector<int> shardOf; ///< island id -> shard (sharded mode)
-    // Node-indexed tallies, sized from the attached topology at
-    // ensureBuilt() (highest island id + 1): the 16-bit id space is
-    // too large for fixed flat tables, and small runs shouldn't pay
-    // for islands they never attach. Each entry has a single writer
-    // (the owner shard), and the vectors only grow, never shrink.
+    // Node-indexed tallies and dedup windows (and the tree tables
+    // above), sized by growNodeTables() to the highest attached id + 1
+    // at ensureBuilt() and join(), so a run pays only for the id
+    // range it attaches, not the whole 16-bit space. Each entry has a
+    // single writer (the owner shard), and the vectors only grow,
+    // never shrink.
     std::vector<std::uint64_t> wireFrom;
     std::vector<std::uint64_t> wireInto;
     std::vector<std::size_t> aggDepth;
@@ -2371,8 +2473,8 @@ class CoordFabric : public CoordTransport
     std::map<std::uint64_t, IslandId> migrated_;
     AbandonFn onAbandon;
     corm::obs::TraceRecorder *rec_ = nullptr;
-    std::map<std::uint32_t, int> linkTracks;
-    std::map<IslandId, int> nodeTracks;
+    /** Lazy track ids on rec_; link tracks use the (lo, hi) lane. */
+    TrackIds tracks_;
     bool laneActivity_ = false;
     std::vector<LaneEvent> laneScratch_;     ///< drain scratch
     std::vector<AbandonRecord> abandonScratch_;

@@ -783,16 +783,30 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     } const rootSends{fabric, triggerSender, beginSpan};
 
     // Pre-size the event queues for the up-front scheduled workload,
-    // so heap growth never lands mid-run (Simulator::reserve).
-    const std::size_t expectedSends =
-        static_cast<std::size_t>(std::max(n - 1, 1))
-        * static_cast<std::size_t>(std::max(cfg.tiers, 1))
-        * static_cast<std::size_t>(std::max(cfg.tunesPerPair, 1)) * 2;
+    // so heap growth never lands mid-run (Simulator::reserve). The
+    // root's tunes and triggers queue on its simulator (shard 0);
+    // each island's load reports queue on its own shard. The trigger
+    // count is a binomial draw, so it gets a margin of 1/8 of its
+    // mean (about six standard deviations at 256 islands) on top of
+    // the fixed slack for events left over from bring-up.
+    const std::size_t perIsland =
+        static_cast<std::size_t>(std::max(cfg.tiers, 1))
+        * static_cast<std::size_t>(std::max(cfg.tunesPerPair, 1));
+    const std::size_t pairEpochs =
+        static_cast<std::size_t>(n - 1) * perIsland;
+    const auto expectedTriggers = static_cast<std::size_t>(
+        static_cast<double>(pairEpochs) * cfg.triggerProb);
+    std::vector<std::size_t> reserved(
+        static_cast<std::size_t>(engine ? K : 1), 256);
+    reserved[0] += pairEpochs + expectedTriggers + expectedTriggers / 8;
+    for (int i = 1; i < n; ++i)
+        reserved[engine ? static_cast<std::size_t>(
+                     shardOf[static_cast<std::size_t>(rootId + i)])
+                        : 0] += perIsland;
     if (engine)
-        engine->reserve(
-            expectedSends / static_cast<std::size_t>(K) + 256);
+        engine->reserve(reserved);
     else
-        sim.reserve(expectedSends + 256);
+        sim.reserve(reserved[0]);
     const Tick span = std::max<Tick>(cfg.workloadSpan, 1);
     // Tunes fire in policy epochs (the paper's managers evaluate
     // periodically), with a small per-sender skew. Bursting is what
@@ -1011,6 +1025,15 @@ runFabricScenario(const FabricScenarioConfig &cfg)
             });
         }
     }
+    r.upfrontReserved = true;
+    for (std::size_t k = 0; k < reserved.size(); ++k) {
+        const corm::sim::Simulator &q =
+            engine ? engine->sim(static_cast<int>(k)) : sim;
+        if (q.pendingEvents() > reserved[k])
+            r.upfrontReserved = false;
+    }
+    assert(r.upfrontReserved
+           && "up-front workload outgrew the event-queue reservation");
 
     // Convergence probe: the first poll tick (after which no later
     // poll disagrees) where every island's applied weights equal the

@@ -304,8 +304,8 @@ struct FabricScenarioConfig
     /**
      * Id of the root/classifier island; islands occupy ids
      * [firstIslandId, firstIslandId + islands). Default 1 preserves
-     * historical digests; 256-island runs need 0 so the top id still
-     * fits IslandId (uint8).
+     * historical digests; the top id must still fit the 16-bit
+     * IslandId (firstIslandId + islands <= coord::maxIslands).
      */
     int firstIslandId = 1;
 
@@ -477,6 +477,11 @@ struct FabricScenarioResult
     std::size_t hubQueueHighWater = 0;
     /** Most aggregation buckets open at one hub. */
     std::size_t aggOpenHighWater = 0;
+    /**
+     * True when the workload scheduled up front fit every event
+     * queue's reservation, so no queue regrew mid-setup.
+     */
+    bool upfrontReserved = false;
     /** Highest per-island wire-send load (hub bottleneck). */
     std::uint64_t maxIslandWireSends = 0;
 

@@ -250,12 +250,13 @@ class ShardedEngine
         ++postedBy_[static_cast<std::size_t>(src)];
     }
 
-    /** Pre-size every shard simulator (Simulator::reserve). */
+    /** Pre-size each shard simulator for @p eventsByShard[k] pending
+     *  events (Simulator::reserve). */
     void
-    reserve(std::size_t eventsPerShard)
+    reserve(const std::vector<std::size_t> &eventsByShard)
     {
-        for (auto &s : sims_)
-            s->reserve(eventsPerShard);
+        for (std::size_t k = 0; k < sims_.size(); ++k)
+            sims_[k]->reserve(eventsByShard.at(k));
         for (auto &row : outbox_)
             for (auto &q : row)
                 q.reserve(64);

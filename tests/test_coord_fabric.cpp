@@ -4,17 +4,24 @@
  * hub-relay accounting, aggregation-window edge cases, link replay
  * and abandonment, multi-hop trace spans, the reliable announcer
  * across relay hops, and the fabric report (including the
- * unroutable-dropped line the two-island report never surfaced).
+ * unroutable-dropped line the two-island report never surfaced), and
+ * differential checks of the route table and FlatTable against
+ * std::map references.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "coord/fabric.hpp"
+#include "coord/flattable.hpp"
 #include "coord/reliable.hpp"
 #include "obs/trace.hpp"
 #include "obs/tracecheck.hpp"
@@ -451,6 +458,18 @@ TEST(CoordFabricLanes, ExposesPerDirectionLanesAndQueueDepth)
     EXPECT_GE(rig.fabric->maxLaneQueueHighWater(), 1u);
     EXPECT_EQ(rig.fabric->wireSendsFrom(2), 1u);
     EXPECT_EQ(rig.fabric->wireSendsFrom(1), 1u); // the relay
+
+    // Monitor lane registration depends on link-key order.
+    TreeRig big(p);
+    std::vector<std::string> ordered;
+    big.fabric->forEachLane(
+        [&](const std::string &name, corm::interconnect::Mailbox &) {
+            ordered.push_back(name);
+        });
+    const std::vector<std::string> want = {
+        "fab.1-2", "fab.2-1", "fab.1-3", "fab.3-1", "fab.2-4", "fab.4-2",
+        "fab.2-5", "fab.5-2", "fab.3-6", "fab.6-3", "fab.3-7", "fab.7-3"};
+    EXPECT_EQ(ordered, want);
 }
 
 TEST(CoordFabricTopology, ParseAndNameRoundTrip)
@@ -464,4 +483,332 @@ TEST(CoordFabricTopology, ParseAndNameRoundTrip)
     EXPECT_EQ(t, FabricTopology::star);
     EXPECT_FALSE(parseFabricTopology("ring", t));
     EXPECT_STREQ(fabricTopologyName(FabricTopology::tree), "tree");
+}
+
+namespace {
+
+/**
+ * Test-local routing reference: membership and tree parents in
+ * std::maps, following the fabric's documented placement rules
+ * (BFS-heap build over sorted ids, join under the first BFS-order
+ * node with spare fanout, orphans re-bound to the departed node's
+ * parent), and next hops by climbing the parent map.
+ */
+struct RouteModel
+{
+    FabricTopology topo = FabricTopology::tree;
+    std::size_t fanout = 2;
+    IslandId hub = 0;
+    std::set<IslandId> live;
+    std::map<IslandId, IslandId> parent;
+    std::map<IslandId, std::vector<IslandId>> children;
+    std::vector<std::pair<IslandId, IslandId>> pending; ///< crash orphans
+
+    void
+    build(const std::vector<IslandId> &ids)
+    {
+        live.insert(ids.begin(), ids.end());
+        hub = ids.front();
+        if (topo != FabricTopology::tree)
+            return;
+        for (std::size_t i = 1; i < ids.size(); ++i) {
+            const IslandId p = ids[(i - 1) / fanout];
+            parent[ids[i]] = p;
+            children[p].push_back(ids[i]);
+        }
+        parent[hub] = hub;
+    }
+
+    void
+    join(IslandId id)
+    {
+        live.insert(id);
+        if (topo != FabricTopology::tree)
+            return;
+        std::vector<IslandId> q{hub};
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            const auto &kids = children[q[i]];
+            if (kids.size() < fanout) {
+                parent[id] = q[i];
+                children[q[i]].push_back(id);
+                return;
+            }
+            q.insert(q.end(), kids.begin(), kids.end());
+        }
+    }
+
+    IslandId
+    fallbackFor(IslandId id) const
+    {
+        auto it = parent.find(id);
+        return it != parent.end() && live.count(it->second) ? it->second
+                                                            : hub;
+    }
+
+    std::vector<IslandId>
+    detach(IslandId id)
+    {
+        live.erase(id);
+        std::vector<IslandId> orphans = children[id];
+        children.erase(id);
+        if (auto it = parent.find(id); it != parent.end()) {
+            auto &v = children[it->second];
+            v.erase(std::remove(v.begin(), v.end(), id), v.end());
+            parent.erase(it);
+        }
+        return orphans;
+    }
+
+    bool
+    inSubtree(IslandId node, IslandId root) const
+    {
+        std::size_t guard = 0;
+        while (node != hub && ++guard <= parent.size() + 1) {
+            if (node == root)
+                return true;
+            auto it = parent.find(node);
+            if (it == parent.end())
+                return false;
+            node = it->second;
+        }
+        return node == root;
+    }
+
+    void
+    reparent(IslandId child, IslandId fb)
+    {
+        if (!live.count(child))
+            return;
+        if (!live.count(fb) || fb == child || inSubtree(fb, child))
+            fb = hub;
+        parent[child] = fb;
+        children[fb].push_back(child);
+    }
+
+    void
+    leave(IslandId id)
+    {
+        const IslandId fb = fallbackFor(id);
+        for (IslandId c : detach(id))
+            reparent(c, fb);
+    }
+
+    void
+    crash(IslandId id)
+    {
+        const IslandId fb = fallbackFor(id);
+        for (IslandId c : detach(id))
+            pending.emplace_back(c, fb);
+    }
+
+    void
+    reparentPending()
+    {
+        for (const auto &[c, fb] : pending)
+            reparent(c, fb);
+        pending.clear();
+    }
+
+    /** Next hop; a pair without a route answers its destination,
+     *  and a broken tree chain answers @p from (unroutable). */
+    IslandId
+    next(IslandId from, IslandId to) const
+    {
+        if (from == to || !live.count(from) || !live.count(to))
+            return to;
+        if (topo == FabricTopology::mesh)
+            return to;
+        if (topo == FabricTopology::star)
+            return from == hub ? to : hub;
+        IslandId at = to, below = to;
+        std::size_t guard = 0;
+        while (at != hub) {
+            auto it = parent.find(at);
+            if (it == parent.end() || ++guard > parent.size())
+                return from;
+            if (it->second == from)
+                return at;
+            below = at;
+            at = it->second;
+        }
+        if (from == hub)
+            return below;
+        auto it = parent.find(from);
+        return it == parent.end() ? from : it->second;
+    }
+
+    int
+    hops(IslandId from, IslandId to) const
+    {
+        int n = 0;
+        for (IslandId at = from;
+             at != to && n <= 2 * static_cast<int>(live.size()); ++n)
+            at = next(at, to);
+        return n;
+    }
+
+    IslandId
+    parentOf(IslandId id) const
+    {
+        auto it = parent.find(id);
+        return it == parent.end() ? id : it->second;
+    }
+};
+
+/**
+ * Compare parentOf and hopCount for every pair of ids below @p top
+ * (attached, departed, never attached, and past the route table's
+ * span) against @p model; reports the first mismatch. Returns the
+ * number of pairs answering the unroutable sentinel.
+ */
+int
+expectRoutesMatch(CoordFabric &fabric, const RouteModel &model,
+                  const std::string &where, IslandId top)
+{
+    int unroutable = 0;
+    const int sentinel = 2 * static_cast<int>(model.live.size()) + 1;
+    for (IslandId a = 0; a < top; ++a) {
+        if (fabric.parentOf(a) != model.parentOf(a)) {
+            ADD_FAILURE() << where << ": parentOf(" << a << ") = "
+                          << fabric.parentOf(a) << ", reference "
+                          << model.parentOf(a);
+            return unroutable;
+        }
+        for (IslandId b = 0; b < top; ++b) {
+            const int got = fabric.hopCount(a, b);
+            const int want = model.hops(a, b);
+            if (got != want) {
+                ADD_FAILURE() << where << ": hopCount(" << a << ", " << b
+                              << ") = " << got << ", reference " << want;
+                return unroutable;
+            }
+            unroutable += want == sentinel;
+        }
+    }
+    return unroutable;
+}
+
+} // namespace
+
+TEST(CoordFabricRoutes, TableMatchesMapReferenceThroughChurn)
+{
+    // Gapped ids starting above 0, so the table has empty rows and
+    // columns that must answer like a missing map entry.
+    const std::vector<IslandId> initial = {5,  6,  8,  9,  12, 13,
+                                           14, 17, 20, 21, 23, 26};
+    const IslandId top = 48; // past the highest id ever attached
+    struct Shape
+    {
+        FabricTopology topo;
+        int fanout;
+    };
+    const Shape shapes[] = {{FabricTopology::star, 4},
+                            {FabricTopology::mesh, 4},
+                            {FabricTopology::tree, 2},
+                            {FabricTopology::tree, 3},
+                            {FabricTopology::tree, 4},
+                            {FabricTopology::tree, 5}};
+    for (const Shape &shape : shapes) {
+        std::ostringstream name;
+        name << fabricTopologyName(shape.topo) << " fanout "
+             << shape.fanout;
+        SCOPED_TRACE(name.str());
+
+        Simulator sim;
+        FabricParams p;
+        p.topology = shape.topo;
+        p.treeFanout = shape.fanout;
+        p.hub = initial.front();
+        p.reparentDelay = 1 * sec; // crash orphans stay pending
+        CoordFabric fabric(sim, p);
+        std::map<IslandId, std::unique_ptr<StubIsland>> islands;
+        const auto island = [&](IslandId id) -> StubIsland & {
+            auto &slot = islands[id];
+            if (!slot)
+                slot = std::make_unique<StubIsland>(
+                    id, "isl" + std::to_string(id));
+            return *slot;
+        };
+        RouteModel model;
+        model.topo = shape.topo;
+        model.fanout = static_cast<std::size_t>(shape.fanout);
+
+        for (IslandId id : initial)
+            fabric.attach(island(id));
+        model.build(initial);
+        expectRoutesMatch(fabric, model, name.str() + " built", top);
+
+        for (IslandId id : {IslandId{30}, IslandId{7}, IslandId{40}}) {
+            fabric.join(island(id));
+            model.join(id);
+        }
+        expectRoutesMatch(fabric, model, name.str() + " joined", top);
+
+        fabric.leave(6);
+        model.leave(6);
+        expectRoutesMatch(fabric, model, name.str() + " left 6", top);
+
+        fabric.crash(8);
+        model.crash(8);
+        ASSERT_EQ(fabric.pendingReparentCount(), model.pending.size());
+        const int unroutable = expectRoutesMatch(
+            fabric, model, name.str() + " crashed 8", top);
+        if (shape.topo == FabricTopology::tree) {
+            EXPECT_GT(unroutable, 0) << "orphans should be unroutable";
+        }
+
+        fabric.reparentNow(0);
+        model.reparentPending();
+        expectRoutesMatch(fabric, model, name.str() + " re-parented",
+                          top);
+
+        fabric.join(island(8));
+        model.join(8);
+        expectRoutesMatch(fabric, model, name.str() + " rejoined 8", top);
+    }
+}
+
+TEST(FlatTable, MatchesStdMapUnderRandomInsertTakeErase)
+{
+    // Keys shaped like aggregation-bucket keys (node:16, dst:16,
+    // entity:32) over a small range, so probe runs collide, wrap and
+    // get backward-shifted by erases.
+    std::mt19937_64 rng(0xf1a7);
+    FlatTable<std::uint64_t> table;
+    std::map<std::uint64_t, std::uint64_t> ref;
+    const auto key = [&rng] {
+        return (rng() % 8) << 48 | (rng() % 8) << 32 | (rng() % 16);
+    };
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t k = key();
+        switch (rng() % 3) {
+          case 0: {
+            auto [v, fresh] = table.tryEmplace(k);
+            ASSERT_EQ(fresh, ref.count(k) == 0) << "step " << step;
+            v += static_cast<std::uint64_t>(step);
+            ref[k] += static_cast<std::uint64_t>(step);
+            break;
+          }
+          case 1: {
+            std::uint64_t out = 0;
+            ASSERT_EQ(table.take(k, out), ref.count(k) == 1)
+                << "step " << step;
+            if (ref.count(k)) {
+                ASSERT_EQ(out, ref[k]) << "step " << step;
+                ref.erase(k);
+            }
+            break;
+          }
+          default:
+            ASSERT_EQ(table.erase(k), ref.erase(k) == 1) << "step " << step;
+        }
+        ASSERT_EQ(table.size(), ref.size()) << "step " << step;
+    }
+    std::map<std::uint64_t, std::uint64_t> seen;
+    table.forEach([&](std::uint64_t k, std::uint64_t v) { seen[k] = v; });
+    EXPECT_EQ(seen, ref);
+    for (const auto &[k, v] : ref) {
+        ASSERT_NE(table.find(k), nullptr);
+        EXPECT_EQ(*table.find(k), v);
+    }
 }

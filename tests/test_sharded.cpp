@@ -255,6 +255,24 @@ TEST(ShardDeterminism, DigestIdenticalAcrossShardCountsAllTopologies)
     }
 }
 
+TEST(ScenarioReserve, UpfrontWorkloadFitsTheEventQueues)
+{
+    // Trigger-heavy: the triggers alone outnumber the fixed slack, so
+    // a reservation that counted only the tunes would let the event
+    // queues regrow mid-setup.
+    for (const int k : {0, 1, 3}) {
+        SCOPED_TRACE("shards=" + std::to_string(k));
+        auto c = shardScenario(corm::coord::FabricTopology::tree, 32, k,
+                               false);
+        c.tunesPerPair = 20;
+        c.triggerProb = 0.5;
+        const auto r = corm::platform::runFabricScenario(c);
+        EXPECT_GT(r.triggersSent, 400u);
+        EXPECT_TRUE(r.upfrontReserved);
+        EXPECT_TRUE(r.deltaSumsExact);
+    }
+}
+
 TEST(ShardDeterminism, FullIdSpace256Islands)
 {
     // 256 islands was the ceiling of the old 8-bit IslandId; the
