@@ -17,6 +17,7 @@
 #include "coord/message.hpp"
 #include "platform/scenarios.hpp"
 #include "platform/testbed.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "xen/sched.hpp"
 
@@ -128,6 +129,56 @@ BM_PeriodicTick(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_PeriodicTick);
+
+void
+BM_HoldShallow(benchmark::State &state)
+{
+    // The RUBiS queue shape: 48 pending events, and every firing
+    // reschedules its lane a near-future delay ahead (a hold model).
+    // One firing in four also cancels another lane's pending event
+    // and schedules its replacement, as a preempted segment end
+    // does, so a fifth of all schedules end up cancelled.
+    constexpr std::uint64_t kLanes = 48;
+    constexpr sim::Tick kTicksPerIter = 64;
+    struct Hold
+    {
+        sim::Simulator &s;
+        sim::Rng rng;
+        sim::EventId pending[kLanes] = {};
+
+        void
+        arm(std::uint64_t lane)
+        {
+            pending[lane] = s.schedule(
+                1 + static_cast<sim::Tick>(rng.uniformInt(64)),
+                [this, lane] { fire(lane); });
+        }
+
+        void
+        fire(std::uint64_t lane)
+        {
+            if (rng.uniformInt(4) == 0) {
+                const std::uint64_t other =
+                    (lane + 1 + rng.uniformInt(kLanes - 1)) % kLanes;
+                s.cancel(pending[other]);
+                arm(other);
+            }
+            arm(lane);
+        }
+    };
+    sim::Simulator simulator;
+    Hold hold{simulator, sim::Rng(0x401d), {}};
+    for (std::uint64_t lane = 0; lane < kLanes; ++lane)
+        hold.arm(lane);
+    const std::uint64_t before = simulator.executedEvents();
+    for (auto _ : state)
+        simulator.runFor(kTicksPerIter);
+    benchmark::DoNotOptimize(hold.pending);
+    state.counters["events/s"] = benchmark::Counter(
+        static_cast<double>(simulator.executedEvents() - before),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_HoldShallow);
 
 void
 BM_MessageEncodeDecode(benchmark::State &state)

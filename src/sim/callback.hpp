@@ -19,15 +19,22 @@
  *
  * Semantics match `std::function<void()>` where the simulator relies
  * on them: copyable, movable, empty-testable. Invoking an empty
- * SmallCallback is a no-op (the event kernel never stores empty
- * callbacks, and a no-op is a friendlier failure mode mid-simulation
- * than `std::bad_function_call`).
+ * SmallCallback is a no-op (a friendlier failure mode mid-simulation
+ * than `std::bad_function_call`), and wrapping an empty
+ * `std::function` or a null function pointer yields an empty
+ * SmallCallback, so passing "no callback" through either vocabulary
+ * type means the same thing.
+ *
+ * emplace() builds a callable directly in an existing SmallCallback;
+ * the event kernel uses it to construct each callback in its slot,
+ * with no temporary to move from.
  */
 
 #pragma once
 
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -41,36 +48,22 @@ namespace corm::sim {
  */
 class SmallCallback
 {
+    /** Constraint for the converting constructor and emplace(). */
+    template <typename F>
+    using AcceptsCallable = std::enable_if_t<
+        !std::is_same_v<std::decay_t<F>, SmallCallback> &&
+        std::is_invocable_r_v<void, std::decay_t<F> &>>;
+
   public:
     /** Captures up to this many bytes are stored inline. */
     static constexpr std::size_t inlineSize = 48;
 
     SmallCallback() = default;
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, SmallCallback> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
+    template <typename F, typename = AcceptsCallable<F>>
     SmallCallback(F &&f)
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (isTrivial<Fn>()) {
-            // Zero the tail once so the whole-buffer memcpy in
-            // copy/move never reads indeterminate bytes.
-            if constexpr (sizeof(Fn) < inlineSize)
-                std::memset(storage + sizeof(Fn), 0,
-                            inlineSize - sizeof(Fn));
-            ::new (static_cast<void *>(storage)) Fn(std::forward<F>(f));
-            // ops stays null: memcpy moves, no-op destroy.
-        } else if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(storage)) Fn(std::forward<F>(f));
-            ops = &Manager<Fn>::opsTable;
-        } else {
-            *reinterpret_cast<Fn **>(storage) =
-                new Fn(std::forward<F>(f));
-            ops = &Manager<Fn>::opsTable;
-        }
-        call = &Manager<Fn>::invoke;
+        construct(std::forward<F>(f));
     }
 
     SmallCallback(const SmallCallback &other)
@@ -150,7 +143,60 @@ class SmallCallback
         call = nullptr;
     }
 
+    /**
+     * Replace the held callable with one constructed in place from
+     * @p f: the same result as assigning SmallCallback(f), without
+     * the temporary.
+     */
+    template <typename F, typename = AcceptsCallable<F>>
+    void
+    emplace(F &&f)
+    {
+        reset();
+        construct(std::forward<F>(f));
+    }
+
   private:
+    template <typename T>
+    struct IsStdFunction : std::false_type
+    {};
+    template <typename Sig>
+    struct IsStdFunction<std::function<Sig>> : std::true_type
+    {};
+
+    /** Build @p f into this (empty) callback. */
+    template <typename F>
+    void
+    construct(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (std::is_pointer_v<Fn>) {
+            const Fn fn = f;
+            if (fn == nullptr)
+                return;
+        } else if constexpr (IsStdFunction<Fn>::value) {
+            if (!f)
+                return;
+        }
+        if constexpr (isTrivial<Fn>()) {
+            // Zero the tail once so the whole-buffer memcpy in
+            // copy/move never reads indeterminate bytes.
+            if constexpr (sizeof(Fn) < inlineSize)
+                std::memset(storage + sizeof(Fn), 0,
+                            inlineSize - sizeof(Fn));
+            ::new (static_cast<void *>(storage)) Fn(std::forward<F>(f));
+            // ops stays null: memcpy moves, no-op destroy.
+        } else if constexpr (fitsInline<Fn>()) {
+            ::new (static_cast<void *>(storage)) Fn(std::forward<F>(f));
+            ops = &Manager<Fn>::opsTable;
+        } else {
+            *reinterpret_cast<Fn **>(storage) =
+                new Fn(std::forward<F>(f));
+            ops = &Manager<Fn>::opsTable;
+        }
+        call = &Manager<Fn>::invoke;
+    }
+
     template <typename Fn>
     static constexpr bool
     fitsInline()

@@ -14,6 +14,14 @@
  *  - The pending queue is a hand-rolled binary min-heap of 24-byte
  *    POD entries (time, sequence, slot). Sift operations move PODs,
  *    never callbacks.
+ *  - The heap's root is refilled lazily. A pop takes heap[0] and
+ *    leaves it vacant (`hole`) instead of moving the last leaf up
+ *    and sifting it down. The next push, usually made by the
+ *    callback being dispatched, goes into the vacancy and sifts down
+ *    from the root; a near-future event stops within a level or two.
+ *    While the root is vacant, the smaller of its children is the
+ *    heap's minimum, so peeking needs no fill. A second pop,
+ *    compact() and spill() fill the vacancy the old way first.
  *  - Beside the heap sits a sorted run: an array of the same entries
  *    in ascending (time, sequence) order, read through a cursor. When
  *    drain() starts with the run used up and at least spillMin
@@ -32,7 +40,8 @@
  *    Generations make stale ids (fired, cancelled, or reused slots)
  *    harmless no-ops, which also keeps pendingEvents() exact.
  *  - Callbacks are SmallCallback (sim/callback.hpp): common lambdas
- *    like [this]{...} are stored inline, with no heap allocation.
+ *    like [this]{...} are stored inline, with no heap allocation,
+ *    and schedule() builds each one directly in its slot.
  *  - runs batch-pop all events that share a timestamp and dispatch
  *    the batch in insertion order, re-checking tombstones per event
  *    so a batch member may cancel another member.
@@ -42,6 +51,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -76,29 +86,28 @@ class Simulator
     Tick now() const { return currentTick; }
 
     /**
-     * Schedule a callback at an absolute time.
+     * Schedule a callable at an absolute time. The callable is
+     * constructed directly in its slot (SmallCallback::emplace).
      *
      * @param when Absolute tick; must be >= now().
-     * @param cb Callback to run.
+     * @param f Callable to run.
      * @return Id usable with cancel().
      */
+    template <typename F>
     EventId
-    scheduleAt(Tick when, Callback cb)
+    scheduleAt(Tick when, F &&f)
     {
-        if (when < currentTick)
-            when = currentTick;
-        const std::uint32_t slot = allocSlot(std::move(cb));
-        heap.push_back(HeapEntry{when, ++nextSeq, slot});
-        siftUp(heap.size() - 1);
-        ++liveEvents;
-        return makeId(slots[slot].generation, slot);
+        const std::uint32_t slot = allocSlot();
+        slots[slot].cb.emplace(std::forward<F>(f));
+        return enqueue(when, slot);
     }
 
-    /** Schedule a callback @p delay ticks from now. */
+    /** Schedule a callable @p delay ticks from now. */
+    template <typename F>
     EventId
-    schedule(Tick delay, Callback cb)
+    schedule(Tick delay, F &&f)
     {
-        return scheduleAt(currentTick + delay, std::move(cb));
+        return scheduleAt(currentTick + delay, std::forward<F>(f));
     }
 
     /**
@@ -126,7 +135,7 @@ class Simulator
         // >= n/2 cancels that made it necessary, cancel stays O(1)
         // amortized and pop cost tracks the number of *live* events.
         if (deadEntries > 64
-            && deadEntries * 2 > heap.size() + (run.size() - runPos))
+            && deadEntries * 2 > heapCount() + (run.size() - runPos))
             compact();
     }
 
@@ -254,21 +263,29 @@ class Simulator
         return static_cast<std::uint32_t>(id >> 32);
     }
 
+    /** A free slot, its callback empty; the caller fills it. */
     std::uint32_t
-    allocSlot(Callback cb)
+    allocSlot()
     {
-        std::uint32_t idx;
-        if (!freeSlots.empty()) {
-            idx = freeSlots.back();
-            freeSlots.pop_back();
-        } else {
-            idx = static_cast<std::uint32_t>(slots.size());
+        if (freeSlots.empty()) {
             slots.emplace_back();
+            return static_cast<std::uint32_t>(slots.size() - 1);
         }
-        Slot &s = slots[idx];
-        s.cb = std::move(cb);
-        s.state = SlotState::pending;
+        const std::uint32_t idx = freeSlots.back();
+        freeSlots.pop_back();
         return idx;
+    }
+
+    /** Queue the filled @p slot at @p when (clamped to now). */
+    EventId
+    enqueue(Tick when, std::uint32_t slot)
+    {
+        if (when < currentTick)
+            when = currentTick;
+        slots[slot].state = SlotState::pending;
+        pushEntry(HeapEntry{when, ++nextSeq, slot});
+        ++liveEvents;
+        return makeId(slots[slot].generation, slot);
     }
 
     void
@@ -303,11 +320,11 @@ class Simulator
         heap[i] = e;
     }
 
+    /** Place @p e at index @p i and sift it down. */
     void
-    siftDown(std::size_t i)
+    siftDown(std::size_t i, const HeapEntry e)
     {
         const std::size_t n = heap.size();
-        HeapEntry e = heap[i];
         for (;;) {
             std::size_t child = 2 * i + 1;
             if (child >= n)
@@ -322,22 +339,62 @@ class Simulator
         heap[i] = e;
     }
 
-    /** Remove and return the earliest entry. Requires !heap.empty(). */
+    /** Entries in the heap, not counting a vacant root. */
+    std::size_t heapCount() const { return heap.size() - hole; }
+
+    /**
+     * The heap's earliest entry, or nullptr when it is empty. With
+     * the root vacant that is the smaller of its children (a vacancy
+     * is only left with at least one entry below it).
+     */
+    const HeapEntry *
+    heapMin() const
+    {
+        if (!hole)
+            return heap.empty() ? nullptr : &heap[0];
+        if (heap.size() > 2 && before(heap[2], heap[1]))
+            return &heap[2];
+        return &heap[1];
+    }
+
+    /** Fill a vacant root the eager way: last leaf up, sift down. */
+    void
+    fillHole()
+    {
+        if (!hole)
+            return;
+        hole = false;
+        const HeapEntry last = heap.back();
+        heap.pop_back();
+        if (!heap.empty())
+            siftDown(0, last);
+    }
+
+    /**
+     * Remove and return the earliest heap entry, leaving the root
+     * vacant when entries remain below it. Requires heapMin().
+     */
     HeapEntry
     popTop()
     {
-        const HeapEntry top = heap.front();
-        heap.front() = heap.back();
-        heap.pop_back();
-        if (!heap.empty())
-            siftDown(0);
+        fillHole();
+        const HeapEntry top = heap[0];
+        if (heap.size() == 1)
+            heap.pop_back();
+        else
+            hole = true;
         return top;
     }
 
-    /** Re-insert an entry (stop-request unwound a batch). */
+    /** Insert an entry: into a vacant root, else at a new leaf. */
     void
     pushEntry(const HeapEntry &e)
     {
+        if (hole) {
+            hole = false;
+            siftDown(0, e);
+            return;
+        }
         heap.push_back(e);
         siftUp(heap.size() - 1);
     }
@@ -346,8 +403,10 @@ class Simulator
     bool
     runLeads() const
     {
-        return runPos < run.size()
-            && (heap.empty() || before(run[runPos], heap.front()));
+        if (runPos == run.size())
+            return false;
+        const HeapEntry *h = heapMin();
+        return !h || before(run[runPos], *h);
     }
 
     /**
@@ -360,7 +419,7 @@ class Simulator
     {
         if (runLeads())
             return &run[runPos];
-        return heap.empty() ? nullptr : &heap.front();
+        return heapMin();
     }
 
     /** Remove and return the earliest entry. Requires peekNext(). */
@@ -374,6 +433,7 @@ class Simulator
     void
     spill()
     {
+        fillHole();
         std::sort(heap.begin(), heap.end(), before);
         run.clear();
         heap.swap(run);
@@ -425,6 +485,7 @@ class Simulator
     void
     compact()
     {
+        fillHole();
         std::size_t kept = 0;
         for (const HeapEntry &e : heap) {
             if (!sweepDead(e))
@@ -432,7 +493,7 @@ class Simulator
         }
         heap.resize(kept);
         for (std::size_t i = kept / 2; i-- > 0;)
-            siftDown(i);
+            siftDown(i, heap[i]);
         kept = 0;
         for (std::size_t i = runPos; i < run.size(); ++i) {
             if (!sweepDead(run[i]))
@@ -447,7 +508,7 @@ class Simulator
     drain(Tick until)
     {
         stopFlag = false;
-        if (runPos == run.size() && heap.size() >= spillMin)
+        if (runPos == run.size() && heapCount() >= spillMin)
             spill();
         while (!stopFlag) {
             const HeapEntry *top = peekNext();
@@ -498,6 +559,7 @@ class Simulator
     std::size_t liveEvents = 0;
     std::size_t deadEntries = 0; ///< tombstones in heap, run or batch
     std::vector<HeapEntry> heap;
+    bool hole = false; ///< heap[0] is vacant (see the file comment)
     std::vector<HeapEntry> run; ///< sorted run, consumed from runPos
     std::size_t runPos = 0;
     std::vector<HeapEntry> batch; ///< drain() scratch, see above

@@ -14,6 +14,22 @@ namespace corm::xen {
 using corm::sim::Tick;
 
 //
+// JobRing
+//
+
+void
+JobRing::grow()
+{
+    const std::uint32_t bigger = cap == 0 ? 4 : 2 * cap;
+    auto fresh = std::make_unique<Job[]>(bigger);
+    for (std::uint32_t i = 0; i < count; ++i)
+        fresh[i] = std::move(buf[(head + i) & (cap - 1)]);
+    buf = std::move(fresh);
+    head = 0;
+    cap = bigger;
+}
+
+//
 // Domain
 //
 
@@ -30,14 +46,10 @@ Domain::Domain(CreditScheduler &scheduler, std::uint32_t domid,
 
 void
 Domain::submit(Tick duration, JobKind kind,
-               std::function<void()> on_complete, int vcpu_index)
+               corm::sim::SmallCallback on_complete, int vcpu_index)
 {
     Vcpu &vc = *vcpus.at(vcpu_index);
-    Job job;
-    job.remaining = duration;
-    job.kind = kind;
-    job.onComplete = std::move(on_complete);
-    vc.jobs.push_back(std::move(job));
+    vc.jobs.push(duration, kind, std::move(on_complete));
     sched.onSubmit(vc);
 }
 
@@ -318,21 +330,21 @@ CreditScheduler::wake(Vcpu &vcpu)
 void
 CreditScheduler::enqueue(PCpu &pc, Vcpu &vcpu, bool at_front)
 {
-    auto &q = pc.runq[static_cast<std::size_t>(vcpu.prio)];
+    RunQueue &q = pc.runq[static_cast<std::size_t>(vcpu.prio)];
     if (at_front)
-        q.push_front(&vcpu);
+        q.pushFront(vcpu);
     else
-        q.push_back(&vcpu);
+        q.pushBack(vcpu);
 }
 
 void
 CreditScheduler::removeFromRunq(Vcpu &vcpu)
 {
     PCpu &pc = pcpus[static_cast<std::size_t>(vcpu.assignedPcpu)];
-    auto &q = pc.runq[static_cast<std::size_t>(vcpu.prio)];
-    auto it = std::find(q.begin(), q.end(), &vcpu);
-    if (it != q.end())
-        q.erase(it);
+    RunQueue &q = pc.runq[static_cast<std::size_t>(vcpu.prio)];
+    // A runnable VCPU is always queued on (assignedPcpu, prio).
+    assert(q.contains(vcpu));
+    q.unlink(vcpu);
 }
 
 void
@@ -459,10 +471,10 @@ CreditScheduler::onSegmentEnd(PCpu &pc)
     // work (possibly to this very VCPU) and may wake BOOST-class
     // VCPUs that preempt this PCPU, so the scheduler state must be
     // consistent before user code runs.
-    std::function<void()> callback;
+    corm::sim::SmallCallback callback;
     if (!vc.jobs.empty() && vc.jobs.front().remaining == 0) {
         callback = std::move(vc.jobs.front().onComplete);
-        vc.jobs.pop_front();
+        vc.jobs.pop();
         vc.dom.completed.add();
     }
 
@@ -597,18 +609,23 @@ CreditScheduler::accounting()
     }
 
     // Re-class queued runnable VCPUs from their new credit balances;
-    // BOOST entries keep their class until first dispatch.
+    // BOOST entries keep their class (and place) until first
+    // dispatch. The UNDER queue, then the OVER queue, is relinked in
+    // order onto the tails of the new classes: the order a drain of
+    // all three queues and a re-enqueue would give.
     for (auto &pc : pcpus) {
-        std::vector<Vcpu *> queued;
-        for (auto &q : pc.runq) {
-            for (Vcpu *v : q)
-                queued.push_back(v);
-            q.clear();
-        }
-        for (Vcpu *v : queued) {
-            if (v->prio != Priority::boost)
+        RunQueue &under = pc.runq[static_cast<std::size_t>(Priority::under)];
+        RunQueue &over = pc.runq[static_cast<std::size_t>(Priority::over)];
+        Vcpu *const chains[] = {under.head, over.head};
+        under = {};
+        over = {};
+        for (Vcpu *v : chains) {
+            while (v != nullptr) {
+                Vcpu *const next = v->rqNext;
                 v->prio = priorityFromCredits(*v);
-            enqueue(pc, *v);
+                enqueue(pc, *v);
+                v = next;
+            }
         }
         preemptIfNeeded(pc);
     }
@@ -650,17 +667,15 @@ CreditScheduler::pickCandidate(PCpu &pc, bool remove)
             if (q.empty())
                 continue;
             // FIFO within a class: only the head is a candidate.
-            Vcpu *cand = q.front();
+            Vcpu *cand = q.head;
             if (better(cand, home)) {
                 best = cand;
                 best_home = &home;
             }
         }
     }
-    if (best != nullptr && remove) {
-        auto &q = best_home->runq[static_cast<std::size_t>(best->prio)];
-        q.erase(std::find(q.begin(), q.end(), best));
-    }
+    if (best != nullptr && remove)
+        best_home->runq[static_cast<std::size_t>(best->prio)].unlink(*best);
     return best;
 }
 

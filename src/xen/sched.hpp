@@ -49,7 +49,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -100,7 +99,52 @@ struct Job
 {
     corm::sim::Tick remaining = 0;
     JobKind kind = JobKind::user;
-    std::function<void()> onComplete;
+    /** SmallCallback: the vif, bridge, driver and RUBiS completions
+     *  (a shared_ptr plus `this`, up to 48 B) are stored inline. */
+    corm::sim::SmallCallback onComplete;
+};
+
+/**
+ * A VCPU's FIFO of jobs: a power-of-two ring that doubles when full
+ * and never shrinks, so a warm queue allocates nothing.
+ */
+class JobRing
+{
+  public:
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
+    Job &front() { return buf[head]; }
+
+    /** Append a job at the tail, filling its slot in place. */
+    void
+    push(corm::sim::Tick remaining, JobKind kind,
+         corm::sim::SmallCallback &&on_complete)
+    {
+        if (count == cap)
+            grow();
+        Job &job = buf[(head + count) & (cap - 1)];
+        job.remaining = remaining;
+        job.kind = kind;
+        job.onComplete = std::move(on_complete);
+        ++count;
+    }
+
+    /** Drop the head job, releasing its callable now. */
+    void
+    pop()
+    {
+        buf[head].onComplete.reset();
+        head = (head + 1) & (cap - 1);
+        --count;
+    }
+
+  private:
+    void grow();
+
+    std::unique_ptr<Job[]> buf;
+    std::uint32_t head = 0;
+    std::uint32_t count = 0;
+    std::uint32_t cap = 0; ///< zero or a power of two
 };
 
 /**
@@ -132,10 +176,16 @@ class Vcpu
     int assignedPcpu = 0;
     bool pendingBoost = false;
     bool consumedSinceAcct = false;
-    std::deque<Job> jobs;
+    JobRing jobs;
     corm::sim::Tick blockedSince = 0;
     corm::sim::Tick wakeTick = 0;
+    /** Links in the run queue of (assignedPcpu, prio) while runnable. */
+    Vcpu *rqPrev = nullptr;
+    Vcpu *rqNext = nullptr;
 };
+
+// Vcpu stays within two cache lines (see CreditScheduler::boostFlows).
+static_assert(sizeof(Vcpu) <= 128);
 
 /**
  * A Xen domain (VM): name, weight, one or more VCPUs, job submission
@@ -172,7 +222,7 @@ class Domain
      * @param vcpu_index Which VCPU runs it (default 0).
      */
     void submit(corm::sim::Tick duration, JobKind kind,
-                std::function<void()> on_complete = {},
+                corm::sim::SmallCallback on_complete = {},
                 int vcpu_index = 0);
 
     /** Pending + running jobs across VCPUs. */
@@ -383,6 +433,55 @@ class CreditScheduler
   private:
     friend class Domain;
 
+    /**
+     * FIFO of runnable VCPUs, linked through Vcpu::rqPrev/rqNext, so
+     * a boost or a dispatch from any position unlinks in O(1).
+     */
+    struct RunQueue
+    {
+        Vcpu *head = nullptr;
+        Vcpu *tail = nullptr;
+
+        bool empty() const { return head == nullptr; }
+
+        void
+        pushBack(Vcpu &v)
+        {
+            v.rqPrev = tail;
+            v.rqNext = nullptr;
+            (tail != nullptr ? tail->rqNext : head) = &v;
+            tail = &v;
+        }
+
+        void
+        pushFront(Vcpu &v)
+        {
+            v.rqPrev = nullptr;
+            v.rqNext = head;
+            (head != nullptr ? head->rqPrev : tail) = &v;
+            head = &v;
+        }
+
+        void
+        unlink(Vcpu &v)
+        {
+            (v.rqPrev != nullptr ? v.rqPrev->rqNext : head) = v.rqNext;
+            (v.rqNext != nullptr ? v.rqNext->rqPrev : tail) = v.rqPrev;
+            v.rqPrev = nullptr;
+            v.rqNext = nullptr;
+        }
+
+        bool
+        contains(const Vcpu &v) const
+        {
+            for (const Vcpu *p = head; p != nullptr; p = p->rqNext) {
+                if (p == &v)
+                    return true;
+            }
+            return false;
+        }
+    };
+
     struct PCpu
     {
         int index = 0;
@@ -390,7 +489,7 @@ class CreditScheduler
         corm::sim::Tick segStart = 0;
         corm::sim::Tick sliceEnd = 0;
         corm::sim::EventId segEvent = corm::sim::invalidEventId;
-        std::deque<Vcpu *> runq[3]; ///< indexed by Priority
+        RunQueue runq[3]; ///< indexed by Priority
         corm::sim::Tick busy = 0;
         double speed = 1.0; ///< DVFS factor: work done per wall tick
     };

@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "sim/callback.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/types.hpp"
@@ -444,27 +446,117 @@ operator<<(std::ostream &os, const Obs &o)
  * cancels, steps, runs and nested runs from inside callbacks, with
  * stops requested mid-batch. Every decision comes from @p seed, so
  * two queue implementations with the same semantics produce the
- * same observation log. Four bulk loads above the spill size leave
- * events pending across spills and compactions.
+ * same observation log.
+ *
+ * With @p shallowFirst, a shallow phase comes first: about 48
+ * pending events, each firing usually reschedules one near-future
+ * event, as in the RUBiS platform. There the heap's root is vacant
+ * whenever a callback runs (Simulator's lazy root), so the callbacks
+ * push into the vacancy, cancel the next-earliest event, peek, step,
+ * re-enter runs, stop mid-batch and force compaction while it is
+ * vacant. Then four bulk loads above the spill size leave events
+ * pending across spills and compactions. Without the shallow phase
+ * the program is bulk-only, and its random draws do not depend on
+ * the shallow phase's code.
  */
 template <typename Sim>
 std::vector<Obs>
-runProgram(std::uint64_t seed)
+runProgram(std::uint64_t seed, bool shallowFirst)
 {
     Sim sim;
     corm::sim::Rng rng(seed);
     std::vector<Obs> log;
     std::vector<std::uint64_t> ids; // by tag
+    std::vector<Tick> whenOf;       // by tag
+    // Pending events by (when, tag). Tags rise with the queues'
+    // sequence numbers, so begin() is the next event to fire.
+    std::set<std::pair<Tick, std::uint64_t>> pendingTags;
     int depth = 0;
-    int nestedBulks = 0; // armed for the final drain, see below
+    int nestedBulks = 0;  // armed for the final drain, see below
+    bool shallow = false; // callbacks run the shallow-phase mix
 
     const auto observe = [&](char what, std::uint64_t tag) {
         log.push_back({what, tag, sim.now(), sim.pendingEvents(),
                        sim.executedEvents(), 0});
     };
+    const auto observeNext = [&](std::uint64_t tag) {
+        log.push_back({'n', tag, sim.now(), sim.pendingEvents(),
+                       sim.executedEvents(), sim.nextEventAt()});
+    };
+    const auto observeStep = [&](std::uint64_t tag) {
+        log.push_back({'s', tag, sim.now(), sim.pendingEvents(),
+                       sim.executedEvents(), sim.step()});
+    };
     std::function<void(Tick, Tick)> schedule;
+    const auto cancelTag = [&](std::uint64_t tag) {
+        sim.cancel(ids[tag]);
+        pendingTags.erase({whenOf[tag], tag});
+    };
+    const auto cancelNextEarliest = [&] {
+        if (!pendingTags.empty())
+            cancelTag(pendingTags.begin()->second);
+    };
+    /** Near-future delay; one in four lands on the current tick. */
+    const auto nearDelay = [&]() -> Tick {
+        return rng.uniformInt(4) == 0 ? 0 : 1 + rng.uniformInt(60);
+    };
+    const auto shallowFire = [&](std::uint64_t tag) {
+        const std::size_t live = sim.pendingEvents();
+        const std::uint64_t roll = rng.uniformInt(100);
+        if (roll < 55) {
+            schedule(sim.now(), nearDelay());
+        } else if (roll < 70) {
+            // Cancel-and-reschedule, like a preempted segment end.
+            cancelNextEarliest();
+            schedule(sim.now(), nearDelay());
+            schedule(sim.now(), nearDelay());
+        } else if (roll < 77) {
+            if (live < 24)
+                schedule(sim.now(), nearDelay());
+        } else if (roll < 84) {
+            if (live < 96) {
+                for (std::uint64_t k = 2 + rng.uniformInt(3); k > 0; --k)
+                    schedule(sim.now(), nearDelay());
+            }
+        } else if (roll < 87) {
+            observeNext(tag);
+            schedule(sim.now(), nearDelay());
+        } else if (roll < 90 && depth < 2) {
+            ++depth;
+            observeStep(tag);
+            --depth;
+            schedule(sim.now(), nearDelay());
+        } else if (roll < 92 && depth < 2) {
+            ++depth;
+            sim.runFor(rng.uniformInt(30));
+            --depth;
+            observe('r', tag);
+        } else if (roll < 94) {
+            sim.requestStop();
+            schedule(sim.now(), nearDelay());
+        } else if (roll < 95) {
+            // A burst, then a mass cancel: enough tombstones to
+            // compact the heap from inside a callback.
+            const std::uint64_t first = ids.size();
+            for (int k = 0; k < 150; ++k)
+                schedule(sim.now(), rng.uniformInt(200));
+            for (std::uint64_t t = first; t < ids.size(); ++t) {
+                if (rng.chance(0.8))
+                    cancelTag(t);
+            }
+            observeNext(tag);
+        } else {
+            cancelTag(rng.uniformInt(ids.size()));
+            schedule(sim.now(), nearDelay());
+        }
+    };
     const auto fire = [&](std::uint64_t tag) {
+        pendingTags.erase({whenOf[tag], tag});
         observe('d', tag);
+        if (shallow) {
+            shallowFire(tag);
+            return;
+        }
         const std::uint64_t roll = rng.uniformInt(100);
         if (roll < 20) {
             // Children, some at this very timestamp (a later batch).
@@ -472,7 +564,7 @@ runProgram(std::uint64_t seed)
             for (std::uint64_t k = 0; k < kids; ++k)
                 schedule(sim.now(), rng.uniformInt(3) * rng.uniformInt(50));
         } else if (roll < 30) {
-            sim.cancel(ids[rng.uniformInt(ids.size())]);
+            cancelTag(rng.uniformInt(ids.size()));
         } else if (roll < 33) {
             sim.requestStop();
         } else if (roll < 36 && depth < 2) {
@@ -481,8 +573,7 @@ runProgram(std::uint64_t seed)
             --depth;
             observe('r', tag);
         } else if (roll < 40) {
-            log.push_back({'n', tag, sim.now(), sim.pendingEvents(),
-                           sim.executedEvents(), sim.nextEventAt()});
+            observeNext(tag);
         } else if (roll == 40 && depth == 0 && nestedBulks > 0) {
             // A bulk load plus a nested run from inside a batch: the
             // nested drain may spill while the outer batch still
@@ -501,7 +592,33 @@ runProgram(std::uint64_t seed)
         const std::uint64_t tag = ids.size();
         ids.push_back(
             sim.scheduleAt(base + delay, [&fire, tag] { fire(tag); }));
+        whenOf.push_back(base + delay);
+        pendingTags.insert({base + delay, tag});
     };
+
+    if (shallowFirst) {
+        shallow = true;
+        for (int i = 0; i < 48; ++i)
+            schedule(sim.now(), rng.uniformInt(60));
+        for (int op = 0; op < 300; ++op) {
+            const std::uint64_t roll = rng.uniformInt(100);
+            if (roll < 60) {
+                sim.runUntil(sim.now() + rng.uniformInt(100));
+            } else if (roll < 75) {
+                for (std::uint64_t k = rng.uniformInt(10); k > 0; --k)
+                    observeStep(0);
+            } else if (roll < 85) {
+                sim.runFor(rng.uniformInt(300));
+            } else if (roll < 90) {
+                cancelNextEarliest();
+            } else {
+                for (std::uint64_t k = rng.uniformInt(8); k > 0; --k)
+                    schedule(sim.now(), nearDelay());
+            }
+            observeNext(0);
+        }
+        shallow = false;
+    }
 
     for (int bulk = 0; bulk < 4; ++bulk) {
         // Bulk load well above Simulator's spill size, spread over a
@@ -514,28 +631,25 @@ runProgram(std::uint64_t seed)
             if (roll < 30) {
                 sim.runUntil(sim.now() + rng.uniformInt(200));
             } else if (roll < 45) {
-                for (std::uint64_t k = rng.uniformInt(20); k > 0; --k) {
-                    log.push_back({'s', 0, sim.now(), sim.pendingEvents(),
-                                   sim.executedEvents(), sim.step()});
-                }
+                for (std::uint64_t k = rng.uniformInt(20); k > 0; --k)
+                    observeStep(0);
             } else if (roll < 60) {
                 for (std::uint64_t k = rng.uniformInt(50); k > 0; --k)
                     schedule(sim.now(), rng.uniformInt(3000));
             } else if (roll < 75) {
                 for (std::uint64_t k = rng.uniformInt(50); k > 0; --k)
-                    sim.cancel(ids[rng.uniformInt(ids.size())]);
+                    cancelTag(rng.uniformInt(ids.size()));
             } else if (roll < 80) {
                 // Mass cancel: enough tombstones to force compaction
                 // of both the heap and the run.
                 for (std::uint64_t t = 0; t < ids.size(); ++t) {
                     if (rng.chance(0.7))
-                        sim.cancel(ids[t]);
+                        cancelTag(t);
                 }
             } else {
                 sim.runFor(rng.uniformInt(100));
             }
-            log.push_back({'n', 0, sim.now(), sim.pendingEvents(),
-                           sim.executedEvents(), sim.nextEventAt()});
+            observeNext(0);
         }
     }
     // Final drain: once it has used up the sorted run, a nested
@@ -550,21 +664,100 @@ runProgram(std::uint64_t seed)
 
 TEST(SimulatorFuzz, DispatchOrderMatchesReferenceModel)
 {
-    for (std::uint64_t i = 0; i < 12; ++i) {
-        const std::uint64_t seed = 0x51de5eed00000000ULL + i;
-        const std::vector<Obs> got = runProgram<Simulator>(seed);
-        const std::vector<Obs> want = runProgram<ReferenceSim>(seed);
+    for (std::uint64_t i = 0; i < 24; ++i) {
+        const std::uint64_t seed = 0x51de5eed00000000ULL + i / 2;
+        const bool shallowFirst = i % 2 == 1;
+        const std::vector<Obs> got = runProgram<Simulator>(seed, shallowFirst);
+        const std::vector<Obs> want =
+            runProgram<ReferenceSim>(seed, shallowFirst);
         if (got == want)
             continue;
         const auto [g, w] =
             std::mismatch(got.begin(), got.end(), want.begin(), want.end());
         std::ostringstream where;
         where << "failing seed 0x" << std::hex << seed << std::dec
+              << (shallowFirst ? " (shallow phase first)" : "")
               << ": diverges at observation " << (g - got.begin());
         if (g != got.end() && w != want.end())
             where << "\n  got  " << *g << "\n  want " << *w;
         FAIL() << where.str();
     }
+}
+
+namespace {
+
+int plainCalls = 0;
+void plainFunction() { ++plainCalls; }
+
+} // namespace
+
+TEST(SmallCallback, EmptyStdFunctionOrNullPointerGivesEmptyCallback)
+{
+    const std::function<void()> none;
+    void (*const nullFn)() = nullptr;
+
+    SmallCallback fromFunction(none);
+    EXPECT_FALSE(fromFunction);
+    fromFunction(); // a no-op, not std::bad_function_call
+    SmallCallback fromPointer(nullFn);
+    EXPECT_FALSE(fromPointer);
+
+    SmallCallback held([] {});
+    held.emplace(none);
+    EXPECT_FALSE(held);
+    held.emplace([] {});
+    held.emplace(nullFn);
+    EXPECT_FALSE(held);
+
+    // Non-empty ones still run.
+    plainCalls = 0;
+    SmallCallback viaPointer(&plainFunction);
+    SmallCallback viaFunction{std::function<void()>(plainFunction)};
+    ASSERT_TRUE(viaPointer);
+    ASSERT_TRUE(viaFunction);
+    viaPointer();
+    viaFunction();
+    EXPECT_EQ(plainCalls, 2);
+
+    // The event kernel dispatches an empty callable as a no-op.
+    Simulator sim;
+    sim.schedule(1, none);
+    sim.runToCompletion();
+    EXPECT_EQ(sim.executedEvents(), 1u);
+}
+
+TEST(SmallCallback, EmplaceReplacesAndReleasesTheHeldCallable)
+{
+    auto first = std::make_shared<int>(1);
+    auto second = std::make_shared<int>(2);
+    int seen = 0;
+    SmallCallback cb([first, &seen] { seen = *first; });
+    EXPECT_EQ(first.use_count(), 2);
+
+    // A 48-byte capture (shared_ptr + four pointers) stays inline.
+    int *a = &seen, *b = &seen, *c = &seen, *d = &seen;
+    cb.emplace([second, a, b, c, d] { *a = *second + (b == c) + (c == d); });
+    EXPECT_EQ(first.use_count(), 1);
+    EXPECT_EQ(second.use_count(), 2);
+    cb();
+    EXPECT_EQ(seen, 4);
+
+    // A capture larger than the buffer goes to the heap and back out.
+    struct Big
+    {
+        std::shared_ptr<int> p;
+        char pad[64];
+    };
+    Big big{first, {}};
+    cb.emplace([big, &seen] { seen = *big.p + big.pad[0]; });
+    EXPECT_EQ(second.use_count(), 1);
+    EXPECT_EQ(first.use_count(), 3); // big, and the copy in cb
+    SmallCallback moved(std::move(cb));
+    EXPECT_FALSE(cb);
+    moved();
+    EXPECT_EQ(seen, 1);
+    moved.reset();
+    EXPECT_EQ(first.use_count(), 2);
 }
 
 TEST(TimeUnits, ConversionsRoundTrip)

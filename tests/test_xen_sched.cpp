@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/types.hpp"
@@ -276,6 +278,120 @@ TEST(CreditSched, MultiVcpuDomainUsesBothCores)
     pump(1);
     sim.runUntil(1 * sec);
     EXPECT_NEAR(toSeconds(dom0.cpuUsage().totalBusy()), 2.0, 0.1);
+}
+
+TEST(CreditSched, EmptyCompletionCallbackIsANoOp)
+{
+    Simulator sim;
+    CreditScheduler sched(sim, 1);
+    Domain dom(sched, 1, "d", 256);
+    dom.submit(1 * msec, JobKind::user, std::function<void()>{});
+    dom.submit(1 * msec, JobKind::user, static_cast<void (*)()>(nullptr));
+    sim.runUntil(10 * msec);
+    EXPECT_EQ(dom.jobsCompleted(), 2u);
+}
+
+namespace {
+
+/**
+ * One PCPU, class-FIFO dispatch, 100 ms ticks and accounting every
+ * second, so four hogs rotate through plain 30 ms slices and the
+ * run-queue order shows directly in the dispatch order.
+ */
+SchedParams
+rotationParams()
+{
+    SchedParams p;
+    p.creditOrderedDispatch = false;
+    p.tickPeriod = 100 * msec;
+    p.ticksPerAcct = 10;
+    p.creditsPerAcct = 3000.0;
+    return p;
+}
+
+/** Ids of the domains dispatched in [from, to), oldest first. */
+std::vector<std::uint32_t>
+dispatched(const CreditScheduler &sched, Tick from, Tick to)
+{
+    std::vector<std::uint32_t> ids;
+    for (const SchedEvent &ev : sched.trace()) {
+        if (ev.kind == SchedEvent::Kind::dispatch && ev.when >= from
+            && ev.when < to)
+            ids.push_back(ev.domid);
+    }
+    return ids;
+}
+
+using Ids = std::vector<std::uint32_t>;
+
+} // namespace
+
+TEST(CreditSchedRunQueue, BoostMovesMidQueueVcpuToTheFront)
+{
+    {
+        // All four wake BOOST at t = 0: 1 runs, [2, 3, 4] wait in the
+        // BOOST queue, and boosting 3 moves it to that queue's head.
+        Simulator sim;
+        SchedParams p;
+        p.creditOrderedDispatch = false;
+        CreditScheduler sched(sim, 1, p);
+        sched.setTraceCapacity(1000);
+        Domain d1(sched, 1, "d1", 256), d2(sched, 2, "d2", 256),
+            d3(sched, 3, "d3", 256), d4(sched, 4, "d4", 256);
+        for (Domain *d : {&d1, &d2, &d3, &d4})
+            d->submit(10 * sec, JobKind::user);
+        sched.boost(d3);
+        sim.runUntil(40 * msec);
+        EXPECT_EQ(dispatched(sched, 0, 40 * msec), (Ids{1, 3, 2, 4}));
+    }
+    {
+        // At 500 ms, 1 runs and [2, 3, 4] wait in the OVER queue. The
+        // boost unlinks 3 from the middle and it preempts 1, which
+        // rejoins behind 4; the rotation keeps that order.
+        Simulator sim;
+        CreditScheduler sched(sim, 1, rotationParams());
+        sched.setTraceCapacity(1000);
+        Domain d1(sched, 1, "d1", 256), d2(sched, 2, "d2", 256),
+            d3(sched, 3, "d3", 256), d4(sched, 4, "d4", 256);
+        for (Domain *d : {&d1, &d2, &d3, &d4})
+            d->submit(10 * sec, JobKind::user);
+        sim.scheduleAt(500 * msec, [&] { sched.boost(d3); });
+        sim.runUntil(700 * msec);
+        EXPECT_EQ(dispatched(sched, 400 * msec, 500 * msec),
+                  (Ids{3, 4, 1}));
+        EXPECT_EQ(dispatched(sched, 500 * msec, 700 * msec),
+                  (Ids{3, 2, 4, 1, 3, 2, 4}));
+    }
+}
+
+TEST(CreditSchedRunQueue, ReclassKeepsFifoOrder)
+{
+    // Four hogs rotate in OVER until the first accounting; the
+    // weights then decide who re-classes at each accounting.
+    Simulator sim;
+    CreditScheduler sched(sim, 1, rotationParams());
+    sched.setTraceCapacity(1000);
+    Domain d1(sched, 1, "d1", 256), d2(sched, 2, "d2", 512),
+        d3(sched, 3, "d3", 64), d4(sched, 4, "d4", 512);
+    for (Domain *d : {&d1, &d2, &d3, &d4})
+        d->submit(100 * sec, JobKind::user);
+    sim.runUntil(2200 * msec);
+
+    // At 1 s, 2 runs and [3, 4, 1] wait in OVER. 4 and 1 move to
+    // UNDER in that order, 3 stays OVER, and 2 is preempted to the
+    // UNDER tail.
+    EXPECT_EQ(dispatched(sched, 900 * msec, 1000 * msec),
+              (Ids{3, 4, 1, 2}));
+    EXPECT_EQ(dispatched(sched, 1000 * msec, 1100 * msec),
+              (Ids{4, 1, 2, 4}));
+    // 3 waits in OVER while UNDER VCPUs remain.
+    EXPECT_EQ(dispatched(sched, 1900 * msec, 2000 * msec),
+              (Ids{4, 1, 2, 4}));
+    // At 2 s, 4 runs, [2] waits in UNDER and [3, 1] in OVER: 3 and
+    // 1 join UNDER behind 2, in that order, and 4 follows them at
+    // the end of its slice.
+    EXPECT_EQ(dispatched(sched, 2000 * msec, 2150 * msec),
+              (Ids{2, 3, 1, 4, 2}));
 }
 
 TEST(CreditSched, ResetBusyZeroesAccounting)
