@@ -18,6 +18,7 @@
 #include "platform/scenarios.hpp"
 #include "platform/testbed.hpp"
 #include "sim/random.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "xen/sched.hpp"
 
@@ -296,9 +297,11 @@ BM_FabricMeshSend(benchmark::State &state)
 {
     // Host cost per simulated fabric message across N islands.
     const int n = static_cast<int>(state.range(0));
-    sim::Simulator simulator;
-    coord::CoordFabric fabric(simulator, coord::FabricTopology::mesh,
-                              10 * sim::usec);
+    coord::FabricParams fp;
+    fp.topology = coord::FabricTopology::mesh;
+    fp.hopLatency = 10 * sim::usec;
+    sim::ShardedEngine engine(1, fp.hopLatency);
+    coord::CoordFabric fabric(engine.sim(0), fp);
     struct Sink : coord::ResourceIsland
     {
         coord::IslandId id_;
@@ -315,6 +318,7 @@ BM_FabricMeshSend(benchmark::State &state)
             static_cast<coord::IslandId>(i + 1)));
         fabric.attach(*sinks.back());
     }
+    fabric.enableSharding(engine, {});
     coord::CoordMessage m;
     m.type = coord::MsgType::tune;
     m.src = 1;
@@ -322,7 +326,7 @@ BM_FabricMeshSend(benchmark::State &state)
     m.value = 1.0;
     for (auto _ : state) {
         fabric.send(m);
-        simulator.runFor(20 * sim::usec);
+        engine.runFor(20 * sim::usec);
     }
     benchmark::DoNotOptimize(fabric.stats().delivered.value());
 }

@@ -18,6 +18,7 @@
 #include "coord/controller.hpp"
 #include "coord/fabric.hpp"
 #include "coord/policy.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "xen/island.hpp"
 #include "xen/sched.hpp"
@@ -66,7 +67,12 @@ main()
 {
     using namespace corm;
 
-    sim::Simulator simulator;
+    // The fabric runs on a (one-shard) sharded engine whose lookahead
+    // is the fabric's hop latency; every island lives on its
+    // simulator.
+    constexpr sim::Tick hop = 10 * sim::usec;
+    sim::ShardedEngine engine(1, hop);
+    sim::Simulator &simulator = engine.sim(0);
 
     // Island 1: x86 compute under the credit scheduler.
     xen::CreditScheduler sched(simulator, 2);
@@ -85,11 +91,14 @@ main()
     }
 
     // The fabric: a mesh, as hardware-supported queues would give.
-    coord::CoordFabric fabric(simulator, coord::FabricTopology::mesh,
-                              10 * sim::usec);
+    coord::FabricParams fp;
+    fp.topology = coord::FabricTopology::mesh;
+    fp.hopLatency = hop;
+    coord::CoordFabric fabric(simulator, fp);
     fabric.attach(x86);
     for (auto &a : accels)
         fabric.attach(*a);
+    fabric.enableSharding(engine, {});
 
     coord::GlobalController controller;
     controller.registerIsland(x86);
@@ -122,7 +131,7 @@ main()
         policy.onPeriodic(simulator.now());
     });
 
-    simulator.runUntil(5 * sim::sec);
+    engine.runUntil(5 * sim::sec);
     double total = x86.currentPowerWatts();
     for (auto &a : accels)
         total += a->currentPowerWatts();

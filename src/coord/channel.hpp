@@ -21,7 +21,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -227,44 +226,18 @@ class CoordChannel : public CoordTransport
      * Observe acks delivered to @p endpoint (one of the two island
      * ids). Observers are per endpoint, so one reliable sender per
      * island can coexist on the same channel without seeing the
-     * other's acks. Installing a new observer for the same endpoint
-     * replaces the old one.
-     */
-    void
-    setAckObserver(IslandId endpoint,
-                   std::function<void(const CoordMessage &)> fn) override
-    {
-        ackObservers[endpoint] = std::move(fn);
-    }
-
-    /**
-     * Token-based multi-observer registration (CoordTransport):
-     * several reliable senders can share one endpoint without
-     * clobbering each other's single setAckObserver slot.
+     * other's acks.
      */
     std::uint64_t
-    addAckObserver(IslandId endpoint,
-                   std::function<void(const CoordMessage &)> fn) override
+    addAckObserver(IslandId endpoint, AckObservers::Fn fn) override
     {
-        const std::uint64_t token = ++ackToken_;
-        ackMulti_[endpoint].push_back({token, std::move(fn)});
-        return token;
+        return acks_.add(endpoint, std::move(fn));
     }
 
     void
     removeAckObserver(IslandId endpoint, std::uint64_t token) override
     {
-        auto it = ackMulti_.find(endpoint);
-        if (it == ackMulti_.end())
-            return;
-        auto &v = it->second;
-        v.erase(std::remove_if(v.begin(), v.end(),
-                               [token](const AckEntry &e) {
-                                   return e.token == token;
-                               }),
-                v.end());
-        if (v.empty())
-            ackMulti_.erase(it);
+        acks_.remove(endpoint, token);
     }
 
     /** Record a retransmission performed by the reliable layer. */
@@ -474,42 +447,9 @@ class CoordChannel : public CoordTransport
             sendAckFor(dst, msg);
             break;
           }
-          case MsgType::ack: {
-            auto it = ackObservers.find(msg.dst);
-            if (it != ackObservers.end() && it->second)
-                it->second(msg);
-            dispatchAckMulti(msg);
+          case MsgType::ack:
+            acks_.dispatch(msg);
             break;
-          }
-        }
-    }
-
-    /**
-     * Dispatch an ack to the token observers at its endpoint. A
-     * callback may register or unregister observers (even destroy
-     * its own sender), so iterate a snapshot and re-check each
-     * token's liveness before calling.
-     */
-    void
-    dispatchAckMulti(const CoordMessage &msg)
-    {
-        auto mit = ackMulti_.find(msg.dst);
-        if (mit == ackMulti_.end())
-            return;
-        const std::vector<AckEntry> snap = mit->second;
-        for (const AckEntry &e : snap) {
-            auto again = ackMulti_.find(msg.dst);
-            if (again == ackMulti_.end())
-                break;
-            bool alive = false;
-            for (const AckEntry &cur : again->second) {
-                if (cur.token == e.token) {
-                    alive = true;
-                    break;
-                }
-            }
-            if (alive && e.fn)
-                e.fn(msg);
         }
     }
 
@@ -520,16 +460,7 @@ class CoordChannel : public CoordTransport
     corm::interconnect::Mailbox bToA;
     std::string name_;
     std::unique_ptr<corm::interconnect::FaultPlan> faults;
-    std::map<IslandId, std::function<void(const CoordMessage &)>>
-        ackObservers;
-    /** One token-registered ack observer (see addAckObserver). */
-    struct AckEntry
-    {
-        std::uint64_t token = 0;
-        std::function<void(const CoordMessage &)> fn;
-    };
-    std::map<IslandId, std::vector<AckEntry>> ackMulti_;
-    std::uint64_t ackToken_ = 0;
+    AckObservers acks_;
     ChannelStats stats_;
     corm::obs::TraceRecorder *rec_ = nullptr;
     corm::obs::Histogram *deliveryHist = nullptr;

@@ -24,13 +24,15 @@
  *    registrations and sequenced messages bypass aggregation on the
  *    low-latency path.
  *
- * Unlike the earlier toy fabric, every edge is a real pair of
- * interconnect Mailboxes: per-link FaultPlan weather applies below
- * the message semantics, a link-layer replay budget (modelling PCIe
- * DLLP ACK/NAK retry) re-sends fault-eaten wire messages with
+ * Every edge is a pair of directional lanes with the interconnect's
+ * wire semantics (fault stream, in-order clamp), carried as boundary
+ * messages of a ShardedEngine — one shard or many, the same
+ * delivery path (enableSharding). Per-link FaultPlan weather applies
+ * below the message semantics, a link-layer replay budget (modelling
+ * PCIe DLLP ACK/NAK retry) re-sends fault-eaten wire messages with
  * exponential backoff, causal trace spans are carried hop by hop,
- * and the mailboxes' activity observers feed health-monitor stall
- * watchdogs (see forEachLane). Delivery semantics match
+ * and per-lane activity logs feed health-monitor stall watchdogs at
+ * window barriers (see drainLaneActivity). Delivery semantics match
  * CoordChannel: Tune/Trigger dispatch to the destination island,
  * sequenced messages are acknowledged and deduplicated at the
  * endpoint, registrations install bindings and are always acked.
@@ -59,6 +61,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,7 +70,6 @@
 #include "coord/message.hpp"
 #include "coord/transport.hpp"
 #include "interconnect/faults.hpp"
-#include "interconnect/msgring.hpp"
 #include "obs/trace.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
@@ -153,7 +155,7 @@ struct FabricParams
      * own parent, then to the tree root.
      */
     IslandId fallbackParent = 0;
-    /** Name prefix of the per-link mailboxes (stats, logs, lanes). */
+    /** Name prefix of the per-link lanes (trace tracks, monitor). */
     std::string name = "fabric";
 };
 
@@ -199,16 +201,14 @@ struct FabricStats
  * per-link fault weather, link-layer replay and (tree) hub-side
  * Tune aggregation. Implements CoordTransport, so ReliableSender /
  * ReliableAnnouncer run over it unchanged.
+ *
+ * A fabric runs on a ShardedEngine: build it on the engine's shard 0
+ * simulator, attach the islands, then call enableSharding() before
+ * any traffic (one shard is the ordinary single-threaded run).
  */
 class CoordFabric : public CoordTransport
 {
   public:
-    /** Compatibility constructor (star/mesh call sites). */
-    CoordFabric(corm::sim::Simulator &simulator, FabricTopology topology,
-                corm::sim::Tick hop_latency, IslandId hub = 0)
-        : CoordFabric(simulator, makeParams(topology, hop_latency, hub))
-    {}
-
     CoordFabric(corm::sim::Simulator &simulator, FabricParams params)
         : sim(simulator), cfg(std::move(params))
     {}
@@ -241,6 +241,7 @@ class CoordFabric : public CoordTransport
     void
     send(CoordMessage msg) override
     {
+        assert(engine_ != nullptr && "enableSharding() before traffic");
         ensureBuilt();
         ShardState &st = stateFor(msg.src);
         st.stats.sent.add();
@@ -258,8 +259,8 @@ class CoordFabric : public CoordTransport
         }
         if (msg.dst == msg.src) {
             // Loopback: no link; model one hop of latency. Stays on
-            // the source's own simulator in sharded mode (a node is
-            // never split across shards), so no boundary crossing.
+            // the source's own simulator (a node is never split
+            // across shards), so no boundary crossing.
             corm::sim::Simulator &s = simFor(msg.src);
             s.schedule(cfg.hopLatency, [this, msg, &s] {
                 finalDeliver(msg, s.now() - cfg.hopLatency, 1);
@@ -269,56 +270,22 @@ class CoordFabric : public CoordTransport
         forwardFrom(msg.src, msg, simFor(msg.src).now(), 0);
     }
 
-    /** Observe delivered acks at one endpoint (CoordTransport). */
-    void
-    setAckObserver(IslandId endpoint,
-                   std::function<void(const CoordMessage &)> fn) override
-    {
-        ackObservers[endpoint] = std::move(fn);
-    }
-
-    /** Legacy catch-all ack observer (sees acks at every endpoint). */
-    void
-    setAckObserver(std::function<void(const CoordMessage &)> fn)
-    {
-        catchAllAckObserver = std::move(fn);
-    }
-
-    /**
-     * Token-based multi-observer registration: several reliable
-     * senders (an announcer that lives the whole run plus a trigger
-     * sender, say) can share one endpoint without clobbering each
-     * other. Tokens are unique per fabric.
-     */
     std::uint64_t
-    addAckObserver(IslandId endpoint,
-                   std::function<void(const CoordMessage &)> fn) override
+    addAckObserver(IslandId endpoint, AckObservers::Fn fn) override
     {
-        const std::uint64_t token = ++ackToken_;
-        ackMulti_[endpoint].push_back({token, std::move(fn)});
-        return token;
+        return acks_.add(endpoint, std::move(fn));
     }
 
     void
     removeAckObserver(IslandId endpoint, std::uint64_t token) override
     {
-        auto it = ackMulti_.find(endpoint);
-        if (it == ackMulti_.end())
-            return;
-        auto &v = it->second;
-        v.erase(std::remove_if(v.begin(), v.end(),
-                               [token](const AckEntry &e) {
-                                   return e.token == token;
-                               }),
-                v.end());
-        if (v.empty())
-            ackMulti_.erase(it);
+        acks_.remove(endpoint, token);
     }
 
     /**
-     * Record a retransmission performed by the reliable layer. In
-     * sharded mode the reliable senders all live at the hub (shard
-     * 0), so charging shard 0's counter is race-free.
+     * Record a retransmission performed by the reliable layer. The
+     * reliable senders all live at the hub (shard 0), so charging
+     * shard 0's counter is race-free.
      */
     void noteRetransmit() override { states[0].stats.retries.add(); }
 
@@ -326,32 +293,29 @@ class CoordFabric : public CoordTransport
      * Observe wire messages abandoned after the link replay budget
      * (the fabric's "this delta is really gone" signal — scenarios
      * subtract abandoned deltas from the convergence intent).
+     * Notifications are queued per shard and reach the observer only
+     * at drainAbandoned().
      */
     using AbandonFn = std::function<void(const CoordMessage &)>;
     void setAbandonObserver(AbandonFn fn) { onAbandon = std::move(fn); }
 
     /**
-     * Attach a trace recorder (nullptr detaches): per-link hop
-     * slices, relay flow steps, aggregation fold/flush markers and
-     * drop/replay/abandon instants. Spans survive multi-hop relays
-     * because the id rides each mailbox's side-band.
-     */
-    void setTrace(corm::obs::TraceRecorder *recorder) { rec_ = recorder; }
-
-    /**
-     * Sharded-mode tracing: one window-local recorder per shard
-     * (obs/shardcapture.hpp). During a window each shard's wire
-     * instrumentation writes only its own recorder; the capture
-     * merges them at barriers. Hop slices are emitted at transmit
-     * time (the sender knows the delivery tick) on *directional*
-     * lane tracks ("<name>.<from>-<to>"), so every track has exactly
-     * one writing shard and the merged trace is byte-identical for
-     * any shard count. Call after enableSharding().
+     * Tracing: one recorder per shard — with several shards, the
+     * window-local recorders of a ShardCapture (obs/shardcapture.hpp),
+     * which merges them at barriers; with one shard, any recorder.
+     * During a window each shard's wire instrumentation writes only
+     * its own recorder: per-link hop slices, relay flow steps,
+     * aggregation fold/flush markers and drop/replay/abandon
+     * instants. Hop slices are emitted at transmit time (the sender
+     * knows the delivery tick) on *directional* lane tracks
+     * ("<name>.<from>-<to>"), so every track has exactly one writing
+     * shard and the merged trace is byte-identical for any shard
+     * count. Call after enableSharding().
      */
     void
     setShardTrace(const std::vector<corm::obs::TraceRecorder *> &recs)
     {
-        assert(sharded() && recs.size() == states.size());
+        assert(recs.size() == states.size());
         for (std::size_t k = 0; k < states.size(); ++k)
             states[k].rec = recs[k];
     }
@@ -405,9 +369,9 @@ class CoordFabric : public CoordTransport
 
     /**
      * Visit every directional lane as (name, lane id), in the
-     * deterministic link-key order — the sharded counterpart of
-     * forEachLane for monitor lane registration, where lane ids are
-     * how drainLaneActivity identifies lanes.
+     * deterministic link-key order — monitor lane registration
+     * depends on it, and lane ids are how drainLaneActivity
+     * identifies lanes. Lane names are "<name>.<from>-<to>".
      */
     void
     forEachLaneId(
@@ -416,38 +380,40 @@ class CoordFabric : public CoordTransport
     {
         ensureBuilt();
         for (Link *link : linksInKeyOrder()) {
-            fn(link->loToHi.name(), link->laneLoHi.id);
-            fn(link->hiToLo.name(), link->laneHiLo.id);
+            fn(laneName(link->lo, link->hi), link->laneLoHi.id);
+            fn(laneName(link->hi, link->lo), link->laneHiLo.id);
         }
     }
 
     /**
-     * Switch the fabric into sharded-parallel mode: islands are
-     * partitioned across the engine's shard simulators per
-     * @p shardOfNode (indexed by island id), and every wire hop is
-     * carried as a boundary message through the engine instead of a
-     * Mailbox — including same-shard hops, so the event-ordering
-     * structure (and therefore every scenario digest) is identical
-     * for any shard count. Call after every island is attached and
-     * before any traffic. Constraints in sharded mode:
+     * Run the fabric on @p engine: islands are partitioned across the
+     * engine's shard simulators per @p shardOfNode (indexed by island
+     * id; ids past its end, all of them for an empty vector, run on
+     * shard 0), and every wire hop is carried as a boundary message
+     * through the engine — including same-shard hops, so the
+     * event-ordering structure (and therefore every scenario digest)
+     * is identical for any shard count. Call after every island is
+     * attached and before any traffic. Constraints:
      *
+     *  - the fabric was built on engine.sim(0);
      *  - the engine's lookahead must not exceed hopLatency (a hop is
      *    the minimum cross-shard interaction latency);
-     *  - tracing uses per-shard window recorders (setShardTrace), not
-     *    setTrace: a single recorder would race across workers. Lane
-     *    monitoring runs off drainLaneActivity at barriers, not
-     *    Mailbox observers (no Mailboxes are exercised);
+     *  - tracing uses per-shard recorders (setShardTrace), and lane
+     *    monitoring runs off drainLaneActivity at barriers;
      *  - send(msg) must execute on the shard owning msg.src, which
      *    falls out naturally when workload events are scheduled on
      *    the source island's shard simulator;
-     *  - abandon notifications are queued per shard and handed to
-     *    the abandon observer only at drainAbandoned(), which the
-     *    runner must call from the engine's barrier probe.
+     *  - abandon notifications reach the abandon observer only at
+     *    drainAbandoned(), and membership changes (join, leave,
+     *    crash, migrateEntity, churnTick, reparentNow) run only
+     *    between windows — both from the engine's barrier probe or
+     *    between runs.
      */
     void
     enableSharding(corm::sim::ShardedEngine &engine,
                    const std::vector<int> &shardOfNode)
     {
+        assert(&sim == &engine.sim(0));
         engine_ = &engine;
         shardOf = shardOfNode;
         states.clear();
@@ -456,8 +422,6 @@ class CoordFabric : public CoordTransport
         // One hop is the minimum cross-shard latency; a larger
         // lookahead would let a shard run past an incoming message.
         assert(engine.lookahead() <= cfg.hopLatency);
-        assert(rec_ == nullptr
-               && "sharded mode traces via setShardTrace, not setTrace");
         for (int i = 0; i < engine.shardCount(); ++i) {
             engine.setSink(i, [this](const corm::sim::ShardMessage &m) {
                 onLaneDeliver(m);
@@ -465,16 +429,13 @@ class CoordFabric : public CoordTransport
         }
     }
 
-    /** True once enableSharding() has been called. */
-    bool sharded() const { return engine_ != nullptr; }
-
     /**
-     * Sharded mode: deliver queued abandon notifications to the
-     * abandon observer in canonical (when, lane, program-order)
-     * order — the same placement-independent sort the boundary drain
-     * uses, so observer-visible side effects (monitor abandon
-     * events, for one) are identical for any shard count. Runs on
-     * the coordinator thread at a window barrier.
+     * Deliver queued abandon notifications to the abandon observer
+     * in canonical (when, lane, program-order) order — the same
+     * placement-independent sort the boundary drain uses, so
+     * observer-visible side effects (monitor abandon events, for
+     * one) are identical for any shard count. Runs on the
+     * coordinator thread at a window barrier or between runs.
      */
     void
     drainAbandoned()
@@ -501,27 +462,9 @@ class CoordFabric : public CoordTransport
     }
 
     /**
-     * Visit every link mailbox as (lane name, mailbox). The health
-     * monitor wiring registers one stall-watchdog lane per direction
-     * through this (see platform/scenarios.cpp); lane names are
-     * "<name>.<from>-<to>".
-     */
-    void
-    forEachLane(
-        const std::function<void(const std::string &,
-                                 corm::interconnect::Mailbox &)> &fn)
-    {
-        ensureBuilt();
-        for (Link *link : linksInKeyOrder()) {
-            fn(link->loToHi.name(), link->loToHi);
-            fn(link->hiToLo.name(), link->hiToLo);
-        }
-    }
-
-    /**
-     * Fabric statistics. In sharded mode the per-shard counters are
-     * folded into one view on each call (harvest-time cost only);
-     * call from the coordinator with no window in flight.
+     * Fabric statistics. With several shards the per-shard counters
+     * are folded into one view on each call (harvest-time cost
+     * only); call from the coordinator with no window in flight.
      */
     const FabricStats &
     stats() const
@@ -594,15 +537,16 @@ class CoordFabric : public CoordTransport
         return m;
     }
 
-    /** Highest in-flight queue depth seen on any link direction. */
+    /** Highest in-flight queue depth seen on any live link direction
+     *  (copies on the wire, duplicates included). */
     std::size_t
     maxLaneQueueHighWater()
     {
         ensureBuilt();
         std::size_t m = 0;
         links.forEach([&m](std::uint64_t, const std::unique_ptr<Link> &l) {
-            m = std::max({m, l->loToHi.pendingHighWater(),
-                          l->hiToLo.pendingHighWater()});
+            m = std::max({m, l->laneLoHi.onWire.highWater,
+                          l->laneHiLo.onWire.highWater});
         });
         return m;
     }
@@ -631,9 +575,11 @@ class CoordFabric : public CoordTransport
     }
 
     // ------------------------------------------------------------------
-    // Dynamic membership (churn). All of these run on the coordinator:
-    // at a window barrier in sharded mode (pass the barrier tick as
-    // `now`), or from an ordinary simulator event in legacy mode.
+    // Dynamic membership (churn). All of these run on the coordinator
+    // between windows — from the engine's barrier probe or between
+    // runs — and take the barrier tick as `now`: with the workers
+    // parked at placement-dependent ticks, it is the only
+    // placement-independent clock.
     // ------------------------------------------------------------------
 
     /** True while @p id is an attached (live) member. */
@@ -678,7 +624,7 @@ class CoordFabric : public CoordTransport
      * degenerates to attach().
      */
     void
-    join(ResourceIsland &island, corm::sim::Tick now = 0)
+    join(ResourceIsland &island, corm::sim::Tick now)
     {
         if (dirty || liveIslands_ == 0) {
             attach(island);
@@ -724,7 +670,7 @@ class CoordFabric : public CoordTransport
      * missing endpoint, never silently lost.
      */
     void
-    leave(IslandId id, corm::sim::Tick now = 0)
+    leave(IslandId id, corm::sim::Tick now)
     {
         ensureBuilt();
         if (!attached(id))
@@ -755,7 +701,7 @@ class CoordFabric : public CoordTransport
      * hub. churnTick() / reparentNow() complete the re-bind.
      */
     void
-    crash(IslandId id, corm::sim::Tick now = 0)
+    crash(IslandId id, corm::sim::Tick now)
     {
         ensureBuilt();
         if (!attached(id))
@@ -769,9 +715,8 @@ class CoordFabric : public CoordTransport
         abandonOwnBuckets(id);
         const IslandId fb = fallbackFor(id);
         const std::vector<IslandId> orphans = detachNode(id);
-        const corm::sim::Tick at = nowFor(id);
         for (IslandId c : orphans)
-            pendingReparents_.push_back({c, fb, at + cfg.reparentDelay});
+            pendingReparents_.push_back({c, fb, now + cfg.reparentDelay});
         rebuildLiveRoutes();
         ++churn_.crashes;
         ++routeEpoch_;
@@ -800,7 +745,7 @@ class CoordFabric : public CoordTransport
      */
     bool
     migrateEntity(IslandId src, IslandId dst, EntityId entity,
-                  corm::sim::Tick now = 0)
+                  corm::sim::Tick now)
     {
         ensureBuilt();
         if (src == dst || !attached(src) || !attached(dst))
@@ -835,8 +780,7 @@ class CoordFabric : public CoordTransport
 
     /**
      * Complete re-parents whose delay has elapsed (dueAt <= now).
-     * Call periodically — at window barriers in sharded mode, from a
-     * scheduled event in legacy mode.
+     * Call periodically, at window barriers.
      */
     void churnTick(corm::sim::Tick now) { processReparents(now, false); }
 
@@ -849,9 +793,58 @@ class CoordFabric : public CoordTransport
 
   private:
     /**
-     * One link direction in sharded mode: the Mailbox's wire
-     * semantics (fault stream, in-order clamp) reproduced over the
-     * engine's boundary queues. The lane id is derived from the
+     * Delivery ticks of a lane's copies still on the wire, ascending,
+     * in a power-of-two ring: the lane's queue depth. Pruned at each
+     * transmit, so the depth (and its high water, the hub-pressure
+     * metric) is what the sender sees when it puts a copy on the
+     * wire. In-order copies append at the tail in O(1); reordered and
+     * duplicate copies insert in place.
+     */
+    struct OnWire
+    {
+        std::vector<corm::sim::Tick> ring;
+        std::size_t head = 0, count = 0, highWater = 0;
+
+        /** Out of line: inlined into transmit() it slowed the
+         *  fabric hop path by ~8% (fabric_tree_dense wall). */
+        [[gnu::noinline]] void
+        push(corm::sim::Tick now, corm::sim::Tick when)
+        {
+            while (count != 0 && ring[head] <= now) {
+                head = (head + 1) & (ring.size() - 1);
+                --count;
+            }
+            if (count == ring.size())
+                grow();
+            const std::size_t mask = ring.size() - 1;
+            std::size_t i = (head + count) & mask;
+            for (std::size_t n = count; n != 0; --n) {
+                const std::size_t prev = (i - 1) & mask;
+                if (ring[prev] <= when)
+                    break;
+                ring[i] = ring[prev];
+                i = prev;
+            }
+            ring[i] = when;
+            highWater = std::max(highWater, ++count);
+        }
+
+        void
+        grow()
+        {
+            std::vector<corm::sim::Tick> bigger(
+                ring.empty() ? 8 : 2 * ring.size());
+            for (std::size_t k = 0; k < count; ++k)
+                bigger[k] = ring[(head + k) & (ring.size() - 1)];
+            ring.swap(bigger);
+            head = 0;
+        }
+    };
+
+    /**
+     * One link direction: the interconnect's wire semantics (fault
+     * stream, in-order clamp) over the engine's boundary queues,
+     * owned by the sender's shard. The lane id is derived from the
      * endpoint ids alone — placement-independent, so the engine's
      * canonical (when, lane, seq) injection order does not change
      * with the shard count.
@@ -863,32 +856,14 @@ class CoordFabric : public CoordTransport
         corm::interconnect::FaultInjector *faults = nullptr;
         corm::sim::Tick lastDelivery = 0; ///< in-order clamp
         std::uint64_t nextSeq = 0;        ///< per-lane send counter
+        OnWire onWire;
     };
 
     struct Link
     {
         IslandId lo, hi;
-        corm::interconnect::Mailbox loToHi;
-        corm::interconnect::Mailbox hiToLo;
         std::unique_ptr<corm::interconnect::FaultPlan> weather;
-        Lane laneLoHi, laneHiLo; ///< sharded-mode wire directions
-
-        Link(corm::sim::Simulator &s, corm::sim::Tick lat, IslandId l,
-             IslandId h, const std::string &prefix)
-            : lo(l), hi(h),
-              loToHi(s, lat,
-                     prefix + "." + std::to_string(l) + "-"
-                         + std::to_string(h)),
-              hiToLo(s, lat,
-                     prefix + "." + std::to_string(h) + "-"
-                         + std::to_string(l))
-        {}
-
-        corm::interconnect::Mailbox &
-        dir(IslandId from)
-        {
-            return from == lo ? loToHi : hiToLo;
-        }
+        Lane laneLoHi, laneHiLo;
 
         Lane &
         laneFrom(IslandId from)
@@ -902,7 +877,6 @@ class CoordFabric : public CoordTransport
     {
         CoordMessage msg;
         corm::sim::Tick originSentAt = 0; ///< logical send time
-        corm::sim::Tick hopSentAt = 0;    ///< this hop's (re)send time
         IslandId from = 0, to = 0;
         int hopsSoFar = 0; ///< link hops completed before this one
         int attempts = 1;  ///< wire attempts on this link
@@ -917,15 +891,6 @@ class CoordFabric : public CoordTransport
         corm::sim::Tick earliestOrigin = 0;
     };
 
-    /**
-     * Mutable fabric state owned by one shard. In legacy
-     * (single-threaded) mode there is exactly one state, index 0,
-     * and behaviour is unchanged from the pre-sharding fabric. In
-     * sharded mode each shard's worker touches only its own state:
-     * flights and aggregation buckets are keyed by nodes the shard
-     * owns, tags only need to be unique within a shard, and the
-     * stats counters are folded at harvest (see stats()).
-     */
     /** One queued abandon with its canonical-ordering key. */
     struct AbandonRecord
     {
@@ -992,35 +957,31 @@ class CoordFabric : public CoordTransport
     static inline const TypedNames replayName{"replay:"};
     static inline const TypedNames dupName{"hop:dup:"};
 
+    /**
+     * Mutable fabric state owned by one shard. Each shard's worker
+     * touches only its own state: flights and aggregation buckets
+     * are keyed by nodes the shard owns, tags only need to be unique
+     * within a shard, and the stats counters are folded at harvest
+     * (see stats()).
+     */
     struct ShardState
     {
         FlatTable<Flight> flights;
         FlatTable<AggBucket> aggBuckets;
         std::uint64_t nextTag = 0;
         std::size_t aggHighWater = 0;
-        /** Abandons awaiting drainAbandoned() (sharded mode only). */
+        /** Abandons awaiting drainAbandoned(). */
         std::vector<AbandonRecord> abandonedQueue;
         std::uint64_t abandonSeq = 0;
         FabricStats stats;
-        /** Window-local trace recorder (sharded capture only). */
+        /** This shard's trace recorder (see setShardTrace). */
         corm::obs::TraceRecorder *rec = nullptr;
-        /** Lazy track ids on this shard's window recorder. */
+        /** Lazy track ids on rec. */
         TrackIds tracks;
         /** Window-local lane activity log (see drainLaneActivity). */
         std::vector<LaneEvent> laneLog;
         std::uint64_t laneLogSeq = 0;
     };
-
-    static FabricParams
-    makeParams(FabricTopology topology, corm::sim::Tick hop_latency,
-               IslandId hub)
-    {
-        FabricParams p;
-        p.topology = topology;
-        p.hopLatency = hop_latency;
-        p.hub = hub;
-        return p;
-    }
 
     static std::uint32_t
     linkKey(IslandId a, IslandId b)
@@ -1046,22 +1007,21 @@ class CoordFabric : public CoordTransport
     struct ChurnScope
     {
         CoordFabric &f;
-        corm::sim::Tick saved;
+        std::optional<corm::sim::Tick> saved;
         ChurnScope(CoordFabric &fab, corm::sim::Tick now)
             : f(fab), saved(fab.churnNow_)
         {
-            if (fab.sharded() && now != 0)
-                fab.churnNow_ = now;
+            fab.churnNow_ = now;
         }
         ~ChurnScope() { f.churnNow_ = saved; }
     };
 
     /** Current tick for @p node's actions; the barrier tick during a
-     *  sharded-mode churn action (see ChurnScope). */
+     *  churn action (see ChurnScope). */
     corm::sim::Tick
     nowFor(IslandId node)
     {
-        return churnNow_ != 0 ? churnNow_ : simFor(node).now();
+        return churnNow_ ? *churnNow_ : simFor(node).now();
     }
 
     /** Grow the node-indexed tables to cover ids below @p span. */
@@ -1212,11 +1172,8 @@ class CoordFabric : public CoordTransport
             if (l->lo == id || l->hi == id)
                 dead.push_back(key);
         });
-        for (std::uint64_t key : dead) {
-            std::unique_ptr<Link> l;
-            links.take(key, l);
-            retired.push_back(std::move(l));
-        }
+        for (std::uint64_t key : dead)
+            links.erase(key);
         std::vector<IslandId> orphans;
         orphans.swap(children[id]);
         if (const std::uint32_t p = parentId(id); p != noParent) {
@@ -1324,14 +1281,10 @@ class CoordFabric : public CoordTransport
             if (aggDepth[b.node] > 0)
                 --aggDepth[b.node];
             st.stats.abandoned.add();
-            if (!onAbandon)
-                continue;
-            if (sharded())
+            if (onAbandon)
                 st.abandonedQueue.push_back({b.proto, nowFor(id),
                                              laneIdOf(b.node, b.next),
                                              ++st.abandonSeq});
-            else
-                onAbandon(b.proto);
         }
     }
 
@@ -1367,12 +1320,8 @@ class CoordFabric : public CoordTransport
         st.stats.dropped.add();
         if (msg.type != MsgType::tune || msg.seq != 0 || !onAbandon)
             return;
-        if (sharded())
-            st.abandonedQueue.push_back({msg, nowFor(from),
-                                         laneIdOf(from, to),
-                                         ++st.abandonSeq});
-        else
-            onAbandon(msg);
+        st.abandonedQueue.push_back({msg, nowFor(from), laneIdOf(from, to),
+                                     ++st.abandonSeq});
     }
 
     void
@@ -1381,11 +1330,6 @@ class CoordFabric : public CoordTransport
         if (!dirty)
             return;
         dirty = false;
-        // Retire (don't destroy) old links: their mailboxes may
-        // still hold scheduled deliveries referencing themselves.
-        links.forEach([this](std::uint64_t, std::unique_ptr<Link> &l) {
-            retired.push_back(std::move(l));
-        });
         links = {};
         parent.assign(parent.size(), noParent);
         for (std::vector<IslandId> &kids : children)
@@ -1439,9 +1383,9 @@ class CoordFabric : public CoordTransport
     void
     makeLink(IslandId a, IslandId b)
     {
-        auto link = std::make_unique<Link>(sim, cfg.hopLatency,
-                                           std::min(a, b),
-                                           std::max(a, b), cfg.name);
+        auto link = std::make_unique<Link>();
+        link->lo = std::min(a, b);
+        link->hi = std::max(a, b);
         if (cfg.faults.any()) {
             // Per-link deterministic weather: the link's stream pair
             // derives from the master seed and the (lo, hi) ids, so
@@ -1456,38 +1400,15 @@ class CoordFabric : public CoordTransport
                          .next();
             link->weather =
                 std::make_unique<corm::interconnect::FaultPlan>(p);
-            link->loToHi.setFaultInjector(&link->weather->aToB());
-            link->hiToLo.setFaultInjector(&link->weather->bToA());
             link->laneLoHi.faults = &link->weather->aToB();
             link->laneHiLo.faults = &link->weather->bToA();
         }
-        // Sharded-mode lane ids: (linkKey << 1) | direction bit —
-        // a pure function of the endpoint ids, 64-bit so the 32-bit
-        // link key shifts without truncation.
-        link->laneLoHi.id =
-            (static_cast<std::uint64_t>(linkKey(a, b)) << 1);
+        link->laneLoHi.id = laneIdOf(link->lo, link->hi);
         link->laneLoHi.from = link->lo;
         link->laneLoHi.to = link->hi;
-        link->laneHiLo.id =
-            (static_cast<std::uint64_t>(linkKey(a, b)) << 1) | 1u;
+        link->laneHiLo.id = laneIdOf(link->hi, link->lo);
         link->laneHiLo.from = link->hi;
         link->laneHiLo.to = link->lo;
-        for (int d = 0; d < 2; ++d) {
-            corm::interconnect::Mailbox &mb =
-                d == 0 ? link->loToHi : link->hiToLo;
-            const IslandId receiver = d == 0 ? link->hi : link->lo;
-            // The flight record carries the span id, so the
-            // mailbox's flow side-band is not needed here.
-            mb.setReceiver([this, receiver](std::uint64_t w0,
-                                            std::uint64_t w1,
-                                            std::uint64_t w2,
-                                            std::uint64_t tag,
-                                            std::uint64_t) {
-                onWireDeliver(receiver, w0, w1, w2, tag);
-            });
-            mb.setDropObserver(
-                [this](std::uint64_t tag) { onWireDrop(tag); });
-        }
         links.tryEmplace(linkKey(a, b)).first = std::move(link);
     }
 
@@ -1615,7 +1536,7 @@ class CoordFabric : public CoordTransport
             b.earliestOrigin = origin;
             const std::size_t depth = ++aggDepth[node];
             sst.aggHighWater = std::max(sst.aggHighWater, depth);
-            corm::obs::TraceRecorder *const r = recFor(sst);
+            corm::obs::TraceRecorder *const r = sst.rec;
             if (CORM_TRACE_ACTIVE(r) && msg.trace != 0) {
                 r->instant(nodeTrackOn(sst, node), simFor(node).now(),
                            "agg:open", "coord",
@@ -1631,7 +1552,7 @@ class CoordFabric : public CoordTransport
         b.proto.value += msg.value;
         b.proto.coalesced += msg.coalesced;
         b.earliestOrigin = std::min(b.earliestOrigin, origin);
-        corm::obs::TraceRecorder *const r = recFor(sst);
+        corm::obs::TraceRecorder *const r = sst.rec;
         if (CORM_TRACE_ACTIVE(r) && msg.trace != 0
             && msg.trace != b.proto.trace) {
             // The folded contributor's span ends here; the batch
@@ -1658,7 +1579,7 @@ class CoordFabric : public CoordTransport
         if (aggDepth[b.node] > 0)
             --aggDepth[b.node];
         sst.stats.aggBatches.add();
-        corm::obs::TraceRecorder *const r = recFor(sst);
+        corm::obs::TraceRecorder *const r = sst.rec;
         if (CORM_TRACE_ACTIVE(r) && b.proto.trace != 0) {
             r->instant(
                 nodeTrackOn(sst, b.node), nowFor(b.node),
@@ -1671,16 +1592,19 @@ class CoordFabric : public CoordTransport
         wireSend(b.node, b.next, b.proto, b.earliestOrigin, 0);
     }
 
+    /**
+     * Put @p msg on the @p from -> @p to link. The flight record
+     * stays local unless weather drops the attempt — it only exists
+     * to feed drop/replay chains, and the payload rides the boundary
+     * message itself, so the receiving shard never touches this
+     * shard's flight map.
+     */
     void
     wireSend(IslandId from, IslandId to, const CoordMessage &msg,
              corm::sim::Tick origin, int hopsSoFar)
     {
-        if (sharded()) {
-            shardWireSend(from, to, msg, origin, hopsSoFar);
-            return;
-        }
+        ShardState &st = stateFor(from);
         Link *lk = linkBetween(from, to);
-        ShardState &st = states[0];
         if (lk == nullptr) {
             // Topology changed under an in-flight message: the next
             // hop is gone (or routing answered the unroutable
@@ -1689,47 +1613,9 @@ class CoordFabric : public CoordTransport
             return;
         }
         const std::uint64_t tag = ++st.nextTag;
-        Flight &f = st.flights.tryEmplace(tag).first;
-        f.msg = msg;
-        f.originSentAt = origin;
-        f.hopSentAt = sim.now();
-        f.from = from;
-        f.to = to;
-        f.hopsSoFar = hopsSoFar;
-        f.attempts = 1;
-        f.timeout = cfg.replayTimeout;
-        st.stats.wireMessages.add();
-        if (msg.type == MsgType::tune)
-            st.stats.wireTunes.add();
-        ++wireFrom[from];
-        lk->dir(from).send(msg.encodeWord0(), msg.encodeWord1(),
-                           msg.encodeWord2(), tag, msg.trace);
-    }
-
-    /**
-     * Sharded replacement of wireSend + Mailbox::send: same flight
-     * bookkeeping and fault semantics, but the delivery is a
-     * boundary message posted through the engine. The flight record
-     * stays local unless weather drops the attempt — it only exists
-     * to feed drop/replay chains, and the payload rides the boundary
-     * message itself, so the receiving shard never touches this
-     * shard's flight map.
-     */
-    void
-    shardWireSend(IslandId from, IslandId to, const CoordMessage &msg,
-                  corm::sim::Tick origin, int hopsSoFar)
-    {
-        ShardState &st = stateFor(from);
-        Link *lk = linkBetween(from, to);
-        if (lk == nullptr) {
-            dropAttributed(from, msg, from, to);
-            return;
-        }
-        const std::uint64_t tag = ++st.nextTag;
         Flight f;
         f.msg = msg;
         f.originSentAt = origin;
-        f.hopSentAt = nowFor(from);
         f.from = from;
         f.to = to;
         f.hopsSoFar = hopsSoFar;
@@ -1739,18 +1625,17 @@ class CoordFabric : public CoordTransport
         if (msg.type == MsgType::tune)
             st.stats.wireTunes.add();
         ++wireFrom[from];
-        shardTransmit(st, *lk, tag, f);
+        transmit(st, *lk, tag, f);
     }
 
     /**
-     * One wire attempt of a sharded flight (first send or replay).
-     * Returns true if the attempt was posted; false if weather
-     * dropped it, in which case shardDrop has recorded (or
-     * abandoned) the flight under @p tag.
+     * One wire attempt of a flight (first send or replay). Returns
+     * true if the attempt was posted; false if weather dropped it,
+     * in which case dropFlight has recorded (or abandoned) the
+     * flight under @p tag.
      */
     bool
-    shardTransmit(ShardState &st, Link &link, std::uint64_t tag,
-                  Flight &f)
+    transmit(ShardState &st, Link &link, std::uint64_t tag, Flight &f)
     {
         Lane &lane = link.laneFrom(f.from);
         // Barrier-time churn actions (a leave's bucket flush, say)
@@ -1758,8 +1643,8 @@ class CoordFabric : public CoordTransport
         // dependent ticks: nowFor serves the barrier tick there and
         // the owning sim's clock during a window.
         const corm::sim::Tick tnow = nowFor(f.from);
-        // Mirror Mailbox's Activity::sent: logged before the fault
-        // roll, so the stall watchdog sees attempts the weather ate.
+        // Logged before the fault roll, so the stall watchdog sees
+        // attempts the weather ate.
         if (laneActivity_)
             st.laneLog.push_back(
                 {tnow, lane.id, ++st.laneLogSeq, false});
@@ -1770,23 +1655,23 @@ class CoordFabric : public CoordTransport
             if (CORM_TRACE_ACTIVE(st.rec))
                 st.rec->instant(laneTrackOn(st, lane), tnow,
                                 "hop:drop", "coord");
-            shardDrop(st, tag, f, lane.id);
+            dropFlight(st, tag, f, lane.id);
             return false;
         }
-        // Mirror Mailbox::send: base latency plus weather delay,
-        // clamped to in-order delivery unless reordering was drawn.
+        // Base latency plus weather delay, clamped to in-order
+        // delivery unless reordering was drawn.
         corm::sim::Tick when =
             tnow + cfg.hopLatency + act.extraDelay;
         if (!act.reorder) {
             when = std::max(when, lane.lastDelivery);
             lane.lastDelivery = when;
         }
+        lane.onWire.push(tnow, when);
         if (CORM_TRACE_ACTIVE(st.rec)) {
-            // Legacy emits the hop slice at delivery time; here the
-            // sender already knows the delivery tick, and emitting
-            // at transmit keeps the slice on the sender's shard
-            // (single-writer tracks). Same ts/dur either way. The
-            // flow step on the lane track is the stitch between the
+            // The sender already knows the delivery tick, so the hop
+            // slice is emitted at transmit: the slice stays on the
+            // sender's shard (single-writer tracks). The flow step
+            // on the lane track is the stitch between the
             // sender-side span and the receiver-side continuation.
             st.rec->complete(
                 laneTrackOn(st, lane), tnow, when - tnow,
@@ -1812,29 +1697,29 @@ class CoordFabric : public CoordTransport
         e.aux = f.msg.coalesced;
         engine_->post(shardOfNode(f.from), shardOfNode(f.to), e);
         if (act.duplicate && lane.faults) {
-            // Second copy; the receiver counts it and drops it, the
-            // same way a legacy duplicate finds its flight consumed.
+            // Second copy; the receiver counts it and drops it.
             corm::sim::ShardMessage d = e;
             d.when = when + lane.faults->params().dupOffset;
             d.seq = ++lane.nextSeq;
             d.flags |= corm::sim::ShardMessage::flagDuplicate;
+            lane.onWire.push(tnow, d.when);
             engine_->post(shardOfNode(f.from), shardOfNode(f.to), d);
         }
         return true;
     }
 
     /**
-     * Weather ate a sharded wire attempt: back off or abandon. The
-     * first drop of a flight is where its record enters the flight
-     * map; a replay's record is already there.
+     * Weather ate a wire attempt: back off or abandon. The first
+     * drop of a flight is where its record enters the flight map; a
+     * replay's record is already there.
      */
     void
-    shardDrop(ShardState &st, std::uint64_t tag, const Flight &dropped,
-              std::uint64_t laneId)
+    dropFlight(ShardState &st, std::uint64_t tag, const Flight &dropped,
+               std::uint64_t laneId)
     {
         st.stats.linkDrops.add();
         if (dropped.attempts > cfg.replayAttempts) {
-            shardAbandon(st, tag, dropped, laneId);
+            abandonFlight(st, tag, dropped, laneId);
             return;
         }
         auto [f, fresh] = st.flights.tryEmplace(tag);
@@ -1847,11 +1732,11 @@ class CoordFabric : public CoordTransport
             cfg.replayCap, static_cast<corm::sim::Tick>(next));
         const IslandId from = f.from;
         simFor(from).schedule(
-            wait, [this, from, tag] { shardReplay(from, tag); });
+            wait, [this, from, tag] { replayFlight(from, tag); });
     }
 
     void
-    shardReplay(IslandId from, std::uint64_t tag)
+    replayFlight(IslandId from, std::uint64_t tag)
     {
         ShardState &st = stateFor(from);
         Flight *fp = st.flights.find(tag);
@@ -1860,11 +1745,10 @@ class CoordFabric : public CoordTransport
         Flight &f = *fp;
         Link *lk = linkBetween(f.from, f.to);
         if (lk == nullptr) {
-            shardAbandon(st, tag, f, 0);
+            abandonFlight(st, tag, f, 0);
             return;
         }
         ++f.attempts;
-        f.hopSentAt = simFor(from).now();
         st.stats.linkReplays.add();
         st.stats.wireMessages.add();
         if (f.msg.type == MsgType::tune)
@@ -1876,20 +1760,20 @@ class CoordFabric : public CoordTransport
                             replayName(f.msg.type), "coord",
                             {{"attempt", f.attempts}});
         }
-        if (shardTransmit(st, *lk, tag, f))
+        if (transmit(st, *lk, tag, f))
             st.flights.erase(tag);
     }
 
     /**
-     * Replay budget exhausted on a sharded flight. The notification
-     * is queued, not delivered: abandon observers mutate scenario
-     * state and must only run on the coordinator (drainAbandoned).
-     * @p laneId 0 means "derive from the flight's endpoints" (real
-     * lane ids are never 0: linkKey is at least 1).
+     * Replay budget exhausted. The notification is queued, not
+     * delivered: abandon observers mutate scenario state and must
+     * only run on the coordinator (drainAbandoned). @p laneId 0
+     * means "derive from the flight's endpoints" (real lane ids are
+     * never 0: linkKey is at least 1).
      */
     void
-    shardAbandon(ShardState &st, std::uint64_t tag, const Flight &f,
-                 std::uint64_t laneId)
+    abandonFlight(ShardState &st, std::uint64_t tag, const Flight &f,
+                  std::uint64_t laneId)
     {
         const CoordMessage msg = f.msg;
         const IslandId from = f.from, to = f.to;
@@ -1899,8 +1783,9 @@ class CoordFabric : public CoordTransport
             laneId = laneIdOf(from, to);
         const corm::sim::Tick when = simFor(from).now();
         if (CORM_TRACE_ACTIVE(st.rec)) {
-            // Deliberately no flowEnd, same as abandonFlight: an
-            // abandoned message's span dangles.
+            // Deliberately no flowEnd: an abandoned message's span
+            // dangles (begin/steps without end), which is exactly
+            // what the trace shows for information that was lost.
             st.rec->instant(
                 laneTrackOn(st, from, to), when, "abandon",
                 "coord",
@@ -1912,17 +1797,17 @@ class CoordFabric : public CoordTransport
     }
 
     /**
-     * Sharded delivery sink: a boundary message reached its
-     * destination shard. Runs on that shard's thread; the decoded
-     * message rejoins the normal relay / final-delivery path.
+     * Delivery sink: a boundary message reached its destination
+     * shard. Runs on that shard's thread; the decoded message rejoins
+     * the normal relay / final-delivery path.
      */
     void
     onLaneDeliver(const corm::sim::ShardMessage &e)
     {
         const IslandId node = e.node;
         ShardState &st = stateFor(node);
-        // Mirror Mailbox's Activity::delivered: every arriving copy
-        // counts, duplicates included.
+        // Every arriving copy counts as lane activity, duplicates
+        // included.
         if (laneActivity_)
             st.laneLog.push_back({simFor(node).now(), e.lane,
                                   ++st.laneLogSeq, true});
@@ -1952,7 +1837,9 @@ class CoordFabric : public CoordTransport
             return;
         }
         if (CORM_TRACE_ACTIVE(st.rec) && msg.trace != 0) {
-            // Final hop of the span (see onWireDeliver).
+            // Final hop of the span: an ack ending a reliable chain
+            // or a fire-and-forget apply both terminate here; a
+            // sequenced request still has its ack leg ahead.
             if (msg.type == MsgType::ack || msg.seq == 0)
                 st.rec->flowEnd(nodeTrackOn(st, node),
                                 simFor(node).now(), msg.trace,
@@ -1963,148 +1850,6 @@ class CoordFabric : public CoordTransport
                                  "coord.span", "coord");
         }
         finalDeliver(msg, e.origin, hops);
-    }
-
-    void
-    onWireDrop(std::uint64_t tag)
-    {
-        ShardState &st = states[0];
-        Flight *fp = st.flights.find(tag);
-        if (fp == nullptr)
-            return; // a duplicate copy was eaten; nothing pending
-        Flight &f = *fp;
-        st.stats.linkDrops.add();
-        if (CORM_TRACE_ACTIVE(rec_)) {
-            rec_->instant(linkTrack(f.from, f.to), sim.now(),
-                          "hop:drop", "coord");
-        }
-        if (f.attempts > cfg.replayAttempts) {
-            abandonFlight(tag);
-            return;
-        }
-        const corm::sim::Tick wait = f.timeout;
-        const double next = static_cast<double>(f.timeout)
-            * (cfg.replayBackoff > 1.0 ? cfg.replayBackoff : 1.0);
-        f.timeout = std::min(
-            cfg.replayCap, static_cast<corm::sim::Tick>(next));
-        sim.schedule(wait, [this, tag] { replayFlight(tag); });
-    }
-
-    void
-    replayFlight(std::uint64_t tag)
-    {
-        ShardState &st = states[0];
-        Flight *fp = st.flights.find(tag);
-        if (fp == nullptr)
-            return;
-        Flight &f = *fp;
-        Link *lk = linkBetween(f.from, f.to);
-        if (lk == nullptr) {
-            abandonFlight(tag);
-            return;
-        }
-        ++f.attempts;
-        f.hopSentAt = sim.now();
-        st.stats.linkReplays.add();
-        st.stats.wireMessages.add();
-        if (f.msg.type == MsgType::tune)
-            st.stats.wireTunes.add();
-        ++wireFrom[f.from];
-        if (CORM_TRACE_ACTIVE(rec_)) {
-            rec_->instant(linkTrack(f.from, f.to), sim.now(),
-                          replayName(f.msg.type), "coord",
-                          {{"attempt", f.attempts}});
-            if (f.msg.trace != 0)
-                rec_->flowStep(linkTrack(f.from, f.to), sim.now(),
-                               f.msg.trace, "coord.span", "coord");
-        }
-        lk->dir(f.from).send(f.msg.encodeWord0(), f.msg.encodeWord1(),
-                             f.msg.encodeWord2(), tag, f.msg.trace);
-    }
-
-    void
-    abandonFlight(std::uint64_t tag)
-    {
-        Flight f;
-        states[0].flights.take(tag, f);
-        const CoordMessage &msg = f.msg;
-        const IslandId from = f.from, to = f.to;
-        states[0].stats.abandoned.add();
-        logger.debug("abandoning %s for island %u on link %u-%u "
-                     "after replay budget",
-                     msgTypeName(msg.type),
-                     static_cast<unsigned>(msg.dst),
-                     static_cast<unsigned>(from),
-                     static_cast<unsigned>(to));
-        if (CORM_TRACE_ACTIVE(rec_)) {
-            // Deliberately no flowEnd: an abandoned message's span
-            // dangles (begin/steps without end), which is exactly
-            // what the trace shows for information that was lost.
-            rec_->instant(linkTrack(from, to), sim.now(), "abandon",
-                          "coord",
-                          {{"entity",
-                            static_cast<std::uint64_t>(msg.entity)}});
-        }
-        if (onAbandon)
-            onAbandon(msg);
-    }
-
-    void
-    onWireDeliver(IslandId node, std::uint64_t w0, std::uint64_t w1,
-                  std::uint64_t w2, std::uint64_t tag)
-    {
-        ShardState &st = states[0];
-        Flight f;
-        if (!st.flights.take(tag, f)) {
-            // Second copy of a duplicated wire message: the first
-            // copy consumed the flight record.
-            st.stats.duplicates.add();
-            if (CORM_TRACE_ACTIVE(rec_)) {
-                const CoordMessage m = CoordMessage::decode(w0, w1, w2);
-                rec_->instant(nodeTrack(node), sim.now(), dupName(m.type),
-                              "coord");
-            }
-            return;
-        }
-        ++wireInto[node];
-        const int hops = f.hopsSoFar + 1;
-        CoordMessage msg = f.msg; // wire words + out-of-band fields
-        if (CORM_TRACE_ACTIVE(rec_)) {
-            rec_->complete(
-                linkTrack(f.from, f.to), f.hopSentAt,
-                sim.now() - f.hopSentAt, hopName(msg.type), "coord",
-                {{"entity", static_cast<std::uint64_t>(msg.entity)},
-                 {"seq", static_cast<int>(msg.seq)},
-                 {"hop", hops}});
-            // Stitch the hop onto its span (the channel convention:
-            // flow ts = slice end). The sharded path emits this on
-            // the lane track at transmit; without it here, legacy
-            // fabric hops are invisible to per-link flow attribution
-            // (obs/flowprofile.hpp).
-            if (msg.trace != 0)
-                rec_->flowStep(linkTrack(f.from, f.to), sim.now(),
-                               msg.trace, "coord.span", "coord");
-        }
-        if (node != msg.dst) {
-            st.stats.hubRelays.add();
-            if (CORM_TRACE_ACTIVE(rec_) && msg.trace != 0)
-                rec_->flowStep(nodeTrack(node), sim.now(),
-                               msg.trace, "coord.span", "coord");
-            forwardFrom(node, msg, f.originSentAt, hops);
-            return;
-        }
-        if (CORM_TRACE_ACTIVE(rec_) && msg.trace != 0) {
-            // Final hop of the span: an ack ending a reliable chain
-            // or a fire-and-forget apply both terminate here; a
-            // sequenced request still has its ack leg ahead.
-            if (msg.type == MsgType::ack || msg.seq == 0)
-                rec_->flowEnd(nodeTrack(node), sim.now(), msg.trace,
-                              "coord.span", "coord");
-            else
-                rec_->flowStep(nodeTrack(node), sim.now(), msg.trace,
-                               "coord.span", "coord");
-        }
-        finalDeliver(msg, f.originSentAt, hops);
     }
 
     void
@@ -2155,7 +1900,7 @@ class CoordFabric : public CoordTransport
             sendAckFor(dst, msg);
             return;
         }
-        corm::obs::TraceScope span(recFor(sst), msg.trace,
+        corm::obs::TraceScope span(sst.rec, msg.trace,
                                    msg.seq == 0);
         switch (msg.type) {
           case MsgType::tune:
@@ -2181,45 +1926,9 @@ class CoordFabric : public CoordTransport
             sendAckFor(dst, msg);
             break;
           }
-          case MsgType::ack: {
-            auto it = ackObservers.find(msg.dst);
-            if (it != ackObservers.end() && it->second)
-                it->second(msg);
-            dispatchAckMulti(msg);
-            if (catchAllAckObserver)
-                catchAllAckObserver(msg);
+          case MsgType::ack:
+            acks_.dispatch(msg);
             break;
-          }
-        }
-    }
-
-    /**
-     * Dispatch an ack to the token observers at its endpoint. A
-     * callback may register or unregister observers (even destroy
-     * its own sender), so iterate a snapshot and re-check each
-     * token's liveness before calling — a callback belonging to a
-     * sender an earlier callback destroyed must not run.
-     */
-    void
-    dispatchAckMulti(const CoordMessage &msg)
-    {
-        auto mit = ackMulti_.find(msg.dst);
-        if (mit == ackMulti_.end())
-            return;
-        const std::vector<AckEntry> snap = mit->second;
-        for (const AckEntry &e : snap) {
-            auto again = ackMulti_.find(msg.dst);
-            if (again == ackMulti_.end())
-                break;
-            bool alive = false;
-            for (const AckEntry &cur : again->second) {
-                if (cur.token == e.token) {
-                    alive = true;
-                    break;
-                }
-            }
-            if (alive && e.fn)
-                e.fn(msg);
         }
     }
 
@@ -2285,69 +1994,37 @@ class CoordFabric : public CoordTransport
         return false;
     }
 
-    /** Per-link trace track (lazy), kept in the (lo, hi) lane slot. */
-    int
-    linkTrack(IslandId a, IslandId b)
-    {
-        const IslandId lo = std::min(a, b), hi = std::max(a, b);
-        int &trk = tracks_.lane(lo, hi);
-        if (trk < 0)
-            trk = rec_->track("fabric", cfg.name + "." + std::to_string(lo)
-                                            + "-" + std::to_string(hi));
-        return trk;
-    }
-
-    /** Per-island trace track (lazy): relays, aggregation, applies. */
-    int
-    nodeTrack(IslandId node)
-    {
-        return nodeTrackIn(tracks_, *rec_, node);
-    }
-
-    /** Node track of @p node on @p r, cached in @p ids. */
-    int
-    nodeTrackIn(TrackIds &ids, corm::obs::TraceRecorder &r, IslandId node)
-    {
-        int &trk = ids.node(node);
-        if (trk < 0)
-            trk = r.track("fabric", cfg.name + "@" + std::to_string(node));
-        return trk;
-    }
-
-    /**
-     * The recorder instrumentation on @p st's shard writes to:
-     * the legacy recorder when one is attached (legacy mode), else
-     * the shard's window recorder (sharded capture), else null.
-     */
-    corm::obs::TraceRecorder *
-    recFor(ShardState &st) const
-    {
-        return rec_ ? rec_ : st.rec;
-    }
-
-    /** nodeTrack on whichever recorder recFor resolves to. */
+    /** Per-island trace track (lazy) on @p st's recorder: relays,
+     *  aggregation, applies. */
     int
     nodeTrackOn(ShardState &st, IslandId node)
     {
-        if (!sharded())
-            return nodeTrack(node);
-        return nodeTrackIn(st.tracks, *st.rec, node);
+        int &trk = st.tracks.node(node);
+        if (trk < 0)
+            trk = st.rec->track("fabric",
+                                cfg.name + "@" + std::to_string(node));
+        return trk;
+    }
+
+    /** "<name>.<from>-<to>": a directional lane's track and monitor
+     *  lane name. */
+    std::string
+    laneName(IslandId from, IslandId to) const
+    {
+        return cfg.name + "." + std::to_string(from) + "-"
+            + std::to_string(to);
     }
 
     /**
-     * Directional lane track on @p st's window recorder (sharded
-     * capture only). Directional — unlike the legacy combined
-     * "lo-hi" link track — so each lane track is written only by
-     * its sender shard.
+     * Directional lane track on @p st's recorder. Directional, so
+     * each lane track is written only by its sender shard.
      */
     int
     laneTrackOn(ShardState &st, IslandId from, IslandId to)
     {
         int &trk = st.tracks.lane(from, to);
         if (trk < 0)
-            trk = st.rec->track("fabric", cfg.name + "."
-                                              + std::to_string(from) + "-"
-                                              + std::to_string(to));
+            trk = st.rec->track("fabric", laneName(from, to));
         return trk;
     }
 
@@ -2357,7 +2034,9 @@ class CoordFabric : public CoordTransport
         return laneTrackOn(st, lane.from, lane.to);
     }
 
-    /** Directional lane id from the endpoint pair (see makeLink). */
+    /** Directional lane id: (linkKey << 1) | direction bit — a pure
+     *  function of the endpoint ids, 64-bit so the 32-bit link key
+     *  shifts without truncation. */
     static std::uint64_t
     laneIdOf(IslandId from, IslandId to)
     {
@@ -2371,7 +2050,7 @@ class CoordFabric : public CoordTransport
         std::size_t head = 0;
     };
 
-    /** Shard owning @p node (0 in legacy mode). */
+    /** Shard owning @p node. */
     int
     shardOfNode(IslandId node) const
     {
@@ -2390,7 +2069,7 @@ class CoordFabric : public CoordTransport
     corm::sim::Simulator &
     simFor(IslandId node)
     {
-        return engine_ ? engine_->sim(shardOfNode(node)) : sim;
+        return engine_->sim(shardOfNode(node));
     }
 
     /** Fold @p s into @p into (counter sums, Summary merges). */
@@ -2426,7 +2105,6 @@ class CoordFabric : public CoordTransport
     std::size_t liveIslands_ = 0;
     /** Live links by linkKey. */
     FlatTable<std::unique_ptr<Link>> links;
-    std::vector<std::unique_ptr<Link>> retired;
     /**
      * Next hop, row-major routeSpan_ x routeSpan_ (row = from),
      * rebuilt over the live membership on every membership change.
@@ -2438,11 +2116,11 @@ class CoordFabric : public CoordTransport
     std::vector<std::uint32_t> parent;
     /** Tree children by id; a node with children is a tree hub. */
     std::vector<std::vector<IslandId>> children;
-    /** Per-shard mutable state; exactly one entry in legacy mode. */
+    /** Per-shard mutable state, one entry per engine shard. */
     std::vector<ShardState> states = std::vector<ShardState>(1);
     mutable FabricStats merged_; ///< stats() scratch (sharded)
     corm::sim::ShardedEngine *engine_ = nullptr;
-    std::vector<int> shardOf; ///< island id -> shard (sharded mode)
+    std::vector<int> shardOf; ///< island id -> shard
     // Node-indexed tallies and dedup windows (and the tree tables
     // above), sized by growNodeTables() to the highest attached id + 1
     // at ensureBuilt() and join(), so a run pays only for the id
@@ -2453,28 +2131,15 @@ class CoordFabric : public CoordTransport
     std::vector<std::uint64_t> wireInto;
     std::vector<std::size_t> aggDepth;
     std::vector<SeenWindow> seen;
-    std::map<IslandId, std::function<void(const CoordMessage &)>>
-        ackObservers;
-    /** One token-registered ack observer (see addAckObserver). */
-    struct AckEntry
-    {
-        std::uint64_t token = 0;
-        std::function<void(const CoordMessage &)> fn;
-    };
-    std::map<IslandId, std::vector<AckEntry>> ackMulti_;
-    std::uint64_t ackToken_ = 0;
-    std::function<void(const CoordMessage &)> catchAllAckObserver;
+    AckObservers acks_;
     std::uint64_t routeEpoch_ = 0;
     ChurnCounters churn_;
     /** Barrier tick override while a churn action runs (ChurnScope). */
-    corm::sim::Tick churnNow_ = 0;
+    std::optional<corm::sim::Tick> churnNow_;
     std::vector<PendingReparent> pendingReparents_;
     /** (old home, entity) -> new home forwarding pointers. */
     std::map<std::uint64_t, IslandId> migrated_;
     AbandonFn onAbandon;
-    corm::obs::TraceRecorder *rec_ = nullptr;
-    /** Lazy track ids on rec_; link tracks use the (lo, hi) lane. */
-    TrackIds tracks_;
     bool laneActivity_ = false;
     std::vector<LaneEvent> laneScratch_;     ///< drain scratch
     std::vector<AbandonRecord> abandonScratch_;

@@ -90,8 +90,7 @@ class ReliableSender
         : sim(simulator), chan(channel), selfId(self), cfg(params)
     {
         // Token registration: several senders (and an announcer) can
-        // share one endpoint. Transports without the token API fall
-        // back to the single setAckObserver slot (see transport.hpp).
+        // share one endpoint (see AckObservers).
         ackToken = chan.addAckObserver(
             selfId, [this](const CoordMessage &m) { onAck(m); });
     }

@@ -574,7 +574,7 @@ class FlowProfiler
      * after the slice or instant it annotates, on the same track —
      * either at the marker's own timestamp (shard fabric hops, decide
      * slices, retry/abandon/fold instants) or at a transit slice's
-     * *end* (the legacy channel emits hop slices at delivery with
+     * *end* (the channel emits hop slices at delivery with
      * ts = send tick). Scan backwards over consecutive same-track
      * non-flow events matching either convention; companion adjacency
      * survives the barrier-time shard merge because the pair shares

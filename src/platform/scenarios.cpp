@@ -501,51 +501,39 @@ runFabricScenario(const FabricScenarioConfig &cfg)
            && "island ids must fit IslandId");
     const auto rootId = static_cast<coord::IslandId>(cfg.firstIslandId);
     const coord::EntityId tierBase = 100;
-    const int K = cfg.shards > 0 ? std::min(cfg.shards, n) : 0;
+    const int K = std::clamp(cfg.shards, 1, n);
 
     coord::FabricParams fp = cfg.fabric;
     fp.hub = rootId;
 
-    // Sharded mode: one Simulator per shard advancing concurrently
-    // under a one-hop conservative lookahead. The fabric's primary
-    // simulator is shard 0's — the root classifier always lives
-    // there, so the reliable senders and the announcer (which keep
-    // per-message state) stay single-shard and race-free.
-    std::unique_ptr<corm::sim::ShardedEngine> engine;
-    std::unique_ptr<corm::sim::Simulator> soloSim;
-    std::vector<int> shardOf;
-    if (K > 0) {
-        engine = std::make_unique<corm::sim::ShardedEngine>(
-            K, fp.hopLatency, cfg.seed);
-        shardOf.assign(
-            static_cast<std::size_t>(cfg.firstIslandId + n), 0);
-        // Contiguous id-ordered placement: island index i lands on
-        // shard i*K/n, so the root (i == 0) is always on shard 0.
-        for (int i = 0; i < n; ++i)
-            shardOf[static_cast<std::size_t>(cfg.firstIslandId + i)] =
-                static_cast<int>(static_cast<long long>(i) * K / n);
-    } else {
-        soloSim = std::make_unique<corm::sim::Simulator>();
-    }
-    corm::sim::Simulator &sim = engine ? engine->sim(0) : *soloSim;
-    // Trace capture: legacy mode records straight into cfg.trace;
-    // sharded mode gives every shard a window-local recorder and
-    // merges them at barriers in canonical order, so the merged
-    // JSON is byte-identical for every shard count >= 1 and the
-    // digest matches a capture-off run (capture schedules nothing).
+    // One Simulator per shard advancing concurrently under a one-hop
+    // conservative lookahead. The fabric's primary simulator is shard
+    // 0's — the root classifier always lives there, so the reliable
+    // senders and the announcer (which keep per-message state) stay
+    // single-shard and race-free.
+    corm::sim::ShardedEngine engine(K, fp.hopLatency, cfg.seed);
+    std::vector<int> shardOf(static_cast<std::size_t>(cfg.firstIslandId + n),
+                             0);
+    // Contiguous id-ordered placement: island index i lands on shard
+    // i*K/n, so the root (i == 0) is always on shard 0.
+    for (int i = 0; i < n; ++i)
+        shardOf[static_cast<std::size_t>(cfg.firstIslandId + i)] =
+            static_cast<int>(static_cast<long long>(i) * K / n);
+    corm::sim::Simulator &sim = engine.sim(0);
+    // Trace capture: every shard gets a window-local recorder, merged
+    // at barriers in canonical order, so the merged JSON is
+    // byte-identical for every shard count and the digest matches a
+    // capture-off run (capture schedules nothing).
     corm::obs::TraceRecorder *const trace = cfg.trace;
     std::unique_ptr<corm::obs::ShardCapture> capture;
-    if (engine && trace)
+    if (trace)
         capture = std::make_unique<corm::obs::ShardCapture>(
-            trace, K,
-            [eng = engine.get()](int k) { return eng->sim(k).now(); });
+            trace, K, [&engine](int k) { return engine.sim(k).now(); });
     // The recorder everything running on shard 0 — the scenario's
     // policy stand-in, the announcer, the trigger sender — writes to.
     corm::obs::TraceRecorder *const rootRec =
-        capture ? capture->shardRecorder(0) : trace;
+        capture ? capture->shardRecorder(0) : nullptr;
     coord::CoordFabric fabric(sim, fp);
-    if (!engine)
-        fabric.setTrace(trace);
 
     std::vector<std::unique_ptr<ShardIsland>> islands;
     for (int i = 0; i < n; ++i) {
@@ -557,13 +545,12 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     }
     ShardIsland &root = *islands.front();
 
-    // Per-lane stall watchdogs: one heartbeat lane per mailbox
-    // direction. Legacy mode feeds the monitor live from the
-    // mailboxes' activity observers; sharded mode has no mailboxes,
-    // so the fabric logs lane activity shard-locally and the barrier
-    // probe replays it into the monitor in canonical order with
-    // explicit timestamps — watchdog state is then a pure function
-    // of the global event set, identical for every shard count.
+    // Per-lane stall watchdogs: one heartbeat lane per link
+    // direction. The fabric logs lane activity shard-locally and the
+    // barrier probe replays it into the monitor in canonical order
+    // with explicit timestamps — watchdog state is then a pure
+    // function of the global event set, identical for every shard
+    // count.
     corm::obs::MetricRegistry registry;
     std::unique_ptr<corm::obs::HealthMonitor> monitor;
     corm::obs::HealthMonitor::Params monitorParams;
@@ -572,43 +559,24 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         monitor = std::make_unique<corm::obs::HealthMonitor>(
             sim, registry, monitorParams);
         monitor->setMirrorTrace(trace);
-        if (!engine) {
-            fabric.forEachLane([&](const std::string &lane_name,
-                                   corm::interconnect::Mailbox &mb) {
-                const int lane = monitor->lane(lane_name);
-                mb.setActivityObserver(
-                    [mon = monitor.get(),
-                     lane](corm::interconnect::Mailbox::Activity a) {
-                        using A = corm::interconnect::Mailbox::Activity;
-                        if (a == A::sent)
-                            mon->laneSent(lane);
-                        else if (a == A::delivered)
-                            mon->laneDelivered(lane);
-                    });
+        fabric.forEachLaneId(
+            [&](const std::string &lane_name, std::uint64_t id) {
+                laneMon[id] = monitor->lane(lane_name);
             });
-            monitor->start();
-        } else {
-            fabric.forEachLaneId(
-                [&](const std::string &lane_name, std::uint64_t id) {
-                    laneMon[id] = monitor->lane(lane_name);
-                });
-            fabric.setLaneActivityRecording(true);
-        }
+        fabric.setLaneActivityRecording(true);
     }
     if (cfg.wire)
         cfg.wire(fabric);
-    if (engine) {
-        fabric.enableSharding(*engine, shardOf);
-        if (capture) {
-            std::vector<corm::obs::TraceRecorder *> recs;
-            for (int k = 0; k < K; ++k)
-                recs.push_back(capture->shardRecorder(k));
-            fabric.setShardTrace(recs);
-        }
+    fabric.enableSharding(engine, shardOf);
+    if (capture) {
+        std::vector<corm::obs::TraceRecorder *> recs;
+        for (int k = 0; k < K; ++k)
+            recs.push_back(capture->shardRecorder(k));
+        fabric.setShardTrace(recs);
     }
 
-    // Self-observability: fabric counters plus, under sharding, the
-    // engine's per-window accounting as shard{k}-labelled metrics.
+    // Self-observability: fabric counters plus the engine's
+    // per-window accounting as shard{k}-labelled metrics.
     // Everything is read through callbacks at snapshot/sample time;
     // nothing here schedules events, so capture cannot perturb the
     // digest. Host-time costs (barrier waits) stay out of the
@@ -630,49 +598,31 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         cnt("fabric.link.replays", fs.linkReplays);
         cnt("fabric.abandoned", fs.abandoned);
         cnt("fabric.duplicates", fs.duplicates);
-        if (engine) {
-            auto *eng = engine.get();
-            registry.counterFn("shard.windows", {}, [eng] {
-                return eng->stats().windows;
+        auto *eng = &engine;
+        registry.counterFn("shard.windows", {},
+                           [eng] { return eng->stats().windows; });
+        registry.counterFn("shard.boundary.messages", {},
+                           [eng] { return eng->stats().messages; });
+        registry.counterFn("shard.boundary.batches", {},
+                           [eng] { return eng->stats().batches; });
+        registry.gaugeFn("shard.boundary.depth_high_water", {}, [eng] {
+            return static_cast<double>(eng->stats().maxBoundaryDepth);
+        });
+        for (int k = 0; k < K; ++k) {
+            const corm::obs::Labels lbl = {{"shard", std::to_string(k)}};
+            registry.counterFn("shard.posted", lbl,
+                               [eng, k] { return eng->postedBy(k); });
+            registry.counterFn("shard.received", lbl,
+                               [eng, k] { return eng->receivedBy(k); });
+            registry.counterFn("shard.events", lbl, [eng, k] {
+                return eng->sim(k).executedEvents();
             });
-            registry.counterFn("shard.boundary.messages", {}, [eng] {
-                return eng->stats().messages;
-            });
-            registry.counterFn("shard.boundary.batches", {}, [eng] {
-                return eng->stats().batches;
-            });
-            registry.gaugeFn("shard.boundary.depth_high_water", {},
-                             [eng] {
-                                 return static_cast<double>(
-                                     eng->stats().maxBoundaryDepth);
-                             });
-            for (int k = 0; k < K; ++k) {
-                const corm::obs::Labels lbl = {
-                    {"shard", std::to_string(k)}};
-                registry.counterFn("shard.posted", lbl, [eng, k] {
-                    return eng->postedBy(k);
-                });
-                registry.counterFn("shard.received", lbl, [eng, k] {
-                    return eng->receivedBy(k);
-                });
-                registry.counterFn("shard.events", lbl, [eng, k] {
-                    return eng->sim(k).executedEvents();
-                });
-            }
         }
     }
 
-    // Event-scheduling seams: in sharded mode an island's events must
-    // land on its own shard's simulator, and runs go through the
-    // engine's windowed loop.
+    // An island's events must land on its own shard's simulator.
     const auto simOf = [&](coord::IslandId id) -> corm::sim::Simulator & {
-        return engine ? engine->sim(shardOf[id]) : sim;
-    };
-    const auto runFor = [&](Tick d) {
-        if (engine)
-            engine->runFor(d);
-        else
-            sim.runFor(d);
+        return engine.sim(shardOf[id]);
     };
 
     // Policy intent: the exact weight every (island, tier) should
@@ -729,7 +679,7 @@ runFabricScenario(const FabricScenarioConfig &cfg)
                 ++r.bindingsAnnounced;
             }
         }
-        runFor(bringup);
+        engine.runFor(bringup);
         regsAcked = announcer.acked();
         regsAbandoned = announcer.abandoned();
         regsPending = announcer.pendingCount();
@@ -796,17 +746,12 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         static_cast<std::size_t>(n - 1) * perIsland;
     const auto expectedTriggers = static_cast<std::size_t>(
         static_cast<double>(pairEpochs) * cfg.triggerProb);
-    std::vector<std::size_t> reserved(
-        static_cast<std::size_t>(engine ? K : 1), 256);
+    std::vector<std::size_t> reserved(static_cast<std::size_t>(K), 256);
     reserved[0] += pairEpochs + expectedTriggers + expectedTriggers / 8;
     for (int i = 1; i < n; ++i)
-        reserved[engine ? static_cast<std::size_t>(
-                     shardOf[static_cast<std::size_t>(rootId + i)])
-                        : 0] += perIsland;
-    if (engine)
-        engine->reserve(reserved);
-    else
-        sim.reserve(reserved[0]);
+        reserved[static_cast<std::size_t>(
+            shardOf[static_cast<std::size_t>(rootId + i)])] += perIsland;
+    engine.reserve(reserved);
     const Tick span = std::max<Tick>(cfg.workloadSpan, 1);
     // Tunes fire in policy epochs (the paper's managers evaluate
     // periodically), with a small per-sender skew. Bursting is what
@@ -898,12 +843,10 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     }
 
     // Churn schedule: membership and placement changes mid-workload.
-    // Legacy mode applies each event from a simulator event at its
-    // tick; sharded mode applies due events at the first window
-    // barrier at-or-after the tick (below, in the probe), passing the
-    // barrier tick so re-driven flushes land placement-independently.
-    // Either way events apply in schedule order, so a seed replays
-    // exactly.
+    // Due events apply at the first window barrier at-or-after their
+    // tick (below, in the probe), with the barrier tick, so re-driven
+    // flushes land placement-independently. Events apply in schedule
+    // order, so a seed replays exactly.
     using ChurnEvent = FabricScenarioConfig::ChurnEvent;
     std::vector<ChurnEvent> churnPlan = cfg.churn;
     std::stable_sort(churnPlan.begin(), churnPlan.end(),
@@ -923,29 +866,12 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         if (!monitor)
             return;
         std::vector<std::string> live;
-        if (engine) {
-            fabric.forEachLaneId(
-                [&](const std::string &lane_name, std::uint64_t id) {
-                    if (!laneMon.count(id))
-                        laneMon[id] = monitor->lane(lane_name);
-                    live.push_back(lane_name);
-                });
-        } else {
-            fabric.forEachLane([&](const std::string &lane_name,
-                                   corm::interconnect::Mailbox &mb) {
-                const int lane = monitor->lane(lane_name);
-                mb.setActivityObserver(
-                    [mon = monitor.get(),
-                     lane](corm::interconnect::Mailbox::Activity a) {
-                        using A = corm::interconnect::Mailbox::Activity;
-                        if (a == A::sent)
-                            mon->laneSent(lane);
-                        else if (a == A::delivered)
-                            mon->laneDelivered(lane);
-                    });
+        fabric.forEachLaneId(
+            [&](const std::string &lane_name, std::uint64_t id) {
+                if (!laneMon.count(id))
+                    laneMon[id] = monitor->lane(lane_name);
                 live.push_back(lane_name);
             });
-        }
         monitor->retireLanesExcept(live);
     };
 
@@ -1017,21 +943,10 @@ runFabricScenario(const FabricScenarioConfig &cfg)
           }
         }
     };
-    if (!churnPlan.empty() && !engine) {
-        for (const ChurnEvent &ev : churnPlan) {
-            sim.scheduleAt(workloadStart + ev.at, [&, ev] {
-                applyChurn(ev, 0);
-                resyncLanes();
-            });
-        }
-    }
     r.upfrontReserved = true;
-    for (std::size_t k = 0; k < reserved.size(); ++k) {
-        const corm::sim::Simulator &q =
-            engine ? engine->sim(static_cast<int>(k)) : sim;
-        if (q.pendingEvents() > reserved[k])
+    for (std::size_t k = 0; k < reserved.size(); ++k)
+        if (engine.sim(static_cast<int>(k)).pendingEvents() > reserved[k])
             r.upfrontReserved = false;
-    }
     assert(r.upfrontReserved
            && "up-front workload outgrew the event-queue reservation");
 
@@ -1065,107 +980,81 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         }
     };
     const Tick pollPeriod = std::max<Tick>(cfg.convergencePoll, 1);
-    std::unique_ptr<corm::sim::PeriodicEvent> poll;
-    if (engine) {
-        // The convergence check reads weights across every shard, so
-        // it may only run at a window barrier (all shards parked) —
-        // the engine's probe. A no-op heartbeat on shard 0 keeps
-        // windows (and therefore probes) coming at poll cadence even
-        // after the workload's own events dry out; gating the check
-        // on nextPollAt keeps its cost off the per-window path. The
-        // window sequence is a pure function of the global event set,
-        // so every probe decision replays identically under any
-        // shard count.
-        poll = std::make_unique<corm::sim::PeriodicEvent>(
-            sim, pollPeriod, [] {});
-        Tick nextPollAt = sim.now() + pollPeriod;
-        Tick nextMonAt = sim.now() + monitorParams.samplePeriod;
-        // Barrier-time capture sequence (all workers parked):
-        //  0. apply churn events due by this window's end (and any
-        //     re-parents whose delay elapsed) at the barrier tick;
-        //  1. merge the shards' window trace buffers (canonical
-        //     order), so everything below lands after window events;
-        //  2. drain abandons (observer feeds intent + monitor);
-        //  3. replay the window's lane activity into the watchdogs;
-        //  4. monitor sample/rule/stall pass at its own cadence;
-        //  5. the convergence check.
-        // Every step is a pure function of the global event set, so
-        // the whole sequence replays identically for any shard count
-        // — churn included: the window sequence is shard-count
-        // invariant, so each event lands at the same barrier tick.
-        std::size_t nextChurnIdx = 0;
-        engine->setProbe([&, nextPollAt, nextMonAt, nextChurnIdx](
-                             Tick windowEnd) mutable {
-            if (nextChurnIdx < churnPlan.size()
-                || fabric.pendingReparentCount() != 0) {
-                const std::uint64_t epoch = fabric.routeEpoch();
-                while (nextChurnIdx < churnPlan.size()
-                       && workloadStart + churnPlan[nextChurnIdx].at
-                           <= windowEnd) {
-                    applyChurn(churnPlan[nextChurnIdx], windowEnd);
-                    ++nextChurnIdx;
-                }
-                fabric.churnTick(windowEnd);
-                if (fabric.routeEpoch() != epoch)
-                    resyncLanes();
-            }
-            if (capture)
-                capture->mergeWindow();
-            fabric.drainAbandoned();
-            if (monitor) {
-                fabric.drainLaneActivity(
-                    [&](const coord::CoordFabric::LaneEvent &e) {
-                        const int lane = laneMon.at(e.lane);
-                        if (e.delivered)
-                            monitor->laneDeliveredAt(lane, e.when);
-                        else
-                            monitor->laneSentAt(lane, e.when);
-                    });
-                if (windowEnd >= nextMonAt) {
-                    monitor->poll(windowEnd);
-                    nextMonAt =
-                        windowEnd + monitorParams.samplePeriod;
-                }
-            }
-            if (windowEnd >= nextPollAt) {
-                pollCheck(windowEnd);
-                nextPollAt = windowEnd + pollPeriod;
-            }
-            return false;
-        });
-    } else {
-        poll = std::make_unique<corm::sim::PeriodicEvent>(
-            sim, pollPeriod, [&] {
-                // Complete crash re-parents whose delay elapsed
-                // (no-op — and digest-neutral — without churn).
-                if (fabric.pendingReparentCount() != 0) {
-                    const std::uint64_t epoch = fabric.routeEpoch();
-                    fabric.churnTick(sim.now());
-                    if (fabric.routeEpoch() != epoch)
-                        resyncLanes();
-                }
-                pollCheck(sim.now());
+    // The convergence check reads weights across every shard, so it
+    // may only run at a window barrier (all shards parked) — the
+    // engine's probe. A no-op heartbeat on shard 0 keeps windows (and
+    // therefore probes) coming at poll cadence even after the
+    // workload's own events dry out; gating the check on nextPollAt
+    // keeps its cost off the per-window path. The window sequence is
+    // a pure function of the global event set, so every probe
+    // decision replays identically under any shard count.
+    corm::sim::PeriodicEvent poll(sim, pollPeriod, [] {});
+    const auto drainLaneActivity = [&] {
+        fabric.drainLaneActivity(
+            [&](const coord::CoordFabric::LaneEvent &e) {
+                const int lane = laneMon.at(e.lane);
+                if (e.delivered)
+                    monitor->laneDeliveredAt(lane, e.when);
+                else
+                    monitor->laneSentAt(lane, e.when);
             });
-    }
-    runFor(span + cfg.settleLimit);
-    poll->stop();
-    if (engine) {
-        engine->setProbe({});
-        // Final pass over anything queued after the last window.
+    };
+    // Barrier-time capture sequence (all workers parked):
+    //  0. apply churn events due by this window's end (and any
+    //     re-parents whose delay elapsed) at the barrier tick;
+    //  1. merge the shards' window trace buffers (canonical order),
+    //     so everything below lands after window events;
+    //  2. drain abandons (observer feeds intent + monitor);
+    //  3. replay the window's lane activity into the watchdogs;
+    //  4. monitor sample/rule/stall pass at its own cadence;
+    //  5. the convergence check.
+    // Every step is a pure function of the global event set, so the
+    // whole sequence replays identically for any shard count — churn
+    // included: the window sequence is shard-count invariant, so each
+    // event lands at the same barrier tick.
+    engine.setProbe([&, nextPollAt = sim.now() + pollPeriod,
+                     nextMonAt = sim.now() + monitorParams.samplePeriod,
+                     nextChurnIdx = std::size_t{0}](
+                        Tick windowEnd) mutable {
+        if (nextChurnIdx < churnPlan.size()
+            || fabric.pendingReparentCount() != 0) {
+            const std::uint64_t epoch = fabric.routeEpoch();
+            while (nextChurnIdx < churnPlan.size()
+                   && workloadStart + churnPlan[nextChurnIdx].at
+                       <= windowEnd) {
+                applyChurn(churnPlan[nextChurnIdx], windowEnd);
+                ++nextChurnIdx;
+            }
+            fabric.churnTick(windowEnd);
+            if (fabric.routeEpoch() != epoch)
+                resyncLanes();
+        }
         if (capture)
             capture->mergeWindow();
         fabric.drainAbandoned();
         if (monitor) {
-            fabric.drainLaneActivity(
-                [&](const coord::CoordFabric::LaneEvent &e) {
-                    const int lane = laneMon.at(e.lane);
-                    if (e.delivered)
-                        monitor->laneDeliveredAt(lane, e.when);
-                    else
-                        monitor->laneSentAt(lane, e.when);
-                });
-            monitor->poll(sim.now());
+            drainLaneActivity();
+            if (windowEnd >= nextMonAt) {
+                monitor->poll(windowEnd);
+                nextMonAt = windowEnd + monitorParams.samplePeriod;
+            }
         }
+        if (windowEnd >= nextPollAt) {
+            pollCheck(windowEnd);
+            nextPollAt = windowEnd + pollPeriod;
+        }
+        return false;
+    });
+    engine.runFor(span + cfg.settleLimit);
+    poll.stop();
+    engine.setProbe({});
+    // Final pass over anything queued after the last window.
+    if (capture)
+        capture->mergeWindow();
+    fabric.drainAbandoned();
+    if (monitor) {
+        drainLaneActivity();
+        monitor->poll(sim.now());
     }
 
     // Harvest.
@@ -1300,17 +1189,13 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     }
     mix(root.tunes.value());
     r.digest = h;
-    if (engine) {
-        r.eventsExecuted = engine->eventsExecuted();
-        const corm::sim::ShardEngineStats &es = engine->stats();
-        r.shardWindows = es.windows;
-        r.boundaryMessages = es.messages;
-        r.boundaryBatches = es.batches;
-        r.boundaryDepthHighWater = es.maxBoundaryDepth;
-        r.barrierWaitNs = es.barrierWaitNs;
-    } else {
-        r.eventsExecuted = sim.executedEvents();
-    }
+    r.eventsExecuted = engine.eventsExecuted();
+    const corm::sim::ShardEngineStats &es = engine.stats();
+    r.shardWindows = es.windows;
+    r.boundaryMessages = es.messages;
+    r.boundaryBatches = es.batches;
+    r.boundaryDepthHighWater = es.maxBoundaryDepth;
+    r.barrierWaitNs = es.barrierWaitNs;
     return r;
 }
 

@@ -285,21 +285,18 @@ struct FabricScenarioConfig
     int islands = 8;
 
     /**
-     * Event-loop shards running concurrently within the trial.
-     * 0 = the legacy single-threaded event loop (byte-identical to
-     * the pre-sharding scenario). >= 1 partitions the islands
-     * contiguously by id across that many ShardedEngine simulators
-     * (clamped to the island count); every wire hop then crosses a
-     * window barrier, so results are digest-identical for ANY shard
-     * count >= 1 (but intentionally distinct from the legacy loop,
-     * whose same-tick interleavings differ). Capture rides along:
-     * trace and monitorLanes work under sharding via window-local
-     * per-shard recorders and lane logs merged at barriers
+     * Event-loop shards running concurrently within the trial,
+     * clamped to [1, islands]; there is no other mode. The islands
+     * are partitioned contiguously by id across that many
+     * ShardedEngine simulators, and every wire hop crosses a window
+     * barrier, so results are digest-identical for ANY shard count.
+     * Capture rides along: trace and monitorLanes run off per-shard
+     * window recorders and lane logs merged at barriers
      * (obs/shardcapture.hpp), with the merged trace byte-identical
-     * for every shard count >= 1 and the digest identical to a
+     * for every shard count and the digest identical to a
      * capture-off run.
      */
-    int shards = 0;
+    int shards = 1;
 
     /**
      * Id of the root/classifier island; islands occupy ids
@@ -344,23 +341,22 @@ struct FabricScenarioConfig
     coord::ReliableSender::Params reliable;
 
     /**
-     * Register per-lane stall watchdogs with a health monitor. Legacy
-     * runs feed it live from Mailbox activity observers; sharded runs
-     * replay the fabric's shard-local lane logs into it at barriers.
+     * Register per-lane stall watchdogs with a health monitor, fed
+     * by replaying the fabric's shard-local lane logs at barriers.
      */
     bool monitorLanes = true;
 
     /**
-     * Optional trace recorder (multi-hop coordination spans). Works
-     * in both legacy and sharded mode; sharded capture never touches
-     * the digest, and the merged JSON is shard-count independent.
+     * Optional trace recorder (multi-hop coordination spans).
+     * Capture never touches the digest, and the merged JSON is
+     * shard-count independent.
      */
     corm::obs::TraceRecorder *trace = nullptr;
 
     /**
      * Fill FabricScenarioResult::metricsJson with a registry snapshot
-     * (fabric counters plus, under sharding, the engine's per-shard
-     * self-metrics) taken after the run.
+     * (fabric counters plus the engine's per-shard self-metrics)
+     * taken after the run.
      */
     bool captureMetrics = false;
 
@@ -397,12 +393,11 @@ struct FabricScenarioConfig
     };
 
     /**
-     * Churn schedule applied during the workload. Legacy runs apply
-     * each event from a simulator event at its tick; sharded runs
-     * apply due events at the first window barrier at-or-after the
-     * tick — the only placement-independent point, with every worker
-     * parked — so results stay digest-identical for every shard
-     * count >= 1. Deltas stranded by churn are attributed through
+     * Churn schedule applied during the workload: due events apply
+     * at the first window barrier at-or-after their tick — the only
+     * placement-independent point, with every worker parked — so
+     * results stay digest-identical for every shard count. Deltas
+     * stranded by churn are attributed through
      * the abandon observer (against the entity's current home), so
      * the exact-sum conservation invariant holds under any schedule.
      */
@@ -519,9 +514,9 @@ struct FabricScenarioResult
     std::uint64_t digest = 0;
     std::uint64_t eventsExecuted = 0;
 
-    // Sharded-engine accounting (all zero in legacy mode). Windows
-    // and boundary messages are pure functions of the global event
-    // set, so they are identical for every shard count >= 1 — the
+    // Sharded-engine accounting. Windows and boundary messages are
+    // pure functions of the global event set, so they are identical
+    // for every shard count — the
     // bench gate pins them; batches and depth depend on placement.
     std::uint64_t shardWindows = 0;
     std::uint64_t boundaryMessages = 0;

@@ -11,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "coord/fabric.hpp"
 #include "coord/reliable.hpp"
+#include "fabric_rig.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 #include "sim/simulator.hpp"
@@ -26,67 +28,10 @@ using namespace corm::coord;
 
 namespace {
 
-class StubIsland : public ResourceIsland
-{
-  public:
-    StubIsland(IslandId island_id, std::string island_name)
-        : id_(island_id), name_(std::move(island_name))
-    {}
-
-    IslandId id() const override { return id_; }
-    const std::string &name() const override { return name_; }
-    void applyTune(EntityId e, double d) override
-    {
-        tunes.emplace_back(e, d);
-    }
-    void applyTrigger(EntityId e) override { triggers.push_back(e); }
-    void learnBinding(const EntityBinding &b) override
-    {
-        bindings.push_back(b);
-    }
-
-    double
-    tuneSum(EntityId e) const
-    {
-        double s = 0.0;
-        for (const auto &[entity, delta] : tunes)
-            if (entity == e)
-                s += delta;
-        return s;
-    }
-
-    std::vector<std::pair<EntityId, double>> tunes;
-    std::vector<EntityId> triggers;
-    std::vector<EntityBinding> bindings;
-
-  private:
-    IslandId id_;
-    std::string name_;
-};
-
-/** A 7-island fanout-2 tree: 1 <- {2,3}, 2 <- {4,5}, 3 <- {6,7}. */
-struct TreeRig
-{
-    Simulator sim;
-    std::vector<std::unique_ptr<StubIsland>> islands;
-    std::unique_ptr<CoordFabric> fabric;
-
-    explicit TreeRig(FabricParams p, int n = 7)
-    {
-        p.topology = FabricTopology::tree;
-        p.hub = 1;
-        p.treeFanout = 2;
-        fabric = std::make_unique<CoordFabric>(sim, p);
-        for (int i = 1; i <= n; ++i) {
-            islands.push_back(std::make_unique<StubIsland>(
-                static_cast<IslandId>(i),
-                "isl" + std::to_string(i)));
-            fabric->attach(*islands.back());
-        }
-    }
-
-    StubIsland &at(int id) { return *islands[id - 1]; }
-};
+using corm::testrig::FabricRig;
+using corm::testrig::StubIsland;
+using corm::testrig::meshParams;
+using corm::testrig::treeParams;
 
 CoordMessage
 tune(IslandId src, IslandId dst, EntityId e, double v)
@@ -111,6 +56,58 @@ trigger(IslandId src, IslandId dst, EntityId e)
     return m;
 }
 
+/**
+ * Feeds a health monitor from the fabric's lane activity logs at
+ * window barriers, the way runFabricScenario does: lanes register in
+ * link-key order, departed lanes retire on resync(), and the monitor
+ * polls at its sample period.
+ */
+struct LaneWatch
+{
+    CoordFabric &fabric;
+    corm::obs::HealthMonitor &mon;
+    Tick period;
+    std::map<std::uint64_t, int> lanes;
+    Tick nextPoll = 0;
+    Tick barrierAt = 0; ///< tick of the barrier being served
+
+    LaneWatch(CoordFabric &f, corm::obs::HealthMonitor &m, Tick sample)
+        : fabric(f), mon(m), period(sample)
+    {
+        fabric.setLaneActivityRecording(true);
+        resync();
+    }
+
+    void
+    resync()
+    {
+        std::vector<std::string> live;
+        fabric.forEachLaneId(
+            [&](const std::string &lane_name, std::uint64_t id) {
+                if (!lanes.count(id))
+                    lanes[id] = mon.lane(lane_name);
+                live.push_back(lane_name);
+            });
+        mon.retireLanesExcept(live);
+    }
+
+    void
+    barrier(Tick windowEnd)
+    {
+        barrierAt = windowEnd;
+        fabric.drainLaneActivity([&](const CoordFabric::LaneEvent &e) {
+            if (e.delivered)
+                mon.laneDeliveredAt(lanes.at(e.lane), e.when);
+            else
+                mon.laneSentAt(lanes.at(e.lane), e.when);
+        });
+        if (windowEnd >= nextPoll) {
+            mon.poll(windowEnd);
+            nextPoll = windowEnd + period;
+        }
+    }
+};
+
 } // namespace
 
 TEST(CoordChurnLeave, LeaveWithOpenAggregationWindowsLosesNoDelta)
@@ -122,23 +119,24 @@ TEST(CoordChurnLeave, LeaveWithOpenAggregationWindowsLosesNoDelta)
     FabricParams p;
     p.hopLatency = 10 * usec;
     p.aggWindow = 500 * usec;
-    TreeRig rig(p);
+    FabricRig rig(treeParams(p), 7);
     std::vector<CoordMessage> abandoned;
-    rig.fabric->setAbandonObserver(
+    rig.fabric.setAbandonObserver(
         [&](const CoordMessage &m) { abandoned.push_back(m); });
 
     // Opens a bucket at the root, whose flush at 500us re-buckets at
     // island 2 (destined to leaf 4) until that bucket's own flush at
     // ~1010us — the leave at 700us lands inside it.
-    rig.fabric->send(tune(1, 4, 7, 3.0));
+    rig.fabric.send(tune(1, 4, 7, 3.0));
     // Second bucket at the root destined to island 2 itself, still
     // open (flush due 1100us) when 2 departs.
-    rig.sim.scheduleAt(600 * usec,
-                       [&] { rig.fabric->send(tune(1, 2, 9, 7.0)); });
-    rig.sim.scheduleAt(700 * usec, [&] { rig.fabric->leave(2); });
-    rig.sim.runFor(5 * msec);
+    rig.sim().scheduleAt(600 * usec,
+                         [&] { rig.fabric.send(tune(1, 2, 9, 7.0)); });
+    rig.runFor(700 * usec);
+    rig.fabric.leave(2, rig.now());
+    rig.runFor(5 * msec - 700 * usec);
 
-    EXPECT_FALSE(rig.fabric->attached(2));
+    EXPECT_FALSE(rig.fabric.attached(2));
     // The bucket island 2 owned flushed before departure: the delta
     // reached leaf 4 despite the leave mid-window.
     EXPECT_EQ(rig.at(4).tuneSum(7), 3.0);
@@ -147,15 +145,15 @@ TEST(CoordChurnLeave, LeaveWithOpenAggregationWindowsLosesNoDelta)
     ASSERT_EQ(abandoned.size(), 1u);
     EXPECT_EQ(abandoned[0].entity, 9u);
     EXPECT_EQ(abandoned[0].value, 7.0);
-    EXPECT_GE(rig.fabric->stats().dropped.value(), 1u);
+    EXPECT_GE(rig.fabric.stats().dropped.value(), 1u);
     // Graceful leave re-binds the orphans immediately (no detection
     // window): 4 and 5 hang off the root now, and tunes route there.
-    EXPECT_EQ(rig.fabric->parentOf(4), 1);
-    EXPECT_EQ(rig.fabric->parentOf(5), 1);
-    EXPECT_EQ(rig.fabric->churnCounters().leaves, 1u);
-    EXPECT_EQ(rig.fabric->churnCounters().reparents, 2u);
-    rig.fabric->send(tune(1, 5, 8, 2.0));
-    rig.sim.runFor(2 * msec);
+    EXPECT_EQ(rig.fabric.parentOf(4), 1);
+    EXPECT_EQ(rig.fabric.parentOf(5), 1);
+    EXPECT_EQ(rig.fabric.churnCounters().leaves, 1u);
+    EXPECT_EQ(rig.fabric.churnCounters().reparents, 2u);
+    rig.fabric.send(tune(1, 5, 8, 2.0));
+    rig.runFor(2 * msec);
     EXPECT_EQ(rig.at(5).tuneSum(8), 2.0);
 }
 
@@ -170,26 +168,25 @@ TEST(CoordChurnCrash, UnackedInFlightTunesRedrivenExactlyOnceAcrossReparent)
     FabricParams p;
     p.hopLatency = 10 * usec;
     p.reparentDelay = 2 * msec;
-    TreeRig rig(p);
-    ReliableSender snd(rig.sim, *rig.fabric, 1);
+    FabricRig rig(treeParams(p), 7);
+    ReliableSender snd(rig.sim(), rig.fabric, 1);
 
-    rig.fabric->send(tune(1, 2, 0, 0.0)); // force the initial build
-    snd.send(tune(1, 4, 7, 5.0));         // applied at 20us, ack at 40us
-    rig.sim.scheduleAt(20 * usec,
-                       [&] { snd.send(tune(1, 5, 8, 6.0)); });
+    snd.send(tune(1, 4, 7, 5.0)); // applied at 20us, ack at 40us
+    rig.sim().scheduleAt(20 * usec,
+                         [&] { snd.send(tune(1, 5, 8, 6.0)); });
     // Crash at 25us: tune (a)'s ack is between 4 and 2, tune (b) is
     // between 1 and 2. Both die with the node.
-    rig.sim.scheduleAt(25 * usec, [&] { rig.fabric->crash(2); });
-    // Orphans 4 and 5 queue for re-parenting; complete them once the
-    // detection window has elapsed.
-    rig.sim.scheduleAt(3 * msec,
-                       [&] { rig.fabric->churnTick(rig.sim.now()); });
-    rig.sim.runFor(50 * msec);
+    rig.runFor(25 * usec);
+    rig.fabric.crash(2, rig.now());
+    // Orphans 4 and 5 queue for re-parenting; the barrier probe
+    // completes them once the detection window has elapsed.
+    EXPECT_EQ(rig.fabric.pendingReparentCount(), 2u);
+    rig.runFor(50 * msec);
 
-    EXPECT_EQ(rig.fabric->churnCounters().crashes, 1u);
-    EXPECT_EQ(rig.fabric->churnCounters().reparents, 2u);
-    EXPECT_EQ(rig.fabric->parentOf(4), 1);
-    EXPECT_EQ(rig.fabric->parentOf(5), 1);
+    EXPECT_EQ(rig.fabric.churnCounters().crashes, 1u);
+    EXPECT_EQ(rig.fabric.churnCounters().reparents, 2u);
+    EXPECT_EQ(rig.fabric.parentOf(4), 1);
+    EXPECT_EQ(rig.fabric.parentOf(5), 1);
     // Exactly-once: the re-driven copy of (a) deduplicated (the key
     // survives the route change), (b) applied once.
     ASSERT_EQ(rig.at(4).tunes.size(), 1u);
@@ -198,7 +195,7 @@ TEST(CoordChurnCrash, UnackedInFlightTunesRedrivenExactlyOnceAcrossReparent)
     EXPECT_EQ(rig.at(5).tuneSum(8), 6.0);
     EXPECT_EQ(snd.acked(), 2u);
     EXPECT_EQ(snd.pendingCount(), 0u);
-    EXPECT_GE(rig.fabric->stats().duplicates.value(), 1u);
+    EXPECT_GE(rig.fabric.stats().duplicates.value(), 1u);
 }
 
 TEST(CoordChurnMigrate, MigrationDuringBurstOutageForwardsReplayedDelta)
@@ -207,85 +204,89 @@ TEST(CoordChurnMigrate, MigrationDuringBurstOutageForwardsReplayedDelta)
     // destination entity migrates; the late replay delivers at the
     // old home and forwards to the new one — applied exactly once,
     // at the right island.
-    FabricParams p;
-    p.topology = FabricTopology::mesh;
-    p.hopLatency = 10 * usec;
+    FabricParams p = meshParams(10 * usec);
     p.replayTimeout = 500 * usec;
     p.replayBackoff = 2.0;
     p.faults.outages.push_back({0, 600 * usec});
+    FabricRig rig(p, 3);
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.attach(c);
+    rig.fabric.send(tune(1, 2, 7, 5.5)); // eaten at t=0, replay pending
+    rig.runFor(300 * usec);
+    EXPECT_TRUE(rig.fabric.migrateEntity(2, 3, 7, rig.now()));
+    rig.runFor(10 * msec);
 
-    fabric.send(tune(1, 2, 7, 5.5)); // eaten at t=0, replay pending
-    sim.scheduleAt(300 * usec,
-                   [&] { fabric.migrateEntity(2, 3, 7); });
-    sim.runFor(10 * msec);
-
-    EXPECT_EQ(fabric.churnCounters().migrations, 1u);
-    EXPECT_EQ(fabric.currentHome(2, 7), 3);
-    EXPECT_EQ(b.tuneSum(7), 0.0);
-    EXPECT_EQ(c.tuneSum(7), 5.5);
-    ASSERT_EQ(c.tunes.size(), 1u);
-    EXPECT_GE(fabric.stats().migForwards.value(), 1u);
-    EXPECT_EQ(fabric.stats().abandoned.value(), 0u);
+    EXPECT_EQ(rig.fabric.churnCounters().migrations, 1u);
+    EXPECT_EQ(rig.fabric.currentHome(2, 7), 3);
+    EXPECT_EQ(rig.at(2).tuneSum(7), 0.0);
+    EXPECT_EQ(rig.at(3).tuneSum(7), 5.5);
+    ASSERT_EQ(rig.at(3).tunes.size(), 1u);
+    EXPECT_GE(rig.fabric.stats().migForwards.value(), 1u);
+    EXPECT_EQ(rig.fabric.stats().abandoned.value(), 0u);
 }
 
 TEST(CoordChurnMigrate, SequencedRetryAfterMigrationReacksWithoutReapply)
 {
     // A reliable tune applies at its home, the entity migrates before
     // the ack lands, and a duplicate wire copy arrives at the old
-    // home: the dedup window there answers it (lookup-only, re-ack)
-    // instead of forwarding a second apply to the new home.
-    FabricParams p;
-    p.topology = FabricTopology::mesh;
-    p.hopLatency = 10 * usec;
+    // home: it is suppressed there instead of forwarding a second
+    // apply to the new home.
+    FabricParams p = meshParams(10 * usec);
     p.faults.dupProb = 1.0; // every wire message is duplicated
-
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.attach(c);
-    ReliableSender snd(sim, fabric, 1);
+    FabricRig rig(p, 3);
+    ReliableSender snd(rig.sim(), rig.fabric, 1);
 
     snd.send(tune(1, 2, 7, 4.0));
-    sim.scheduleAt(15 * usec, [&] { fabric.migrateEntity(2, 3, 7); });
-    sim.runFor(20 * msec);
+    rig.runFor(15 * usec);
+    EXPECT_TRUE(rig.fabric.migrateEntity(2, 3, 7, rig.now()));
+    rig.runFor(20 * msec);
 
     // Applied exactly once, at the pre-migration home (it landed
     // before the map flipped); nothing leaked to the new home.
-    ASSERT_EQ(b.tunes.size(), 1u);
-    EXPECT_EQ(b.tuneSum(7), 4.0);
-    EXPECT_TRUE(c.tunes.empty());
+    ASSERT_EQ(rig.at(2).tunes.size(), 1u);
+    EXPECT_EQ(rig.at(2).tuneSum(7), 4.0);
+    EXPECT_TRUE(rig.at(3).tunes.empty());
     EXPECT_EQ(snd.acked(), 1u);
     EXPECT_EQ(snd.pendingCount(), 0u);
-    EXPECT_GE(fabric.stats().duplicates.value(), 1u);
+    EXPECT_GE(rig.fabric.stats().duplicates.value(), 1u);
+}
+
+TEST(CoordChurnMigrate, MigrationIntoAForwardedAddressIsRefused)
+{
+    // Island 3's copy of entity 7 lives at island 4. Migrating island
+    // 2's copy to island 3 would put two logical entity states at the
+    // address (3, 7), and the state at 4 would silently re-home: the
+    // fabric refuses, and (3, 7) keeps forwarding to 4.
+    FabricRig rig(meshParams(10 * usec), 4);
+    ASSERT_TRUE(rig.fabric.migrateEntity(3, 4, 7, rig.now()));
+    EXPECT_FALSE(rig.fabric.migrateEntity(2, 3, 7, rig.now()));
+    EXPECT_EQ(rig.fabric.churnCounters().migrations, 1u);
+    EXPECT_EQ(rig.fabric.currentHome(2, 7), 2);
+    EXPECT_EQ(rig.fabric.currentHome(3, 7), 4);
+
+    rig.fabric.send(tune(1, 3, 7, 2.0));
+    rig.runFor(1 * msec);
+    EXPECT_EQ(rig.at(4).tuneSum(7), 2.0);
+    EXPECT_TRUE(rig.at(3).tunes.empty());
 }
 
 TEST(CoordChurnJoin, JoinDuringPolicyEpochLearnsBindingsAndRoutes)
 {
     FabricParams p;
     p.hopLatency = 10 * usec;
-    TreeRig rig(p, 3); // 1 <- {2,3}; island 4 joins later
-    ReliableAnnouncer ann(rig.sim, *rig.fabric);
+    FabricRig rig(treeParams(p), 3); // 1 <- {2,3}; island 4 joins later
+    ReliableAnnouncer ann(rig.sim(), rig.fabric);
 
-    rig.fabric->send(tune(1, 2, 5, 1.0)); // epoch traffic + build
-    rig.sim.runFor(1 * msec);
-    const std::uint64_t epochBefore = rig.fabric->routeEpoch();
+    rig.fabric.send(tune(1, 2, 5, 1.0)); // epoch traffic
+    rig.runFor(1 * msec);
+    const std::uint64_t epochBefore = rig.fabric.routeEpoch();
 
     auto joiner = std::make_unique<StubIsland>(4, "isl4");
-    rig.fabric->join(*joiner);
-    EXPECT_TRUE(rig.fabric->attached(4));
-    EXPECT_EQ(rig.fabric->churnCounters().joins, 1u);
-    EXPECT_GT(rig.fabric->routeEpoch(), epochBefore);
+    rig.fabric.join(*joiner, rig.now());
+    EXPECT_TRUE(rig.fabric.attached(4));
+    EXPECT_EQ(rig.fabric.churnCounters().joins, 1u);
+    EXPECT_GT(rig.fabric.routeEpoch(), epochBefore);
     // Fanout 2 with {2,3} under the root: BFS places 4 under 2.
-    EXPECT_EQ(rig.fabric->parentOf(4), 2);
+    EXPECT_EQ(rig.fabric.parentOf(4), 2);
 
     // Mid-epoch announcement reaches the joiner over the fresh route,
     // and tunes apply there.
@@ -293,8 +294,8 @@ TEST(CoordChurnJoin, JoinDuringPolicyEpochLearnsBindingsAndRoutes)
     b.ref = EntityRef{1, 42};
     b.ip = corm::net::IpAddr(10, 0, 0, 9);
     ann.announce(4, b);
-    rig.fabric->send(tune(1, 4, 6, 2.5));
-    rig.sim.runFor(20 * msec);
+    rig.fabric.send(tune(1, 4, 6, 2.5));
+    rig.runFor(20 * msec);
 
     ASSERT_EQ(joiner->bindings.size(), 1u);
     EXPECT_EQ(joiner->bindings[0].ip, corm::net::IpAddr(10, 0, 0, 9));
@@ -307,29 +308,29 @@ TEST(CoordChurnJoin, RejoinAfterLeaveRevivesRoutesOverTheSamePair)
 {
     FabricParams p;
     p.hopLatency = 10 * usec;
-    TreeRig rig(p, 3);
+    FabricRig rig(treeParams(p), 3);
     std::vector<CoordMessage> abandoned;
-    rig.fabric->setAbandonObserver(
+    rig.fabric.setAbandonObserver(
         [&](const CoordMessage &m) { abandoned.push_back(m); });
 
-    rig.fabric->send(tune(1, 3, 7, 1.0));
-    rig.sim.runFor(1 * msec);
-    rig.fabric->leave(3);
-    rig.fabric->send(tune(1, 3, 7, 9.0)); // unroutable: attributed
-    rig.sim.runFor(1 * msec);
+    rig.fabric.send(tune(1, 3, 7, 1.0));
+    rig.runFor(1 * msec);
+    rig.fabric.leave(3, rig.now());
+    rig.fabric.send(tune(1, 3, 7, 9.0)); // unroutable: attributed
+    rig.runFor(1 * msec);
     EXPECT_EQ(abandoned.size(), 1u);
 
-    rig.fabric->join(rig.at(3)); // same island object, same id
-    EXPECT_TRUE(rig.fabric->attached(3));
-    rig.fabric->send(tune(1, 3, 7, 4.0));
-    rig.sim.runFor(2 * msec);
+    rig.fabric.join(rig.at(3), rig.now()); // same island, same id
+    EXPECT_TRUE(rig.fabric.attached(3));
+    rig.fabric.send(tune(1, 3, 7, 4.0));
+    rig.runFor(2 * msec);
 
     // 1.0 before the leave + 4.0 after the rejoin; the attributed 9.0
     // stayed abandoned (exactly-once-or-abandoned, never replayed).
     EXPECT_EQ(rig.at(3).tuneSum(7), 5.0);
     EXPECT_EQ(abandoned.size(), 1u);
-    EXPECT_EQ(rig.fabric->churnCounters().joins, 1u);
-    EXPECT_EQ(rig.fabric->churnCounters().leaves, 1u);
+    EXPECT_EQ(rig.fabric.churnCounters().joins, 1u);
+    EXPECT_EQ(rig.fabric.churnCounters().leaves, 1u);
 }
 
 TEST(CoordChurnReparent, FallbackParentThatItselfCrashedFallsBackToRoot)
@@ -342,30 +343,30 @@ TEST(CoordChurnReparent, FallbackParentThatItselfCrashedFallsBackToRoot)
     p.hopLatency = 10 * usec;
     p.reparentDelay = 2 * msec;
     p.fallbackParent = 3;
-    TreeRig rig(p);
+    FabricRig rig(treeParams(p), 7);
 
-    rig.fabric->send(tune(1, 2, 0, 0.0)); // force the initial build
-    rig.sim.scheduleAt(100 * usec, [&] { rig.fabric->crash(2); });
-    rig.sim.scheduleAt(200 * usec, [&] { rig.fabric->crash(3); });
-    EXPECT_EQ(rig.fabric->pendingReparentCount(), 0u);
-    rig.sim.runFor(1 * msec);
+    rig.runFor(100 * usec);
+    rig.fabric.crash(2, rig.now());
+    rig.runFor(100 * usec);
+    rig.fabric.crash(3, rig.now());
+    rig.runFor(800 * usec);
     // 4,5 orphaned by 2 (fallback 3), 6,7 orphaned by 3 (fallback
     // would be 3 itself, so its own parent: the root).
-    EXPECT_EQ(rig.fabric->pendingReparentCount(), 4u);
-    rig.fabric->churnTick(rig.sim.now()); // 2ms not yet elapsed
-    EXPECT_EQ(rig.fabric->pendingReparentCount(), 4u);
+    EXPECT_EQ(rig.fabric.pendingReparentCount(), 4u);
+    rig.fabric.churnTick(rig.now()); // 2ms not yet elapsed
+    EXPECT_EQ(rig.fabric.pendingReparentCount(), 4u);
 
-    rig.sim.runFor(2 * msec);
-    rig.fabric->churnTick(rig.sim.now());
-    EXPECT_EQ(rig.fabric->pendingReparentCount(), 0u);
-    EXPECT_EQ(rig.fabric->churnCounters().reparents, 4u);
+    rig.runFor(2 * msec);
+    rig.fabric.churnTick(rig.now());
+    EXPECT_EQ(rig.fabric.pendingReparentCount(), 0u);
+    EXPECT_EQ(rig.fabric.churnCounters().reparents, 4u);
     for (int leaf : {4, 5, 6, 7})
-        EXPECT_EQ(rig.fabric->parentOf(static_cast<IslandId>(leaf)), 1)
+        EXPECT_EQ(rig.fabric.parentOf(static_cast<IslandId>(leaf)), 1)
             << "leaf " << leaf;
 
-    rig.fabric->send(tune(1, 4, 7, 2.0));
-    rig.fabric->send(tune(1, 6, 7, 3.0));
-    rig.sim.runFor(2 * msec);
+    rig.fabric.send(tune(1, 4, 7, 2.0));
+    rig.fabric.send(tune(1, 6, 7, 3.0));
+    rig.runFor(2 * msec);
     EXPECT_EQ(rig.at(4).tuneSum(7), 2.0);
     EXPECT_EQ(rig.at(6).tuneSum(7), 3.0);
 }
@@ -375,22 +376,15 @@ TEST(CoordChurnReliable, AbandonDestinationCancelsRetryTimersWithNote)
     // Regression: pending sends toward a departed destination must be
     // finished through finish() — timers cancelled, outcome reported,
     // abandon note emitted — not left to burn retries into the void.
-    FabricParams p;
-    p.topology = FabricTopology::mesh;
-    p.hopLatency = 10 * usec;
+    FabricParams p = meshParams(10 * usec);
     p.faults.lossProb = 1.0; // nothing ever arrives
     p.replayAttempts = 0;    // retries come from the sender only
+    FabricRig rig(p, 3);
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.attach(c);
     ReliableSender::Params rp;
     rp.retryTimeout = 5 * msec;
     rp.maxAttempts = 8;
-    ReliableSender snd(sim, fabric, 1, rp);
+    ReliableSender snd(rig.sim(), rig.fabric, 1, rp);
     std::vector<CoordMessage> noted;
     snd.setAbandonObserver(
         [&](const CoordMessage &m) { noted.push_back(m); });
@@ -403,7 +397,7 @@ TEST(CoordChurnReliable, AbandonDestinationCancelsRetryTimersWithNote)
     snd.send(trigger(1, 2, 7), done);
     snd.send(trigger(1, 2, 8), done);
     snd.send(trigger(1, 3, 9)); // different destination: survives
-    sim.runFor(1 * msec);
+    rig.runFor(1 * msec);
     ASSERT_EQ(snd.pendingCount(), 3u);
 
     EXPECT_EQ(snd.abandonDestination(2), 2u);
@@ -417,20 +411,21 @@ TEST(CoordChurnReliable, AbandonDestinationCancelsRetryTimersWithNote)
     // The cancelled timers are really gone: no retransmission toward
     // island 2 ever fires again (only island 3's retries remain, and
     // its capped backoff exhausts all 8 attempts within ~235ms).
-    const std::uint64_t wireAfter = fabric.stats().wireMessages.value();
-    sim.runFor(400 * msec);
+    const std::uint64_t wireAfter =
+        rig.fabric.stats().wireMessages.value();
+    rig.runFor(400 * msec);
     EXPECT_EQ(snd.pendingCount(), 0u); // 3's send exhausted naturally
     EXPECT_EQ(snd.abandoned(), 3u);
     const std::uint64_t wireDelta =
-        fabric.stats().wireMessages.value() - wireAfter;
+        rig.fabric.stats().wireMessages.value() - wireAfter;
     EXPECT_LE(wireDelta, 7u); // island 3 retries only, no 2-bound ones
 
     // The announcer exposes the same hook for its supersede slots.
-    ReliableAnnouncer ann(sim, fabric);
+    ReliableAnnouncer ann(rig.sim(), rig.fabric);
     EntityBinding eb;
     eb.ref = EntityRef{1, 42};
     ann.announce(2, eb);
-    sim.runFor(1 * msec);
+    rig.runFor(1 * msec);
     EXPECT_EQ(ann.pendingCount(), 1u);
     EXPECT_EQ(ann.abandonDestination(2), 1u);
     EXPECT_EQ(ann.pendingCount(), 0u);
@@ -440,23 +435,14 @@ TEST(CoordChurnReliable, MultipleSendersShareOneEndpointsAcks)
 {
     // Token ack observers: an announcer living the whole run plus a
     // trigger sender, both homed at the root, must each see their own
-    // acks — the single setAckObserver slot used to clobber.
-    FabricParams p;
-    p.topology = FabricTopology::mesh;
-    p.hopLatency = 10 * usec;
+    // acks — a single observer slot per endpoint used to clobber.
+    FabricRig rig(meshParams(10 * usec), 3);
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.attach(c);
-
-    auto s1 = std::make_unique<ReliableSender>(sim, fabric, 1);
-    auto s2 = std::make_unique<ReliableSender>(sim, fabric, 1);
+    auto s1 = std::make_unique<ReliableSender>(rig.sim(), rig.fabric, 1);
+    auto s2 = std::make_unique<ReliableSender>(rig.sim(), rig.fabric, 1);
     s1->send(trigger(1, 2, 7));
     s2->send(trigger(1, 3, 8));
-    sim.runFor(5 * msec);
+    rig.runFor(5 * msec);
     EXPECT_EQ(s1->acked(), 1u);
     EXPECT_EQ(s2->acked(), 1u);
     EXPECT_EQ(s1->pendingCount(), 0u);
@@ -466,7 +452,7 @@ TEST(CoordChurnReliable, MultipleSendersShareOneEndpointsAcks)
     // deafen the other.
     s2.reset();
     s1->send(trigger(1, 2, 9));
-    sim.runFor(5 * msec);
+    rig.runFor(5 * msec);
     EXPECT_EQ(s1->acked(), 2u);
     EXPECT_EQ(s1->pendingCount(), 0u);
 }
@@ -476,51 +462,30 @@ TEST(CoordChurnMonitor, CleanLeaveRetiresLanesWithoutSpuriousStall)
     // A lane with a send outstanding when its island departs cleanly
     // must deactivate silently: the traffic will never resume, and a
     // stall breach would cry wolf on every graceful departure.
-    FabricParams p;
-    p.topology = FabricTopology::mesh;
-    p.hopLatency = 10 * usec;
+    FabricParams p = meshParams(10 * usec);
     p.name = "fab";
     p.faults.lossProb = 1.0; // sends enter the lane, never deliver
     p.replayAttempts = 0;    // no replay traffic to revive the lane
-
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.attach(c);
+    FabricRig rig(p, 3);
 
     corm::obs::MetricRegistry reg;
     corm::obs::HealthMonitor::Params mp;
     mp.samplePeriod = 1 * msec;
     mp.stallTimeout = 5 * msec;
-    corm::obs::HealthMonitor mon(sim, reg, mp);
-    const auto wireLanes = [&] {
-        std::vector<std::string> live;
-        fabric.forEachLane([&](const std::string &lane_name,
-                               corm::interconnect::Mailbox &mb) {
-            const int lane = mon.lane(lane_name);
-            mb.setActivityObserver(
-                [&mon, lane](corm::interconnect::Mailbox::Activity act) {
-                    using A = corm::interconnect::Mailbox::Activity;
-                    if (act == A::sent)
-                        mon.laneSent(lane);
-                    else if (act == A::delivered)
-                        mon.laneDelivered(lane);
-                });
-            live.push_back(lane_name);
-        });
-        mon.retireLanesExcept(live);
-    };
-    wireLanes();
-    mon.start();
+    corm::obs::HealthMonitor mon(rig.sim(), reg, mp);
+    LaneWatch watch(rig.fabric, mon, mp.samplePeriod);
+    rig.onBarrier = [&watch](Tick end) { watch.barrier(end); };
+    // A heartbeat keeps barriers (and so monitor polls) coming.
+    PeriodicEvent beat(rig.sim(), mp.samplePeriod, [] {});
 
-    fabric.send(tune(1, 3, 7, 1.0)); // eaten: lane 1-3 now unanswered
-    sim.scheduleAt(1 * msec, [&] {
-        fabric.leave(3);
-        wireLanes(); // lanes to 3 are gone from the live set: retire
-    });
-    sim.runFor(50 * msec);
+    // Eaten: lane 1-3 now unanswered. Sent after t=0, since the
+    // monitor reads a send at tick 0 as no outstanding send.
+    rig.sim().scheduleAt(100 * usec,
+                         [&] { rig.fabric.send(tune(1, 3, 7, 1.0)); });
+    rig.runFor(1 * msec);
+    rig.fabric.leave(3, rig.now());
+    watch.resync(); // lanes to 3 are gone from the live set: retire
+    rig.runFor(49 * msec);
 
     EXPECT_EQ(mon.breaches(), 0u) << mon.healthReport();
     for (const auto &ev : mon.events())
@@ -541,60 +506,44 @@ TEST(CoordChurnMonitor, StallAcrossHubOutageDrivesReparentAndRecovers)
     p.replayAttempts = 0; // the reliable layer owns recovery here
     p.reparentDelay = 50 * msec; // the watchdog should beat this
     p.faults.outages.push_back({200 * usec, 40 * msec});
-    TreeRig rig(p, 5); // 1 <- {2,3}, 2 <- {4,5}
+    FabricRig rig(treeParams(p), 5); // 1 <- {2,3}, 2 <- {4,5}
 
     corm::obs::MetricRegistry reg;
     corm::obs::HealthMonitor::Params mp;
     mp.samplePeriod = 1 * msec;
     mp.stallTimeout = 5 * msec;
-    corm::obs::HealthMonitor mon(rig.sim, reg, mp);
-    const auto wireLanes = [&] {
-        std::vector<std::string> live;
-        rig.fabric->forEachLane(
-            [&](const std::string &lane_name,
-                corm::interconnect::Mailbox &mb) {
-                const int lane = mon.lane(lane_name);
-                mb.setActivityObserver(
-                    [&mon,
-                     lane](corm::interconnect::Mailbox::Activity act) {
-                        using A = corm::interconnect::Mailbox::Activity;
-                        if (act == A::sent)
-                            mon.laneSent(lane);
-                        else if (act == A::delivered)
-                            mon.laneDelivered(lane);
-                    });
-                live.push_back(lane_name);
-            });
-        mon.retireLanesExcept(live);
-    };
-    wireLanes();
+    corm::obs::HealthMonitor mon(rig.sim(), reg, mp);
+    LaneWatch watch(rig.fabric, mon, mp.samplePeriod);
+    rig.onBarrier = [&watch](Tick end) { watch.barrier(end); };
+    PeriodicEvent beat(rig.sim(), mp.samplePeriod, [] {});
     bool reparented = false;
+    // The policy hook runs inside the monitor's barrier-time poll,
+    // so the churn it drives applies at the barrier tick.
     mon.setPolicyCallback([&](const corm::obs::HealthEvent &ev) {
         if (ev.kind != corm::obs::HealthEvent::Kind::stall
             || reparented)
             return;
         reparented = true; // the watchdog says hub 2 is dead
-        rig.fabric->crash(2);
-        rig.fabric->reparentNow(rig.sim.now());
-        wireLanes();
+        rig.fabric.crash(2, watch.barrierAt);
+        rig.fabric.reparentNow(watch.barrierAt);
+        watch.resync();
     });
-    mon.start();
 
     ReliableSender::Params rp;
     rp.retryTimeout = 5 * msec;
     rp.maxAttempts = 12;
-    ReliableSender snd(rig.sim, *rig.fabric, 1, rp);
+    ReliableSender snd(rig.sim(), rig.fabric, 1, rp);
     // First send pre-outage so the route is warm; the payload send at
     // 300us dives straight into the outage and stalls lane 1-2.
-    rig.fabric->send(tune(1, 2, 0, 0.0));
-    rig.sim.scheduleAt(300 * usec,
-                       [&] { snd.send(tune(1, 4, 7, 5.0)); });
-    rig.sim.runFor(200 * msec);
+    rig.fabric.send(tune(1, 2, 0, 0.0));
+    rig.sim().scheduleAt(300 * usec,
+                         [&] { snd.send(tune(1, 4, 7, 5.0)); });
+    rig.runFor(200 * msec);
 
     EXPECT_TRUE(reparented);
-    EXPECT_EQ(rig.fabric->churnCounters().crashes, 1u);
-    EXPECT_EQ(rig.fabric->churnCounters().reparents, 2u);
-    EXPECT_EQ(rig.fabric->parentOf(4), 1);
+    EXPECT_EQ(rig.fabric.churnCounters().crashes, 1u);
+    EXPECT_EQ(rig.fabric.churnCounters().reparents, 2u);
+    EXPECT_EQ(rig.fabric.parentOf(4), 1);
     // Exactly-once across the watchdog-driven re-parent.
     ASSERT_EQ(rig.at(4).tunes.size(), 1u);
     EXPECT_EQ(rig.at(4).tuneSum(7), 5.0);

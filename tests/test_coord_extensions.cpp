@@ -12,6 +12,7 @@
 #include "coord/channel.hpp"
 #include "coord/fabric.hpp"
 #include "coord/reliable.hpp"
+#include "fabric_rig.hpp"
 #include "platform/testbed.hpp"
 #include "sim/simulator.hpp"
 #include "xen/island.hpp"
@@ -21,33 +22,9 @@ using namespace corm::coord;
 
 namespace {
 
-class StubIsland : public ResourceIsland
-{
-  public:
-    StubIsland(IslandId island_id, std::string island_name)
-        : id_(island_id), name_(std::move(island_name))
-    {}
-
-    IslandId id() const override { return id_; }
-    const std::string &name() const override { return name_; }
-    void applyTune(EntityId e, double d) override
-    {
-        tunes.emplace_back(e, d);
-    }
-    void applyTrigger(EntityId e) override { triggers.push_back(e); }
-    void learnBinding(const EntityBinding &b) override
-    {
-        bindings.push_back(b);
-    }
-
-    std::vector<std::pair<EntityId, double>> tunes;
-    std::vector<EntityId> triggers;
-    std::vector<EntityBinding> bindings;
-
-  private:
-    IslandId id_;
-    std::string name_;
-};
+using corm::testrig::FabricRig;
+using corm::testrig::StubIsland;
+using corm::testrig::meshParams;
 
 EntityBinding
 binding(IslandId island, EntityId entity)
@@ -153,13 +130,8 @@ TEST(ReliableAnnouncer, ReAnnouncementSupersedesPending)
 
 TEST(CoordFabric, MeshDeliversInOneHop)
 {
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, FabricTopology::mesh, 10 * usec);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.attach(c);
-    EXPECT_EQ(fabric.islandCount(), 3u);
+    FabricRig rig(meshParams(10 * usec), 3);
+    EXPECT_EQ(rig.fabric.islandCount(), 3u);
 
     CoordMessage m;
     m.type = MsgType::tune;
@@ -167,54 +139,48 @@ TEST(CoordFabric, MeshDeliversInOneHop)
     m.dst = 3;
     m.entity = 5;
     m.value = 2.0;
-    fabric.send(m);
-    sim.runFor(9 * usec);
-    EXPECT_TRUE(c.tunes.empty());
-    sim.runFor(2 * usec);
-    ASSERT_EQ(c.tunes.size(), 1u);
-    EXPECT_EQ(fabric.stats().hubRelays.value(), 0u);
-    EXPECT_NEAR(fabric.stats().deliveryLatencyUs.mean(), 10.0, 0.5);
+    rig.fabric.send(m);
+    rig.runFor(9 * usec);
+    EXPECT_TRUE(rig.at(3).tunes.empty());
+    rig.runFor(2 * usec);
+    ASSERT_EQ(rig.at(3).tunes.size(), 1u);
+    EXPECT_EQ(rig.fabric.stats().hubRelays.value(), 0u);
+    EXPECT_NEAR(rig.fabric.stats().deliveryLatencyUs.mean(), 10.0, 0.5);
 }
 
 TEST(CoordFabric, StarRelaysThroughHubInTwoHops)
 {
-    Simulator sim;
-    StubIsland hub(1, "hub"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, FabricTopology::star, 10 * usec,
-                       /*hub=*/1);
-    fabric.attach(hub);
-    fabric.attach(b);
-    fabric.attach(c);
+    FabricParams p;
+    p.topology = FabricTopology::star;
+    p.hopLatency = 10 * usec;
+    p.hub = 1;
+    FabricRig rig(p, 3);
 
     CoordMessage m;
     m.type = MsgType::trigger;
     m.src = 2;
     m.dst = 3;
     m.entity = 1;
-    fabric.send(m);
-    sim.runFor(15 * usec);
-    EXPECT_TRUE(c.triggers.empty()); // two hops = 20 us
-    sim.runFor(10 * usec);
-    EXPECT_EQ(c.triggers.size(), 1u);
-    EXPECT_EQ(fabric.stats().hubRelays.value(), 1u);
+    rig.fabric.send(m);
+    rig.runFor(15 * usec);
+    EXPECT_TRUE(rig.at(3).triggers.empty()); // two hops = 20 us
+    rig.runFor(10 * usec);
+    EXPECT_EQ(rig.at(3).triggers.size(), 1u);
+    EXPECT_EQ(rig.fabric.stats().hubRelays.value(), 1u);
 
     // Hub-adjacent traffic is one hop.
     CoordMessage to_hub = m;
     to_hub.dst = 1;
-    fabric.send(to_hub);
-    sim.runFor(11 * usec);
-    EXPECT_EQ(hub.triggers.size(), 1u);
+    rig.fabric.send(to_hub);
+    rig.runFor(11 * usec);
+    EXPECT_EQ(rig.at(1).triggers.size(), 1u);
 }
 
 TEST(CoordFabric, RegistrationsAreAcked)
 {
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b");
-    CoordFabric fabric(sim, FabricTopology::mesh, 5 * usec);
-    fabric.attach(a);
-    fabric.attach(b);
+    FabricRig rig(meshParams(5 * usec), 2);
     int acks = 0;
-    fabric.setAckObserver([&](const CoordMessage &m) {
+    rig.fabric.addAckObserver(1, [&](const CoordMessage &m) {
         ++acks;
         EXPECT_EQ(m.src, 2);
         EXPECT_EQ(m.entity, 9u);
@@ -227,26 +193,23 @@ TEST(CoordFabric, RegistrationsAreAcked)
     m.entity = 9;
     m.value = std::bit_cast<double>(
         static_cast<std::uint64_t>(corm::net::IpAddr(10, 1, 1, 1).v));
-    fabric.send(m);
-    sim.runFor(1 * msec);
-    EXPECT_EQ(b.bindings.size(), 1u);
+    rig.fabric.send(m);
+    rig.runFor(1 * msec);
+    EXPECT_EQ(rig.at(2).bindings.size(), 1u);
     EXPECT_EQ(acks, 1);
 }
 
 TEST(CoordFabric, UnknownDestinationDropped)
 {
-    Simulator sim;
-    StubIsland a(1, "a");
-    CoordFabric fabric(sim, FabricTopology::mesh, 5 * usec);
-    fabric.attach(a);
+    FabricRig rig(meshParams(5 * usec), 1);
     CoordMessage m;
     m.type = MsgType::tune;
     m.src = 1;
     m.dst = 9;
-    fabric.send(m);
-    sim.runFor(1 * msec);
-    EXPECT_EQ(fabric.stats().dropped.value(), 1u);
-    EXPECT_EQ(fabric.stats().delivered.value(), 0u);
+    rig.fabric.send(m);
+    rig.runFor(1 * msec);
+    EXPECT_EQ(rig.fabric.stats().dropped.value(), 1u);
+    EXPECT_EQ(rig.fabric.stats().delivered.value(), 0u);
 }
 
 //

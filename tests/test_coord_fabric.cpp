@@ -23,6 +23,7 @@
 #include "coord/fabric.hpp"
 #include "coord/flattable.hpp"
 #include "coord/reliable.hpp"
+#include "fabric_rig.hpp"
 #include "obs/trace.hpp"
 #include "obs/tracecheck.hpp"
 #include "platform/report.hpp"
@@ -33,67 +34,10 @@ using namespace corm::coord;
 
 namespace {
 
-class StubIsland : public ResourceIsland
-{
-  public:
-    StubIsland(IslandId island_id, std::string island_name)
-        : id_(island_id), name_(std::move(island_name))
-    {}
-
-    IslandId id() const override { return id_; }
-    const std::string &name() const override { return name_; }
-    void applyTune(EntityId e, double d) override
-    {
-        tunes.emplace_back(e, d);
-    }
-    void applyTrigger(EntityId e) override { triggers.push_back(e); }
-    void learnBinding(const EntityBinding &b) override
-    {
-        bindings.push_back(b);
-    }
-
-    double
-    tuneSum(EntityId e) const
-    {
-        double s = 0.0;
-        for (const auto &[entity, delta] : tunes)
-            if (entity == e)
-                s += delta;
-        return s;
-    }
-
-    std::vector<std::pair<EntityId, double>> tunes;
-    std::vector<EntityId> triggers;
-    std::vector<EntityBinding> bindings;
-
-  private:
-    IslandId id_;
-    std::string name_;
-};
-
-/** A 7-island fanout-2 tree: 1 <- {2,3}, 2 <- {4,5}, 3 <- {6,7}. */
-struct TreeRig
-{
-    Simulator sim;
-    std::vector<std::unique_ptr<StubIsland>> islands;
-    std::unique_ptr<CoordFabric> fabric;
-
-    explicit TreeRig(FabricParams p, int n = 7)
-    {
-        p.topology = FabricTopology::tree;
-        p.hub = 1;
-        p.treeFanout = 2;
-        fabric = std::make_unique<CoordFabric>(sim, p);
-        for (int i = 1; i <= n; ++i) {
-            islands.push_back(std::make_unique<StubIsland>(
-                static_cast<IslandId>(i),
-                "isl" + std::to_string(i)));
-            fabric->attach(*islands.back());
-        }
-    }
-
-    StubIsland &at(int id) { return *islands[id - 1]; }
-};
+using corm::testrig::FabricRig;
+using corm::testrig::StubIsland;
+using corm::testrig::meshParams;
+using corm::testrig::treeParams;
 
 CoordMessage
 tune(IslandId src, IslandId dst, EntityId e, double v)
@@ -113,23 +57,23 @@ TEST(CoordFabricTree, RoutesAlongTreePathsWithRelayAccounting)
 {
     FabricParams p;
     p.hopLatency = 10 * usec;
-    TreeRig rig(p);
+    FabricRig rig(treeParams(p), 7);
 
-    EXPECT_EQ(rig.fabric->parentOf(4), 2);
-    EXPECT_EQ(rig.fabric->parentOf(7), 3);
-    EXPECT_EQ(rig.fabric->parentOf(1), 1);
-    EXPECT_EQ(rig.fabric->hopCount(1, 7), 2);
-    EXPECT_EQ(rig.fabric->hopCount(4, 5), 2);
-    EXPECT_EQ(rig.fabric->hopCount(4, 6), 4); // 4-2-1-3-6
+    EXPECT_EQ(rig.fabric.parentOf(4), 2);
+    EXPECT_EQ(rig.fabric.parentOf(7), 3);
+    EXPECT_EQ(rig.fabric.parentOf(1), 1);
+    EXPECT_EQ(rig.fabric.hopCount(1, 7), 2);
+    EXPECT_EQ(rig.fabric.hopCount(4, 5), 2);
+    EXPECT_EQ(rig.fabric.hopCount(4, 6), 4); // 4-2-1-3-6
 
-    rig.fabric->send(tune(4, 6, 11, 3.0));
-    rig.sim.runFor(39 * usec);
+    rig.fabric.send(tune(4, 6, 11, 3.0));
+    rig.runFor(39 * usec);
     EXPECT_TRUE(rig.at(6).tunes.empty()); // four hops = 40 us
-    rig.sim.runFor(2 * usec);
+    rig.runFor(2 * usec);
     ASSERT_EQ(rig.at(6).tunes.size(), 1u);
-    EXPECT_EQ(rig.fabric->stats().hubRelays.value(), 3u);
-    EXPECT_EQ(rig.fabric->stats().wireMessages.value(), 4u);
-    EXPECT_NEAR(rig.fabric->stats().hopsPerDelivery.mean(), 4.0, 0.01);
+    EXPECT_EQ(rig.fabric.stats().hubRelays.value(), 3u);
+    EXPECT_EQ(rig.fabric.stats().wireMessages.value(), 4u);
+    EXPECT_NEAR(rig.fabric.stats().hopsPerDelivery.mean(), 4.0, 0.01);
 }
 
 TEST(CoordFabricTree, HubAggregationPreservesExactDeltaSums)
@@ -137,19 +81,19 @@ TEST(CoordFabricTree, HubAggregationPreservesExactDeltaSums)
     FabricParams p;
     p.hopLatency = 10 * usec;
     p.aggWindow = 200 * usec;
-    TreeRig rig(p);
+    FabricRig rig(treeParams(p), 7);
 
     // Three same-entity tunes from the root to a depth-2 leaf fold
     // into one batch at the root; the batch relays through island 2
     // and applies as a single message carrying the exact sum.
-    rig.fabric->send(tune(1, 4, 7, 2.0));
-    rig.fabric->send(tune(1, 4, 7, -5.0));
-    rig.fabric->send(tune(1, 4, 7, 4.0));
-    rig.sim.runFor(1 * msec);
+    rig.fabric.send(tune(1, 4, 7, 2.0));
+    rig.fabric.send(tune(1, 4, 7, -5.0));
+    rig.fabric.send(tune(1, 4, 7, 4.0));
+    rig.runFor(1 * msec);
 
     ASSERT_EQ(rig.at(4).tunes.size(), 1u);
     EXPECT_EQ(rig.at(4).tuneSum(7), 1.0); // exactly 2 - 5 + 4
-    const auto &fs = rig.fabric->stats();
+    const auto &fs = rig.fabric.stats();
     EXPECT_EQ(fs.aggFolded.value(), 2u);
     EXPECT_EQ(fs.appliedTunes.value(), 3u); // coalesced count
     // One batch out of the root, re-bucketed once at island 2 (every
@@ -165,19 +109,19 @@ TEST(CoordFabricTree, DeltaAtExactWindowCloseJoinsNextWindow)
     FabricParams p;
     p.hopLatency = 10 * usec;
     p.aggWindow = 200 * usec;
-    TreeRig rig(p);
+    FabricRig rig(treeParams(p), 7);
 
     // First tune at t=0 opens the bucket and schedules its flush for
     // t=200us. A tune arriving exactly at the close lands in a fresh
     // bucket: the flush event was created first, so FIFO tie-break
     // runs it before the late send. Island 2 (a depth-1 child of the
     // root) is the destination, so only the root aggregates.
-    rig.fabric->send(tune(1, 2, 7, 1.0));
-    rig.sim.scheduleAt(p.aggWindow,
-                       [&] { rig.fabric->send(tune(1, 2, 7, 10.0)); });
-    rig.sim.runFor(1 * msec);
+    rig.fabric.send(tune(1, 2, 7, 1.0));
+    rig.sim().scheduleAt(p.aggWindow,
+                       [&] { rig.fabric.send(tune(1, 2, 7, 10.0)); });
+    rig.runFor(1 * msec);
 
-    const auto &fs = rig.fabric->stats();
+    const auto &fs = rig.fabric.stats();
     EXPECT_EQ(fs.aggBatches.value(), 2u);
     EXPECT_EQ(fs.aggFolded.value(), 0u);
     ASSERT_EQ(rig.at(2).tunes.size(), 2u);
@@ -189,26 +133,26 @@ TEST(CoordFabricTree, EntityMigrationMidWindowKeepsBucketsSeparate)
     FabricParams p;
     p.hopLatency = 10 * usec;
     p.aggWindow = 500 * usec;
-    TreeRig rig(p);
+    FabricRig rig(treeParams(p), 7);
 
     // The policy retargets entity 7 from island 4 to island 5 in the
     // middle of an open window: deltas must never leak across the
     // destination islands' buckets.
-    rig.fabric->send(tune(1, 4, 7, 2.0));
-    rig.fabric->send(tune(1, 4, 7, 3.0));
-    rig.sim.scheduleAt(100 * usec, [&] {
-        rig.fabric->send(tune(1, 5, 7, 40.0)); // migrated
-        rig.fabric->send(tune(1, 5, 7, 2.0));
+    rig.fabric.send(tune(1, 4, 7, 2.0));
+    rig.fabric.send(tune(1, 4, 7, 3.0));
+    rig.sim().scheduleAt(100 * usec, [&] {
+        rig.fabric.send(tune(1, 5, 7, 40.0)); // migrated
+        rig.fabric.send(tune(1, 5, 7, 2.0));
     });
-    rig.sim.runFor(2 * msec);
+    rig.runFor(2 * msec);
 
     EXPECT_EQ(rig.at(4).tuneSum(7), 5.0);
     EXPECT_EQ(rig.at(5).tuneSum(7), 42.0);
     // Two buckets at the root plus one re-bucket each at island 2
     // (buckets are keyed by destination, so nothing leaks).
-    EXPECT_EQ(rig.fabric->stats().aggBatches.value(), 4u);
-    EXPECT_EQ(rig.fabric->stats().aggFolded.value(), 2u);
-    EXPECT_EQ(rig.fabric->stats().appliedTunes.value(), 4u);
+    EXPECT_EQ(rig.fabric.stats().aggBatches.value(), 4u);
+    EXPECT_EQ(rig.fabric.stats().aggFolded.value(), 2u);
+    EXPECT_EQ(rig.fabric.stats().appliedTunes.value(), 4u);
 }
 
 TEST(CoordFabricTree, TriggersBypassTheAggregationWindow)
@@ -216,22 +160,22 @@ TEST(CoordFabricTree, TriggersBypassTheAggregationWindow)
     FabricParams p;
     p.hopLatency = 10 * usec;
     p.aggWindow = 1 * msec;
-    TreeRig rig(p);
+    FabricRig rig(treeParams(p), 7);
 
-    rig.fabric->send(tune(1, 4, 7, 1.0)); // parks in the window
+    rig.fabric.send(tune(1, 4, 7, 1.0)); // parks in the window
     CoordMessage trig;
     trig.type = MsgType::trigger;
     trig.src = 1;
     trig.dst = 4;
     trig.entity = 7;
-    rig.fabric->send(trig);
-    rig.sim.runFor(25 * usec); // two hops, well inside the window
+    rig.fabric.send(trig);
+    rig.runFor(25 * usec); // two hops, well inside the window
 
     EXPECT_EQ(rig.at(4).triggers.size(), 1u);
     EXPECT_TRUE(rig.at(4).tunes.empty()); // tune still parked
     // Bypassed at the root and again at the island-2 relay.
-    EXPECT_EQ(rig.fabric->stats().triggerBypass.value(), 2u);
-    rig.sim.runFor(3 * msec);
+    EXPECT_EQ(rig.fabric.stats().triggerBypass.value(), 2u);
+    rig.runFor(3 * msec);
     EXPECT_EQ(rig.at(4).tunes.size(), 1u);
 }
 
@@ -244,20 +188,16 @@ TEST(CoordFabricFaults, LinkReplayRecoversAnOutageEatenMessage)
     p.replayBackoff = 2.0;
     p.faults.outages.push_back({0, 600 * usec});
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
+    FabricRig rig(p, 2);
+    rig.fabric.send(tune(1, 2, 3, 1.5)); // eaten by the outage at t=0
+    rig.runFor(5 * msec);
 
-    fabric.send(tune(1, 2, 3, 1.5)); // eaten by the outage at t=0
-    sim.runFor(5 * msec);
-
+    const StubIsland &b = rig.at(2);
     ASSERT_EQ(b.tunes.size(), 1u);
     EXPECT_EQ(b.tunes[0].second, 1.5);
-    EXPECT_GE(fabric.stats().linkDrops.value(), 1u);
-    EXPECT_GE(fabric.stats().linkReplays.value(), 1u);
-    EXPECT_EQ(fabric.stats().abandoned.value(), 0u);
+    EXPECT_GE(rig.fabric.stats().linkDrops.value(), 1u);
+    EXPECT_GE(rig.fabric.stats().linkReplays.value(), 1u);
+    EXPECT_EQ(rig.fabric.stats().abandoned.value(), 0u);
 }
 
 TEST(CoordFabricFaults, ReplayBudgetExhaustionAbandonsWithNote)
@@ -269,23 +209,19 @@ TEST(CoordFabricFaults, ReplayBudgetExhaustionAbandonsWithNote)
     p.replayTimeout = 100 * usec;
     p.faults.lossProb = 1.0; // the link eats everything
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
+    FabricRig rig(p, 2);
     std::vector<CoordMessage> abandoned;
-    fabric.setAbandonObserver(
+    rig.fabric.setAbandonObserver(
         [&](const CoordMessage &m) { abandoned.push_back(m); });
 
-    fabric.send(tune(1, 2, 3, 2.0));
-    sim.runFor(10 * msec);
+    rig.fabric.send(tune(1, 2, 3, 2.0));
+    rig.runFor(10 * msec);
 
-    EXPECT_TRUE(b.tunes.empty());
-    EXPECT_EQ(fabric.stats().abandoned.value(), 1u);
+    EXPECT_TRUE(rig.at(2).tunes.empty());
+    EXPECT_EQ(rig.fabric.stats().abandoned.value(), 1u);
     // Original + two replays, all eaten.
-    EXPECT_EQ(fabric.stats().linkDrops.value(), 3u);
-    EXPECT_EQ(fabric.stats().linkReplays.value(), 2u);
+    EXPECT_EQ(rig.fabric.stats().linkDrops.value(), 3u);
+    EXPECT_EQ(rig.fabric.stats().linkReplays.value(), 2u);
     ASSERT_EQ(abandoned.size(), 1u);
     EXPECT_EQ(abandoned[0].entity, 3u);
     EXPECT_EQ(abandoned[0].value, 2.0);
@@ -297,40 +233,40 @@ TEST(CoordFabricFaults, DuplicatedWireCopiesAreSuppressed)
     p.hopLatency = 10 * usec;
     p.faults.dupProb = 1.0;
 
-    TreeRig rig(p, 3); // 1 <- {2,3}; root relays 2 -> 3
-    ReliableSender sender(rig.sim, *rig.fabric, 2);
+    FabricRig rig(treeParams(p), 3); // 1 <- {2,3}; root relays 2 -> 3
+    ReliableSender sender(rig.sim(), rig.fabric, 2);
     CoordMessage trig;
     trig.type = MsgType::trigger;
     trig.src = 2;
     trig.dst = 3;
     trig.entity = 9;
     sender.send(trig);
-    rig.sim.runFor(20 * msec);
+    rig.runFor(20 * msec);
 
     EXPECT_EQ(rig.at(3).triggers.size(), 1u); // applied exactly once
     EXPECT_EQ(sender.acked(), 1u);
     EXPECT_EQ(sender.pendingCount(), 0u);
-    EXPECT_GE(rig.fabric->stats().duplicates.value(), 1u);
+    EXPECT_GE(rig.fabric.stats().duplicates.value(), 1u);
 }
 
 TEST(CoordFabricReliable, AnnouncerSupersedeCrossesARelayHop)
 {
     FabricParams p;
     p.hopLatency = 50 * usec;
-    TreeRig rig(p); // leaf 4 is two hops from the root
+    FabricRig rig(treeParams(p), 7); // leaf 4 is two hops from the root
 
-    ReliableAnnouncer ann(rig.sim, *rig.fabric);
+    ReliableAnnouncer ann(rig.sim(), rig.fabric);
     EntityBinding b1;
     b1.ref = EntityRef{1, 42};
     b1.ip = corm::net::IpAddr(10, 0, 0, 1);
     ann.announce(4, b1);
     // Re-announce with a new address while the first registration is
     // still relaying through island 2: the new binding supersedes.
-    rig.sim.runFor(60 * usec);
+    rig.runFor(60 * usec);
     EntityBinding b2 = b1;
     b2.ip = corm::net::IpAddr(10, 0, 0, 2);
     ann.announce(4, b2);
-    rig.sim.runFor(50 * msec);
+    rig.runFor(50 * msec);
 
     ASSERT_GE(rig.at(4).bindings.size(), 1u);
     EXPECT_EQ(rig.at(4).bindings.back().ip,
@@ -345,16 +281,16 @@ TEST(CoordFabricTrace, SpansSurviveMultiHopRelays)
     corm::obs::TraceRecorder rec;
     FabricParams p;
     p.hopLatency = 10 * usec;
-    TreeRig rig(p);
-    rig.fabric->setTrace(&rec);
+    FabricRig rig(treeParams(p), 7);
+    rig.fabric.setShardTrace({&rec});
 
     const int trk = rec.track("test", "policy");
     const corm::obs::TraceId id = rec.newFlow();
-    rec.flowBegin(trk, rig.sim.now(), id, "coord.span", "coord");
+    rec.flowBegin(trk, rig.now(), id, "coord.span", "coord");
     CoordMessage m = tune(4, 6, 11, 1.0); // 4-2-1-3-6: three relays
     m.trace = id;
-    rig.fabric->send(m);
-    rig.sim.runFor(1 * msec);
+    rig.fabric.send(m);
+    rig.runFor(1 * msec);
 
     const auto r = corm::obs::checkTraceText(rec.json(), true, 3);
     for (const auto &v : r.violations)
@@ -375,22 +311,18 @@ TEST(CoordFabricTrace, DroppedAtHubLeavesDanglingSpanNotViolation)
     p.replayTimeout = 100 * usec;
     p.faults.lossProb = 1.0;
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.setTrace(&rec);
+    FabricRig rig(p, 2);
+    rig.fabric.setShardTrace({&rec});
 
     const int trk = rec.track("test", "policy");
     const corm::obs::TraceId id = rec.newFlow();
-    rec.flowBegin(trk, sim.now(), id, "coord.span", "coord");
+    rec.flowBegin(trk, rig.now(), id, "coord.span", "coord");
     CoordMessage m = tune(1, 2, 3, 1.0);
     m.trace = id;
-    fabric.send(m);
-    sim.runFor(10 * msec);
+    rig.fabric.send(m);
+    rig.runFor(10 * msec);
 
-    EXPECT_EQ(fabric.stats().abandoned.value(), 1u);
+    EXPECT_EQ(rig.fabric.stats().abandoned.value(), 1u);
     // Without the flow requirement the dangling span is legal (the
     // trace honestly shows where the message died)...
     const auto lax = corm::obs::checkTraceText(rec.json(), false);
@@ -406,9 +338,9 @@ TEST(CoordFabricTrace, EmptyFabricTraceIsStructurallyValid)
 {
     corm::obs::TraceRecorder rec;
     FabricParams p;
-    TreeRig rig(p);
-    rig.fabric->setTrace(&rec);
-    rig.sim.runFor(1 * msec); // no traffic at all
+    FabricRig rig(treeParams(p), 7);
+    rig.fabric.setShardTrace({&rec});
+    rig.runFor(1 * msec); // no traffic at all
 
     const auto r = corm::obs::checkTraceText(rec.json(), false);
     EXPECT_TRUE(r.ok());
@@ -419,16 +351,12 @@ TEST(CoordFabricTrace, EmptyFabricTraceIsStructurallyValid)
 
 TEST(CoordFabricReport, SurfacesUnroutableDrops)
 {
-    Simulator sim;
-    StubIsland a(1, "a");
-    CoordFabric fabric(sim, FabricTopology::mesh, 5 * usec);
-    fabric.attach(a);
+    FabricRig rig(meshParams(5 * usec), 1);
+    rig.fabric.send(tune(1, 9, 3, 1.0)); // island 9 does not exist
+    rig.runFor(1 * msec);
 
-    fabric.send(tune(1, 9, 3, 1.0)); // island 9 does not exist
-    sim.runFor(1 * msec);
-
-    EXPECT_EQ(fabric.stats().dropped.value(), 1u);
-    const std::string report = corm::platform::fabricReport(fabric);
+    EXPECT_EQ(rig.fabric.stats().dropped.value(), 1u);
+    const std::string report = corm::platform::fabricReport(rig.fabric);
     EXPECT_NE(report.find("unroutable-dropped 1"), std::string::npos)
         << report;
     EXPECT_NE(report.find("mesh"), std::string::npos);
@@ -439,31 +367,40 @@ TEST(CoordFabricLanes, ExposesPerDirectionLanesAndQueueDepth)
     FabricParams p;
     p.hopLatency = 10 * usec;
     p.name = "fab";
-    TreeRig rig(p, 3);
+    for (int shards : {1, 2}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        FabricRig rig(treeParams(p), 3, shards);
 
-    std::vector<std::string> lanes;
-    rig.fabric->forEachLane(
-        [&](const std::string &name, corm::interconnect::Mailbox &) {
-            lanes.push_back(name);
-        });
-    // Two tree links (1-2, 1-3), two directions each.
-    ASSERT_EQ(lanes.size(), 4u);
-    EXPECT_NE(std::find(lanes.begin(), lanes.end(), "fab.1-2"),
-              lanes.end());
-    EXPECT_NE(std::find(lanes.begin(), lanes.end(), "fab.2-1"),
-              lanes.end());
+        std::vector<std::string> lanes;
+        std::set<std::uint64_t> ids;
+        rig.fabric.forEachLaneId(
+            [&](const std::string &name, std::uint64_t id) {
+                lanes.push_back(name);
+                ids.insert(id);
+            });
+        // Two tree links (1-2, 1-3), two directions each.
+        ASSERT_EQ(lanes.size(), 4u);
+        EXPECT_EQ(ids.size(), 4u);
+        EXPECT_NE(std::find(lanes.begin(), lanes.end(), "fab.1-2"),
+                  lanes.end());
+        EXPECT_NE(std::find(lanes.begin(), lanes.end(), "fab.2-1"),
+                  lanes.end());
 
-    rig.fabric->send(tune(2, 3, 1, 1.0));
-    rig.sim.runFor(1 * msec);
-    EXPECT_GE(rig.fabric->maxLaneQueueHighWater(), 1u);
-    EXPECT_EQ(rig.fabric->wireSendsFrom(2), 1u);
-    EXPECT_EQ(rig.fabric->wireSendsFrom(1), 1u); // the relay
+        EXPECT_EQ(rig.fabric.maxLaneQueueHighWater(), 0u);
+        rig.fabric.send(tune(2, 3, 1, 1.0));
+        rig.fabric.send(tune(2, 3, 1, 1.0));
+        rig.runFor(1 * msec);
+        // Both copies were on the 2-1 lane at once.
+        EXPECT_EQ(rig.fabric.maxLaneQueueHighWater(), 2u);
+        EXPECT_EQ(rig.fabric.wireSendsFrom(2), 2u);
+        EXPECT_EQ(rig.fabric.wireSendsFrom(1), 2u); // the relay
+    }
 
     // Monitor lane registration depends on link-key order.
-    TreeRig big(p);
+    FabricRig big(treeParams(p), 7);
     std::vector<std::string> ordered;
-    big.fabric->forEachLane(
-        [&](const std::string &name, corm::interconnect::Mailbox &) {
+    big.fabric.forEachLaneId(
+        [&](const std::string &name, std::uint64_t) {
             ordered.push_back(name);
         });
     const std::vector<std::string> want = {
@@ -714,41 +651,34 @@ TEST(CoordFabricRoutes, TableMatchesMapReferenceThroughChurn)
              << shape.fanout;
         SCOPED_TRACE(name.str());
 
-        Simulator sim;
         FabricParams p;
         p.topology = shape.topo;
         p.treeFanout = shape.fanout;
         p.hub = initial.front();
         p.reparentDelay = 1 * sec; // crash orphans stay pending
-        CoordFabric fabric(sim, p);
-        std::map<IslandId, std::unique_ptr<StubIsland>> islands;
-        const auto island = [&](IslandId id) -> StubIsland & {
-            auto &slot = islands[id];
-            if (!slot)
-                slot = std::make_unique<StubIsland>(
-                    id, "isl" + std::to_string(id));
-            return *slot;
-        };
+        FabricRig rig(p, initial);
+        CoordFabric &fabric = rig.fabric;
+        std::vector<std::unique_ptr<StubIsland>> joiners;
         RouteModel model;
         model.topo = shape.topo;
         model.fanout = static_cast<std::size_t>(shape.fanout);
 
-        for (IslandId id : initial)
-            fabric.attach(island(id));
         model.build(initial);
         expectRoutesMatch(fabric, model, name.str() + " built", top);
 
         for (IslandId id : {IslandId{30}, IslandId{7}, IslandId{40}}) {
-            fabric.join(island(id));
+            joiners.push_back(std::make_unique<StubIsland>(
+                id, "isl" + std::to_string(id)));
+            fabric.join(*joiners.back(), rig.now());
             model.join(id);
         }
         expectRoutesMatch(fabric, model, name.str() + " joined", top);
 
-        fabric.leave(6);
+        fabric.leave(6, rig.now());
         model.leave(6);
         expectRoutesMatch(fabric, model, name.str() + " left 6", top);
 
-        fabric.crash(8);
+        fabric.crash(8, rig.now());
         model.crash(8);
         ASSERT_EQ(fabric.pendingReparentCount(), model.pending.size());
         const int unroutable = expectRoutesMatch(
@@ -757,12 +687,12 @@ TEST(CoordFabricRoutes, TableMatchesMapReferenceThroughChurn)
             EXPECT_GT(unroutable, 0) << "orphans should be unroutable";
         }
 
-        fabric.reparentNow(0);
+        fabric.reparentNow(rig.now());
         model.reparentPending();
         expectRoutesMatch(fabric, model, name.str() + " re-parented",
                           top);
 
-        fabric.join(island(8));
+        fabric.join(rig.at(8), rig.now());
         model.join(8);
         expectRoutesMatch(fabric, model, name.str() + " rejoined 8", top);
     }

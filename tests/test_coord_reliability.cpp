@@ -16,6 +16,7 @@
 #include "coord/channel.hpp"
 #include "coord/fabric.hpp"
 #include "coord/reliable.hpp"
+#include "fabric_rig.hpp"
 #include "interconnect/faults.hpp"
 #include "sim/simulator.hpp"
 
@@ -25,33 +26,9 @@ using corm::interconnect::FaultPlanParams;
 
 namespace {
 
-class StubIsland : public ResourceIsland
-{
-  public:
-    StubIsland(IslandId island_id, std::string island_name)
-        : id_(island_id), name_(std::move(island_name))
-    {}
-
-    IslandId id() const override { return id_; }
-    const std::string &name() const override { return name_; }
-    void applyTune(EntityId e, double d) override
-    {
-        tunes.emplace_back(e, d);
-    }
-    void applyTrigger(EntityId e) override { triggers.push_back(e); }
-    void learnBinding(const EntityBinding &b) override
-    {
-        bindings.push_back(b);
-    }
-
-    std::vector<std::pair<EntityId, double>> tunes;
-    std::vector<EntityId> triggers;
-    std::vector<EntityBinding> bindings;
-
-  private:
-    IslandId id_;
-    std::string name_;
-};
+using corm::testrig::FabricRig;
+using corm::testrig::StubIsland;
+using corm::testrig::meshParams;
 
 EntityBinding
 binding(IslandId island, EntityId entity)
@@ -338,20 +315,12 @@ TEST(ReliableSender, CancelSupersedesWithoutAbandonCount)
 namespace {
 
 /** Three islands on a clean mesh: 1 sends densely to 2, rarely to 3. */
-struct WrapRig
+struct WrapRig : FabricRig
 {
-    Simulator sim;
-    StubIsland a{1, "dense-src"};
-    StubIsland b{2, "dense-dst"};
-    StubIsland c{3, "rare-dst"};
-    CoordFabric fabric;
+    StubIsland &b = at(2);
+    StubIsland &c = at(3);
 
-    WrapRig() : fabric(sim, FabricTopology::mesh, 10 * usec)
-    {
-        fabric.attach(a);
-        fabric.attach(b);
-        fabric.attach(c);
-    }
+    WrapRig() : FabricRig(meshParams(10 * usec), 3) {}
 
     /**
      * The traffic pattern that exposed the old 8-bit wrap: one early
@@ -371,7 +340,7 @@ struct WrapRig
         trig.dst = 3;
         trig.entity = 99;
         snd.send(trig); // seq 1: the stale window entry
-        sim.runFor(1 * msec);
+        runFor(1 * msec);
 
         CoordMessage m;
         m.type = MsgType::tune;
@@ -381,10 +350,10 @@ struct WrapRig
         for (int i = 0; i < 254; ++i) { // seqs 2..255: one old cycle
             m.entity = static_cast<EntityId>(i);
             snd.send(m);
-            sim.runFor(200 * usec);
+            runFor(200 * usec);
         }
         snd.send(trig); // 8-bit space: seq 1 again; 32-bit: seq 256
-        sim.runFor(5 * msec);
+        runFor(5 * msec);
     }
 };
 
@@ -393,7 +362,7 @@ struct WrapRig
 TEST(SeqWrapRegression, DenseSenderNeverSuppressesLegitDeliveries)
 {
     WrapRig rig;
-    ReliableSender snd(rig.sim, rig.fabric, 1);
+    ReliableSender snd(rig.sim(), rig.fabric, 1);
     rig.driveWrapPattern(snd);
 
     // Every legitimate delivery applied; nothing dedup-suppressed.
@@ -414,7 +383,7 @@ TEST(SeqWrapRegression, ShrunkenSpaceReproducesTheOldSuppression)
     WrapRig rig;
     ReliableSender::Params p;
     p.seqSpace = 256; // emulate the old uint8_t space
-    ReliableSender snd(rig.sim, rig.fabric, 1, p);
+    ReliableSender snd(rig.sim(), rig.fabric, 1, p);
     rig.driveWrapPattern(snd);
 
     EXPECT_EQ(rig.c.triggers.size(), 1u); // second trigger eaten

@@ -182,15 +182,6 @@ attachIslands(CoordFabric &fabric)
 
 } // namespace
 
-TEST(FabricAllocations, WarmLegacyTreeBatchAllocatesAlmostNothing)
-{
-    Simulator sim;
-    CoordFabric fabric(sim, treeParams());
-    const auto islands = attachIslands(fabric);
-    expectSecondBatchAllocationFree(fabric, sim,
-                                    [&sim](Tick d) { sim.runFor(d); });
-}
-
 TEST(FabricAllocations, WarmShardedTreeBatchAllocatesAlmostNothing)
 {
     const FabricParams p = treeParams();

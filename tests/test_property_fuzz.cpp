@@ -340,6 +340,7 @@ TEST(FabricFuzz, ShardCountNeverChangesTheDigest)
         EXPECT_EQ(r.convergenceMs, base.convergenceMs);
         EXPECT_EQ(r.shardWindows, base.shardWindows);
         EXPECT_EQ(r.boundaryMessages, base.boundaryMessages);
+        EXPECT_EQ(r.hubQueueHighWater, base.hubQueueHighWater);
         EXPECT_TRUE(r.deltaSumsExact);
         EXPECT_TRUE(r.converged);
         EXPECT_TRUE(r.bindingsOk);
@@ -504,6 +505,7 @@ TEST(FabricFuzz, ChurnShardCountNeverChangesTheDigest)
             EXPECT_EQ(r.churnSkipped, base.churnSkipped);
             EXPECT_EQ(r.convergenceMs, base.convergenceMs);
             EXPECT_EQ(r.shardWindows, base.shardWindows);
+            EXPECT_EQ(r.hubQueueHighWater, base.hubQueueHighWater);
             expectChurnInvariants(r);
         }
     }

@@ -233,6 +233,7 @@ TEST(ShardDeterminism, DigestIdenticalAcrossShardCountsAllTopologies)
             EXPECT_TRUE(base.converged);
             EXPECT_TRUE(base.bindingsOk);
             EXPECT_TRUE(base.triggersAccounted);
+            EXPECT_GT(base.hubQueueHighWater, 0u);
             for (const int k : {2, 3, 4}) {
                 SCOPED_TRACE("shards=" + std::to_string(k));
                 const auto r = corm::platform::runFabricScenario(
@@ -244,6 +245,7 @@ TEST(ShardDeterminism, DigestIdenticalAcrossShardCountsAllTopologies)
                 EXPECT_EQ(r.duplicates, base.duplicates);
                 EXPECT_EQ(r.abandonedWire, base.abandonedWire);
                 EXPECT_EQ(r.convergenceMs, base.convergenceMs);
+                EXPECT_EQ(r.hubQueueHighWater, base.hubQueueHighWater);
                 // Window structure is a pure function of the global
                 // event set, so it too is shard-count-invariant.
                 EXPECT_EQ(r.shardWindows, base.shardWindows);
@@ -260,7 +262,7 @@ TEST(ScenarioReserve, UpfrontWorkloadFitsTheEventQueues)
     // Trigger-heavy: the triggers alone outnumber the fixed slack, so
     // a reservation that counted only the tunes would let the event
     // queues regrow mid-setup.
-    for (const int k : {0, 1, 3}) {
+    for (const int k : {1, 2, 3}) {
         SCOPED_TRACE("shards=" + std::to_string(k));
         auto c = shardScenario(corm::coord::FabricTopology::tree, 32, k,
                                false);
@@ -300,6 +302,7 @@ TEST(ShardDeterminism, FullIdSpace256Islands)
     EXPECT_EQ(r4.digest, base.digest);
     EXPECT_EQ(r4.shardWindows, base.shardWindows);
     EXPECT_EQ(r4.boundaryMessages, base.boundaryMessages);
+    EXPECT_EQ(r4.hubQueueHighWater, base.hubQueueHighWater);
     EXPECT_TRUE(r4.deltaSumsExact);
     EXPECT_TRUE(r4.converged);
 }
@@ -378,5 +381,6 @@ TEST(ShardDeterminism, ShardCountClampsToIslandCount)
     const auto r = corm::platform::runFabricScenario(
         shardScenario(corm::coord::FabricTopology::tree, 3, 8, false));
     EXPECT_EQ(r.digest, base.digest);
+    EXPECT_EQ(r.hubQueueHighWater, base.hubQueueHighWater);
     EXPECT_TRUE(r.converged);
 }
