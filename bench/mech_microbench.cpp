@@ -26,21 +26,50 @@ namespace {
 
 using namespace corm;
 
+/**
+ * One schedule plus one dispatch per iteration, with state.range(0)
+ * events in flight at a fixed delay (a timer's shape): through the
+ * heap, or through an ordered queue when @p Ordered.
+ */
+template <bool Ordered>
 void
-BM_EventScheduleDispatch(benchmark::State &state)
+scheduleDispatch(benchmark::State &state)
 {
+    const auto depth = static_cast<sim::Tick>(state.range(0));
     sim::Simulator simulator;
+    const sim::Simulator::OrderedQueue q = simulator.addOrderedQueue();
     std::uint64_t fired = 0;
+    const auto add = [&](sim::Tick when) {
+        if constexpr (Ordered)
+            simulator.scheduleInOrder(q, when, [&fired] { ++fired; });
+        else
+            simulator.scheduleAt(when, [&fired] { ++fired; });
+    };
+    for (sim::Tick t = 1; t < depth; ++t)
+        add(t);
     for (auto _ : state) {
-        simulator.schedule(1, [&fired] { ++fired; });
-        simulator.runFor(2);
+        add(simulator.now() + depth);
+        simulator.runFor(1); // fires the one event due next tick
     }
     benchmark::DoNotOptimize(fired);
     state.counters["events/s"] = benchmark::Counter(
         static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EventScheduleDispatch);
+
+void
+BM_EventScheduleDispatch(benchmark::State &state)
+{
+    scheduleDispatch<false>(state);
+}
+BENCHMARK(BM_EventScheduleDispatch)->Arg(1)->Arg(64)->Arg(4096);
+
+void
+BM_OrderedScheduleDispatch(benchmark::State &state)
+{
+    scheduleDispatch<true>(state);
+}
+BENCHMARK(BM_OrderedScheduleDispatch)->Arg(1)->Arg(64)->Arg(4096);
 
 void
 BM_EventScheduleFireBatch(benchmark::State &state)

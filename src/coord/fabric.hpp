@@ -426,6 +426,8 @@ class CoordFabric : public CoordTransport
             engine.setSink(i, [this](const corm::sim::ShardMessage &m) {
                 onLaneDeliver(m);
             });
+            states[static_cast<std::size_t>(i)].flushQueue =
+                engine.sim(i).addOrderedQueue();
         }
     }
 
@@ -981,6 +983,9 @@ class CoordFabric : public CoordTransport
         /** Window-local lane activity log (see drainLaneActivity). */
         std::vector<LaneEvent> laneLog;
         std::uint64_t laneLogSeq = 0;
+        /** Flush timers of the fold windows: always now + aggWindow
+         *  on this shard's simulator, hence in order. */
+        corm::sim::Simulator::OrderedQueue flushQueue;
     };
 
     static std::uint32_t
@@ -1544,8 +1549,9 @@ class CoordFabric : public CoordTransport
                              static_cast<std::uint64_t>(msg.entity)},
                             {"dst", static_cast<int>(msg.dst)}});
             }
-            simFor(node).schedule(cfg.aggWindow,
-                                  [this, key] { flushBucket(key); });
+            corm::sim::Simulator &s = simFor(node);
+            s.scheduleInOrder(sst.flushQueue, s.now() + cfg.aggWindow,
+                              [this, key] { flushBucket(key); });
             return;
         }
         sst.stats.aggFolded.add();

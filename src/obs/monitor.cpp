@@ -297,8 +297,10 @@ HealthMonitor::laneSentAt(int id, corm::sim::Tick when)
     Lane &l = lanes_[static_cast<std::size_t>(id)];
     l.retired = false; // fresh traffic revives a retired lane
     ++l.sends;
-    if (l.oldestUnanswered == 0)
+    if (!l.outstanding) {
+        l.outstanding = true;
         l.oldestUnanswered = when;
+    }
 }
 
 void
@@ -326,7 +328,7 @@ HealthMonitor::laneDeliveredAt(int id, corm::sim::Tick when)
         ev.threshold =
             corm::sim::toMicros(cfg.stallTimeout) / 1000.0;
         emit(std::move(ev));
-    } else if (l.oldestUnanswered != 0
+    } else if (l.outstanding
                && now - l.oldestUnanswered > cfg.stallTimeout) {
         // Retroactive detection: the gap straddled two sampler
         // ticks, but the delivery itself proves how long the lane
@@ -342,7 +344,7 @@ HealthMonitor::laneDeliveredAt(int id, corm::sim::Tick when)
             corm::sim::toMicros(cfg.stallTimeout) / 1000.0;
         emit(std::move(ev));
     }
-    l.oldestUnanswered = 0;
+    l.outstanding = false;
 }
 
 void
@@ -359,7 +361,7 @@ HealthMonitor::retireLane(int id)
         ev.kind = HealthEvent::Kind::stallRecover;
         ev.when = sim.now();
         ev.subject = "lane " + l.name;
-        ev.observed = l.oldestUnanswered != 0
+        ev.observed = l.outstanding
             ? corm::sim::toMicros(sim.now() - l.oldestUnanswered)
                 / 1000.0
             : 0.0;
@@ -369,7 +371,7 @@ HealthMonitor::retireLane(int id)
     // A clean departure drops any outstanding send silently: the
     // in-flight messages are attributed by the transport, and a
     // stall breach for traffic that can never resume is noise.
-    l.oldestUnanswered = 0;
+    l.outstanding = false;
     l.retired = true;
 }
 
@@ -493,7 +495,7 @@ HealthMonitor::poll(corm::sim::Tick now)
     }
 
     for (Lane &l : lanes_) {
-        if (!l.retired && !l.stalled && l.oldestUnanswered != 0
+        if (!l.retired && !l.stalled && l.outstanding
             && now - l.oldestUnanswered > cfg.stallTimeout) {
             l.stalled = true;
             HealthEvent ev;

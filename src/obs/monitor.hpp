@@ -282,9 +282,11 @@ class HealthMonitor
     struct Lane
     {
         std::string name;
-        /** Tick of the oldest send with no delivery after it; 0 = none
-         *  outstanding (tick 0 never carries coordination traffic). */
+        /** Tick of the oldest send with no delivery after it; valid
+         *  only while @ref outstanding is set. */
         corm::sim::Tick oldestUnanswered = 0;
+        /** A send is awaiting a delivery (any tick, 0 included). */
+        bool outstanding = false;
         bool stalled = false;
         /** Deactivated by retireLane(); skipped by the stall scan
          *  until traffic revives it. */

@@ -1195,6 +1195,9 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     r.boundaryMessages = es.messages;
     r.boundaryBatches = es.batches;
     r.boundaryDepthHighWater = es.maxBoundaryDepth;
+    r.boundaryFullSorts = es.fullSorts;
+    for (int k = 0; k < engine.shardCount(); ++k)
+        r.orderedFallbacks += engine.sim(k).orderedFallbacks();
     r.barrierWaitNs = es.barrierWaitNs;
     return r;
 }

@@ -522,6 +522,10 @@ struct FabricScenarioResult
     std::uint64_t boundaryMessages = 0;
     std::uint64_t boundaryBatches = 0;
     std::size_t boundaryDepthHighWater = 0;
+    /** Barrier batches whose times came out of order (full sorts). */
+    std::uint64_t boundaryFullSorts = 0;
+    /** Ordered-queue appends that fell back to a shard's heap. */
+    std::uint64_t orderedFallbacks = 0;
     /**
      * Host nanoseconds the coordinator spent parked at barriers.
      * Wall-clock, nondeterministic — keep it out of digests, replay

@@ -24,7 +24,14 @@
  * the queues need (no atomics in the hot path, clean under TSan).
  * Between windows the coordinator drains the queues, sorts each
  * destination's arrivals into the canonical (when, lane, seq) order
- * and injects them into the destination Simulator as batch events.
+ * and injects them into the destination Simulator as batch events,
+ * through one ordered queue per shard simulator (Simulator::
+ * scheduleInOrder): a barrier's batches rise in time, and so do
+ * successive barriers' while every hop takes the same latency. The
+ * arrivals usually come in time order already (every queue is in
+ * send order), so the sort makes one linear pass and only orders
+ * each run of equal times by (lane, seq); it sorts the whole batch
+ * only when the times themselves are out of order.
  *
  * Determinism contract: the window sequence is a pure function of
  * the global live-event set (Simulator::nextEventAt() deliberately
@@ -109,6 +116,9 @@ struct ShardEngineStats
     std::uint64_t windows = 0;  ///< lookahead windows executed
     std::uint64_t messages = 0; ///< boundary messages carried
     std::uint64_t batches = 0;  ///< injection batch events scheduled
+    /** Barrier batches whose times were out of order, so they took
+     *  a full sort rather than per-tick tie sorts. */
+    std::uint64_t fullSorts = 0;
     std::size_t maxBoundaryDepth = 0; ///< deepest (src,dst) queue
     /**
      * Host nanoseconds the coordinator spent parked at barriers
@@ -160,6 +170,7 @@ class ShardedEngine
         sims_.reserve(static_cast<std::size_t>(nShards_));
         for (int i = 0; i < nShards_; ++i) {
             sims_.push_back(std::make_unique<Simulator>());
+            injectQueues_.push_back(sims_.back()->addOrderedQueue());
             rngs_.push_back(Rng::stream(
                 seed, static_cast<std::uint64_t>(i)));
         }
@@ -425,8 +436,7 @@ class ShardedEngine
             }
             if (scratch_.empty())
                 continue;
-            std::sort(scratch_.begin(), scratch_.end(),
-                      canonicalBefore);
+            sortCanonical();
             const std::size_t base = arena.size();
             arena.insert(arena.end(), scratch_.begin(),
                          scratch_.end());
@@ -441,13 +451,38 @@ class ShardedEngine
                 const std::size_t at = base + i;
                 const std::uint32_t count =
                     static_cast<std::uint32_t>(j - i);
-                sims_[dd]->scheduleAt(
-                    scratch_[i].when, [this, d, at, count] {
-                        deliverRun(d, at, count);
-                    });
+                sims_[dd]->scheduleInOrder(
+                    injectQueues_[dd], scratch_[i].when,
+                    [this, d, at, count] { deliverRun(d, at, count); });
                 ++stats_.batches;
                 i = j;
             }
+        }
+    }
+
+    /**
+     * Put scratch_ into canonical order. If its times already rise,
+     * only runs of equal times need ordering by (lane, seq);
+     * otherwise sort it all. (lane, seq) is unique, so the canonical
+     * order is unique and both ways give the same result.
+     */
+    void
+    sortCanonical()
+    {
+        const auto first = scratch_.begin();
+        const auto last = scratch_.end();
+        for (auto i = first; i != last;) {
+            auto j = i + 1;
+            while (j != last && j->when == i->when)
+                ++j;
+            if (j != last && j->when < i->when) {
+                std::sort(first, last, canonicalBefore);
+                ++stats_.fullSorts;
+                return;
+            }
+            if (j - i > 1)
+                std::sort(i, j, canonicalBefore);
+            i = j;
         }
     }
 
@@ -465,6 +500,8 @@ class ShardedEngine
     const int nShards_;
     const Tick lookahead_;
     std::vector<std::unique_ptr<Simulator>> sims_;
+    /** injectQueues_[k]: sims_[k]'s ordered queue for batch events. */
+    std::vector<Simulator::OrderedQueue> injectQueues_;
     std::vector<Rng> rngs_;
     std::vector<Sink> sinks_;
     Probe probe_;

@@ -22,21 +22,34 @@
  *    While the root is vacant, the smaller of its children is the
  *    heap's minimum, so peeking needs no fill. A second pop,
  *    compact() and spill() fill the vacancy the old way first.
- *  - Beside the heap sits a sorted run: an array of the same entries
- *    in ascending (time, sequence) order, read through a cursor. When
- *    drain() starts with the run used up and at least spillMin
- *    entries in the heap, it sorts the heap's buffer in place and
- *    swaps it into the run; the heap carries on in the old run's
- *    buffer, so a spill copies nothing and allocates nothing. A
- *    workload scheduled up front (hundreds of thousands of events)
- *    is then consumed sequentially, and only the events scheduled
- *    while it runs pay heap operations — at a shallow depth. Every
- *    pop takes the earlier head of the two sources, so dispatch
- *    order is the same total (time, sequence) order either way.
+ *  - Beside the heap sit sorted sources: arrays of the same entries
+ *    in ascending (time, sequence) order, each read through a
+ *    cursor. Every pop takes the earliest head across the heap and
+ *    the sources, so dispatch order is the same total (time,
+ *    sequence) order whichever structure holds an entry.
+ *  - One source is the spill run. When drain() starts with the run
+ *    used up and at least spillMin entries in the heap, it sorts the
+ *    heap's buffer in place and swaps it into the run; the heap
+ *    carries on in the old run's buffer, so a spill copies nothing
+ *    and allocates nothing. A workload scheduled up front (hundreds
+ *    of thousands of events) is then consumed sequentially, and only
+ *    the events scheduled while it runs pay heap operations — at a
+ *    shallow depth.
+ *  - The other sources are ordered queues (addOrderedQueue()), one
+ *    per call site that schedules in nondecreasing time, such as a
+ *    fixed-delay timer or a barrier injecting a sorted batch.
+ *    scheduleInOrder() appends to the queue in O(1); the sequence
+ *    number is taken at append, so a queue is sorted by (time,
+ *    sequence) as long as its times do not go backwards. An append
+ *    that would go backwards goes to the heap instead and is counted
+ *    (orderedFallbacks()). A queue drops its consumed prefix once
+ *    that is at least half its buffer, so a warm queue allocates
+ *    nothing. While no ordered entry is pending, a pop costs one
+ *    extra predictable branch over the heap-and-run comparison.
  *  - Callbacks live in a slot table addressed by the heap entries.
  *    An EventId encodes (generation, slot); cancel() flips the
  *    slot's tombstone flag in O(1) — no hash lookup — and the
- *    tombstone is resolved when the heap entry reaches the top.
+ *    tombstone is resolved when the entry reaches the front.
  *    Generations make stale ids (fired, cancelled, or reused slots)
  *    harmless no-ops, which also keeps pendingEvents() exact.
  *  - Callbacks are SmallCallback (sim/callback.hpp): common lambdas
@@ -110,6 +123,63 @@ class Simulator
         return scheduleAt(currentTick + delay, std::forward<F>(f));
     }
 
+    /** Handle of an ordered queue (see addOrderedQueue()). */
+    struct OrderedQueue
+    {
+        std::uint32_t index = 0;
+    };
+
+    /**
+     * Create an ordered queue: a sorted source for one call site
+     * whose events are scheduled in nondecreasing time (file
+     * comment). Queues live as long as the simulator.
+     */
+    OrderedQueue
+    addOrderedQueue()
+    {
+        queues.emplace_back();
+        return {static_cast<std::uint32_t>(queues.size() - 1)};
+    }
+
+    /**
+     * Schedule a callable at an absolute time through ordered queue
+     * @p q. Same semantics as scheduleAt(), including the dispatch
+     * order; only cheaper when @p when is not earlier than the last
+     * entry still pending in @p q. Otherwise the event goes to the
+     * heap and counts as a fallback.
+     */
+    template <typename F>
+    EventId
+    scheduleInOrder(OrderedQueue q, Tick when, F &&f)
+    {
+        const std::uint32_t slot = allocSlot();
+        slots[slot].cb.emplace(std::forward<F>(f));
+        if (when < currentTick)
+            when = currentTick;
+        SortedSource &src = queues[q.index];
+        if (src.pos != src.entries.size()
+            && when < src.entries.back().when) {
+            ++fallbacks;
+            return enqueue(when, slot);
+        }
+        if (src.pos * 2 >= src.entries.size()) {
+            // Recycle: the consumed prefix is at least half the
+            // buffer, so moving the live tail down is amortised O(1).
+            src.entries.erase(src.entries.begin(),
+                              src.entries.begin()
+                                  + static_cast<std::ptrdiff_t>(src.pos));
+            src.pos = 0;
+        }
+        slots[slot].state = SlotState::pending;
+        src.entries.push_back(HeapEntry{when, ++nextSeq, slot});
+        ++orderedPending;
+        ++liveEvents;
+        return makeId(slots[slot].generation, slot);
+    }
+
+    /** scheduleInOrder() calls that went to the heap (out of order). */
+    std::uint64_t orderedFallbacks() const { return fallbacks; }
+
     /**
      * Cancel a previously scheduled event. Cancelling an already-fired
      * or already-cancelled event is a harmless no-op: the generation
@@ -135,7 +205,8 @@ class Simulator
         // >= n/2 cancels that made it necessary, cancel stays O(1)
         // amortized and pop cost tracks the number of *live* events.
         if (deadEntries > 64
-            && deadEntries * 2 > heapCount() + (run.size() - runPos))
+            && deadEntries * 2 > heapCount() + run.entries.size()
+                                     - run.pos + orderedPending)
             compact();
     }
 
@@ -160,7 +231,7 @@ class Simulator
     /**
      * Time of the earliest live (non-cancelled) pending event, or
      * maxTick when none is pending. Tombstoned entries at the head of
-     * the heap and of the sorted run are retired on the way, so the
+     * the heap and of the sorted sources are retired on the way, so the
      * answer never depends on compaction or spill timing — sharded
      * window planning (sim/sharded.hpp) relies on this being a pure
      * function of the live event set.
@@ -168,10 +239,10 @@ class Simulator
     Tick
     nextEventAt()
     {
-        while (const HeapEntry *top = peekNext()) {
-            if (slots[top->slot].state != SlotState::cancelled)
-                return top->when;
-            sweepDead(popNext());
+        for (Lead top = leader(); top.entry; top = leader()) {
+            if (slots[top.entry->slot].state != SlotState::cancelled)
+                return top.entry->when;
+            sweepDead(take(top));
         }
         return maxTick;
     }
@@ -208,8 +279,8 @@ class Simulator
     bool
     step()
     {
-        while (peekNext()) {
-            if (dispatch(popNext()))
+        for (Lead top = leader(); top.entry; top = leader()) {
+            if (dispatch(take(top)))
                 return true;
         }
         return false;
@@ -231,6 +302,15 @@ class Simulator
     };
 
     enum class SlotState : std::uint8_t { free, pending, cancelled };
+
+    /** Entries sorted by (when, seq), consumed from a cursor. */
+    struct SortedSource
+    {
+        std::vector<HeapEntry> entries;
+        std::size_t pos = 0; ///< next unconsumed entry
+
+        bool empty() const { return pos == entries.size(); }
+    };
 
     /** Callback storage + liveness for one in-flight event id. */
     struct Slot
@@ -399,31 +479,52 @@ class Simulator
         siftUp(heap.size() - 1);
     }
 
-    /** True if the run's head is the earliest queued entry. */
-    bool
-    runLeads() const
+    /** The earliest queued entry and where it sits. */
+    struct Lead
     {
-        if (runPos == run.size())
-            return false;
-        const HeapEntry *h = heapMin();
-        return !h || before(run[runPos], *h);
+        const HeapEntry *entry; ///< nullptr when nothing is queued
+        SortedSource *source;   ///< nullptr for the heap
+    };
+
+    /** Make @p src's head the lead if it fires before @p best's. */
+    [[gnu::always_inline]] static void
+    consider(SortedSource &src, Lead &best)
+    {
+        if (!src.empty()
+            && (!best.entry || before(src.entries[src.pos], *best.entry)))
+            best = {&src.entries[src.pos], &src};
     }
 
     /**
-     * Earliest queued entry across the heap and the sorted run, or
-     * nullptr when both are empty. The pointer is invalidated by any
-     * queue mutation.
+     * Earliest queued entry across the heap and the sorted sources.
+     * The pointer is invalidated by any queue mutation. While no
+     * ordered queue holds an entry, only the run can beat the heap.
+     * Forced inline, with consider(): it runs twice per dispatched
+     * event, and GCC otherwise outlines one or the other (a measured
+     * slowdown of every event).
      */
-    const HeapEntry *
-    peekNext() const
+    [[gnu::always_inline]] Lead
+    leader()
     {
-        if (runLeads())
-            return &run[runPos];
-        return heapMin();
+        Lead best{heapMin(), nullptr};
+        consider(run, best);
+        if (orderedPending != 0) {
+            for (SortedSource &q : queues)
+                consider(q, best);
+        }
+        return best;
     }
 
-    /** Remove and return the earliest entry. Requires peekNext(). */
-    HeapEntry popNext() { return runLeads() ? run[runPos++] : popTop(); }
+    /** Remove and return @p top's entry. Requires top.entry. */
+    HeapEntry
+    take(Lead top)
+    {
+        if (!top.source)
+            return popTop();
+        if (top.source != &run)
+            --orderedPending;
+        return top.source->entries[top.source->pos++];
+    }
 
     /**
      * Turn a large heap into the sorted run (file comment). Called
@@ -435,9 +536,9 @@ class Simulator
     {
         fillHole();
         std::sort(heap.begin(), heap.end(), before);
-        run.clear();
-        heap.swap(run);
-        runPos = 0;
+        run.entries.clear();
+        heap.swap(run.entries);
+        run.pos = 0;
     }
 
     /**
@@ -477,10 +578,11 @@ class Simulator
 
     /**
      * Drop every tombstoned entry from the heap and restore the heap
-     * property bottom-up (Floyd heapify, O(n)), then filter the
-     * run's unconsumed tail in place (a stable filter, so it stays
-     * sorted). Entries parked in the drain() batch scratch are in
-     * neither and keep their share of deadEntries until dispatched.
+     * property bottom-up (Floyd heapify, O(n)), then filter each
+     * sorted source's unconsumed tail in place (a stable filter, so
+     * it stays sorted). Entries parked in the drain() batch scratch
+     * are in none of them and keep their share of deadEntries until
+     * dispatched.
      */
     void
     compact()
@@ -494,13 +596,25 @@ class Simulator
         heap.resize(kept);
         for (std::size_t i = kept / 2; i-- > 0;)
             siftDown(i, heap[i]);
-        kept = 0;
-        for (std::size_t i = runPos; i < run.size(); ++i) {
-            if (!sweepDead(run[i]))
-                run[kept++] = run[i];
+        filterDead(run);
+        orderedPending = 0;
+        for (SortedSource &q : queues)
+            orderedPending += filterDead(q);
+    }
+
+    /** Drop @p src's consumed prefix and its tombstones, keeping the
+     *  order; returns the entries left. */
+    std::size_t
+    filterDead(SortedSource &src)
+    {
+        std::size_t kept = 0;
+        for (std::size_t i = src.pos; i < src.entries.size(); ++i) {
+            if (!sweepDead(src.entries[i]))
+                src.entries[kept++] = src.entries[i];
         }
-        run.resize(kept);
-        runPos = 0;
+        src.entries.resize(kept);
+        src.pos = 0;
+        return kept;
     }
 
     /** Execute events with when <= until, honouring cancellations. */
@@ -508,15 +622,15 @@ class Simulator
     drain(Tick until)
     {
         stopFlag = false;
-        if (runPos == run.size() && heapCount() >= spillMin)
+        if (run.empty() && heapCount() >= spillMin)
             spill();
         while (!stopFlag) {
-            const HeapEntry *top = peekNext();
-            if (!top || top->when > until)
+            Lead top = leader();
+            if (!top.entry || top.entry->when > until)
                 break;
-            HeapEntry first = popNext();
-            top = peekNext();
-            if (!top || top->when != first.when) {
+            HeapEntry first = take(top);
+            top = leader();
+            if (!top.entry || top.entry->when != first.when) {
                 // Fast path: a lone event at this timestamp.
                 dispatch(first);
                 continue;
@@ -531,13 +645,14 @@ class Simulator
             const Tick when = first.when;
             const std::size_t base = batch.size();
             batch.push_back(first);
-            while ((top = peekNext()) && top->when == when)
-                batch.push_back(popNext());
+            for (; top.entry && top.entry->when == when; top = leader())
+                batch.push_back(take(top));
             std::size_t i = base;
             for (; i < batch.size() && !stopFlag; ++i)
                 dispatch(batch[i]);
             if (i < batch.size()) {
-                // Stopped mid-batch: the rest stays pending.
+                // Stopped mid-batch: the rest stays pending, in the
+                // heap whichever source it came from.
                 for (std::size_t j = i; j < batch.size(); ++j)
                     pushEntry(batch[j]);
             }
@@ -557,11 +672,13 @@ class Simulator
     std::uint64_t executed = 0;
     bool stopFlag = false;
     std::size_t liveEvents = 0;
-    std::size_t deadEntries = 0; ///< tombstones in heap, run or batch
+    std::size_t deadEntries = 0; ///< tombstones in heap, sources or batch
     std::vector<HeapEntry> heap;
     bool hole = false; ///< heap[0] is vacant (see the file comment)
-    std::vector<HeapEntry> run; ///< sorted run, consumed from runPos
-    std::size_t runPos = 0;
+    SortedSource run; ///< the spill run (file comment)
+    std::vector<SortedSource> queues; ///< the ordered queues
+    std::size_t orderedPending = 0;   ///< unconsumed entries in queues
+    std::uint64_t fallbacks = 0;    ///< see orderedFallbacks()
     std::vector<HeapEntry> batch; ///< drain() scratch, see above
     std::vector<Slot> slots;
     std::vector<std::uint32_t> freeSlots;

@@ -478,10 +478,8 @@ TEST(CoordChurnMonitor, CleanLeaveRetiresLanesWithoutSpuriousStall)
     // A heartbeat keeps barriers (and so monitor polls) coming.
     PeriodicEvent beat(rig.sim(), mp.samplePeriod, [] {});
 
-    // Eaten: lane 1-3 now unanswered. Sent after t=0, since the
-    // monitor reads a send at tick 0 as no outstanding send.
-    rig.sim().scheduleAt(100 * usec,
-                         [&] { rig.fabric.send(tune(1, 3, 7, 1.0)); });
+    // Eaten: lane 1-3 now unanswered.
+    rig.sim().scheduleAt(0, [&] { rig.fabric.send(tune(1, 3, 7, 1.0)); });
     rig.runFor(1 * msec);
     rig.fabric.leave(3, rig.now());
     watch.resync(); // lanes to 3 are gone from the live set: retire
@@ -491,6 +489,39 @@ TEST(CoordChurnMonitor, CleanLeaveRetiresLanesWithoutSpuriousStall)
     for (const auto &ev : mon.events())
         EXPECT_NE(ev.kind, corm::obs::HealthEvent::Kind::stall)
             << ev.str();
+}
+
+TEST(CoordChurnMonitor, SendAtTickZeroArmsTheStallWatchdog)
+{
+    // A send at the very first tick is as outstanding as any other:
+    // with every copy eaten, the lane must go dark and breach.
+    FabricParams p = meshParams(10 * usec);
+    p.name = "fab";
+    p.faults.lossProb = 1.0;
+    p.replayAttempts = 0;
+    FabricRig rig(p, 3);
+
+    corm::obs::MetricRegistry reg;
+    corm::obs::HealthMonitor::Params mp;
+    mp.samplePeriod = 1 * msec;
+    mp.stallTimeout = 5 * msec;
+    corm::obs::HealthMonitor mon(rig.sim(), reg, mp);
+    LaneWatch watch(rig.fabric, mon, mp.samplePeriod);
+    rig.onBarrier = [&watch](Tick end) { watch.barrier(end); };
+    PeriodicEvent beat(rig.sim(), mp.samplePeriod, [] {});
+
+    rig.sim().scheduleAt(0, [&] { rig.fabric.send(tune(1, 3, 7, 1.0)); });
+    rig.runFor(50 * msec);
+
+    EXPECT_GT(mon.breaches(), 0u) << mon.healthReport();
+    std::size_t stalls = 0;
+    for (const auto &ev : mon.events()) {
+        if (ev.kind == corm::obs::HealthEvent::Kind::stall) {
+            ++stalls;
+            EXPECT_EQ(ev.subject, "lane fab.1-3") << ev.str();
+        }
+    }
+    EXPECT_EQ(stalls, 1u) << mon.healthReport();
 }
 
 TEST(CoordChurnMonitor, StallAcrossHubOutageDrivesReparentAndRecovers)

@@ -5,6 +5,8 @@
  * an identical second batch must run with fewer than one heap
  * allocation per 100 wire messages: hops, hub folds and deliveries
  * reuse the fabric's flat tables instead of allocating map nodes.
+ * A warm ordered event queue, which carries the barrier batches and
+ * fold flushes, must allocate nothing at all.
  *
  * Global operator new is replaced with a counting one, so this binary
  * gets no sanitizer twin (the sanitizers bring their own allocator).
@@ -192,4 +194,32 @@ TEST(FabricAllocations, WarmShardedTreeBatchAllocatesAlmostNothing)
     expectSecondBatchAllocationFree(
         fabric, engine.sim(0),
         [&engine](Tick d) { engine.runFor(d); });
+}
+
+TEST(SimulatorAllocations, WarmOrderedQueueAllocatesNothing)
+{
+    // A fixed-delay timer with a few firings in flight, as the fold
+    // flushes are: the queue recycles its consumed prefix in place.
+    Simulator sim;
+    const Simulator::OrderedQueue q = sim.addOrderedQueue();
+    std::uint64_t fired = 0;
+    const auto cycles = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            sim.scheduleInOrder(q, sim.now() + 10, [&fired] { ++fired; });
+            ASSERT_TRUE(sim.step());
+        }
+    };
+    for (int i = 0; i < 8; ++i)
+        sim.scheduleInOrder(q, static_cast<Tick>(i), [&fired] { ++fired; });
+    cycles(10000);
+
+    allocations.store(0);
+    counting.store(true);
+    cycles(10000);
+    counting.store(false);
+
+    EXPECT_EQ(allocations.load(), 0u);
+    EXPECT_EQ(fired, 20000u);
+    EXPECT_EQ(sim.pendingEvents(), 8u);
+    EXPECT_EQ(sim.orderedFallbacks(), 0u);
 }

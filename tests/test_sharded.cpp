@@ -384,3 +384,53 @@ TEST(ShardDeterminism, ShardCountClampsToIslandCount)
     EXPECT_EQ(r.hubQueueHighWater, base.hubQueueHighWater);
     EXPECT_TRUE(r.converged);
 }
+
+TEST(ShardOrderedQueues, CleanTreeSortsNoBatchAndNeverFallsBack)
+{
+    // Clean links: every hop takes hopLatency, so one shard's arrivals
+    // reach the barrier in time order (only equal-tick runs need a
+    // sort), and every batch and fold flush is appended in order.
+    auto c = shardScenario(corm::coord::FabricTopology::tree, 64, 1,
+                           false);
+    const auto k1 = corm::platform::runFabricScenario(c);
+    EXPECT_TRUE(k1.deltaSumsExact);
+    EXPECT_TRUE(k1.converged);
+    EXPECT_GT(k1.boundaryBatches, 0u);
+    EXPECT_EQ(k1.boundaryFullSorts, 0u);
+    EXPECT_EQ(k1.orderedFallbacks, 0u);
+    c.shards = 2;
+    const auto k2 = corm::platform::runFabricScenario(c);
+    EXPECT_EQ(k2.digest, k1.digest);
+    EXPECT_EQ(k2.shardWindows, k1.shardWindows);
+    EXPECT_EQ(k2.boundaryMessages, k1.boundaryMessages);
+    EXPECT_EQ(k2.orderedFallbacks, 0u);
+}
+
+TEST(ShardOrderedQueues, DelaySpikesFallBackWithoutChangingTheDigest)
+{
+    // A spiked hop lands after hops sent later, so barrier batches
+    // arrive out of time order: the barrier sorts them in full and
+    // the late ones fall back to the heap. The digest must not care.
+    auto c = shardScenario(corm::coord::FabricTopology::tree, 64, 1,
+                           false);
+    c.fabric.faults.spikeProb = 0.05;
+    c.fabric.faults.spikeLatency = 3 * corm::sim::msec;
+    c.fabric.faults.seed = 0x5b1ce;
+    const auto base = corm::platform::runFabricScenario(c);
+    EXPECT_TRUE(base.deltaSumsExact);
+    EXPECT_TRUE(base.converged);
+    EXPECT_GT(base.orderedFallbacks, 0u);
+    EXPECT_GT(base.boundaryFullSorts, 0u);
+    for (const int k : {2, 4}) {
+        SCOPED_TRACE("shards=" + std::to_string(k));
+        c.shards = k;
+        const auto r = corm::platform::runFabricScenario(c);
+        EXPECT_EQ(r.digest, base.digest);
+        EXPECT_EQ(r.appliedTunes, base.appliedTunes);
+        EXPECT_EQ(r.wireMessages, base.wireMessages);
+        EXPECT_EQ(r.shardWindows, base.shardWindows);
+        EXPECT_EQ(r.boundaryMessages, base.boundaryMessages);
+        EXPECT_EQ(r.convergenceMs, base.convergenceMs);
+        EXPECT_GT(r.orderedFallbacks, 0u);
+    }
+}

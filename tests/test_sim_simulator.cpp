@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -317,6 +318,71 @@ TEST(Simulator, ExecutedEventsCounts)
     EXPECT_EQ(sim.executedEvents(), 2u);
 }
 
+TEST(SimulatorOrderedQueue, InterleavesWithTheHeapInScheduleOrder)
+{
+    Simulator sim;
+    const Simulator::OrderedQueue q = sim.addOrderedQueue();
+    std::vector<int> order;
+    sim.scheduleInOrder(q, 10, [&] { order.push_back(1); });
+    sim.scheduleAt(10, [&] { order.push_back(2); });
+    sim.scheduleInOrder(q, 10, [&] { order.push_back(3); });
+    sim.scheduleAt(5, [&] { order.push_back(0); });
+    const EventId dead =
+        sim.scheduleInOrder(q, 20, [&] { order.push_back(-1); });
+    sim.scheduleInOrder(q, 30, [&] { order.push_back(5); });
+    sim.scheduleAt(25, [&] { order.push_back(4); });
+    sim.cancel(dead);
+    EXPECT_EQ(sim.pendingEvents(), 6u);
+    EXPECT_EQ(sim.nextEventAt(), 5u);
+    sim.runToCompletion();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(sim.orderedFallbacks(), 0u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(SimulatorOrderedQueue, FallbackCountsExactlyTheOutOfOrderAppends)
+{
+    Simulator sim;
+    const Simulator::OrderedQueue a = sim.addOrderedQueue();
+    const Simulator::OrderedQueue b = sim.addOrderedQueue();
+    std::vector<Tick> fired;
+    const auto at = [&](Simulator::OrderedQueue q, Tick when) {
+        sim.scheduleInOrder(q, when, [&] { fired.push_back(sim.now()); });
+    };
+    at(a, 100);
+    at(a, 100); // a tie is in order
+    at(a, 50);  // behind a's tail: fallback 1
+    at(b, 40);  // queues are independent: b is empty
+    at(a, 120);
+    at(b, 30);  // fallback 2
+    at(a, 110); // fallback 3: the tail is 120, not the fallen-back 50
+    EXPECT_EQ(sim.orderedFallbacks(), 3u);
+
+    sim.runUntil(100); // consumes 30, 40, 50 and both 100s
+    at(a, 100);        // a still holds 120: fallback 4
+    at(b, 100);        // b is used up, so any time is in order
+    EXPECT_EQ(sim.orderedFallbacks(), 4u);
+    at(a, 5);          // clamped to now (100), still behind 120: 5
+    EXPECT_EQ(sim.orderedFallbacks(), 5u);
+    sim.runToCompletion();
+    EXPECT_EQ(fired, (std::vector<Tick>{30, 40, 50, 100, 100, 100, 100,
+                                        100, 110, 120}));
+    EXPECT_EQ(sim.orderedFallbacks(), 5u);
+
+    // A used-up queue takes any time, even one before an entry it
+    // swept dead ahead of the clock.
+    sim.cancel(sim.scheduleInOrder(b, 500, [] {}));
+    EXPECT_EQ(sim.nextEventAt(), maxTick);
+    at(b, 200);
+    EXPECT_EQ(sim.orderedFallbacks(), 5u);
+    sim.runToCompletion();
+    EXPECT_EQ(fired.back(), 200u);
+    at(b, 50); // the past means now, as for scheduleAt()
+    sim.runToCompletion();
+    EXPECT_EQ(fired.back(), 200u);
+    EXPECT_EQ(sim.orderedFallbacks(), 5u);
+}
+
 namespace {
 
 /**
@@ -324,7 +390,7 @@ namespace {
  * Simulator's public semantics — (when, seq) order, same-timestamp
  * batches, stop mid-batch, re-entrant runs — over a std::set, with
  * none of its data-structure tricks (slot table, tombstones, heap,
- * sorted run, compaction).
+ * sorted run, ordered queues, compaction).
  */
 class ReferenceSim
 {
@@ -354,6 +420,16 @@ class ReferenceSim
             return;
         queue.erase({it->second.first, id});
         live.erase(it);
+    }
+
+    // Ordered queues are only a faster path to the same order.
+    using OrderedQueue = int;
+    OrderedQueue addOrderedQueue() { return 0; }
+
+    std::uint64_t
+    scheduleInOrder(OrderedQueue, Tick when, std::function<void()> cb)
+    {
+        return scheduleAt(when, std::move(cb));
     }
 
     Tick
@@ -458,10 +534,18 @@ operator<<(std::ostream &os, const Obs &o)
  * pending across spills and compactions. Without the shallow phase
  * the program is bulk-only, and its random draws do not depend on
  * the shallow phase's code.
+ *
+ * With @p ordered, part of the traffic goes through two ordered
+ * queues: fixed-delay timers from callbacks (as fold flushes),
+ * monotone runs (as barrier batches), deliberate out-of-order
+ * appends that fall back to the heap, and cancels of queued
+ * entries; the mass cancels, nested runs and spills then act on
+ * them too. Without it, the program's random draws are those of the
+ * two programs above.
  */
 template <typename Sim>
 std::vector<Obs>
-runProgram(std::uint64_t seed, bool shallowFirst)
+runProgram(std::uint64_t seed, bool shallowFirst, bool ordered)
 {
     Sim sim;
     corm::sim::Rng rng(seed);
@@ -488,6 +572,22 @@ runProgram(std::uint64_t seed, bool shallowFirst)
                        sim.executedEvents(), sim.step()});
     };
     std::function<void(Tick, Tick)> schedule;
+    const std::array<typename Sim::OrderedQueue, 2> queues = {
+        sim.addOrderedQueue(), sim.addOrderedQueue()};
+    std::array<Tick, 2> lastAppend = {0, 0}; // latest time per queue
+    constexpr std::array<Tick, 2> timerDelay = {7, 35};
+    std::vector<std::uint64_t> orderedTags;
+    std::function<void(std::size_t, Tick)> scheduleOrdered;
+    /** An append no earlier than any before it on queue @p q. */
+    const auto inOrder = [&](std::size_t q, Tick delay) {
+        scheduleOrdered(q, std::max(sim.now(), lastAppend[q]) + delay);
+    };
+    /** A timer child on a random queue: in order unless a monotone
+     *  run has appended further ahead. */
+    const auto timerChild = [&] {
+        const std::size_t q = rng.uniformInt(2);
+        scheduleOrdered(q, sim.now() + timerDelay[q]);
+    };
     const auto cancelTag = [&](std::uint64_t tag) {
         sim.cancel(ids[tag]);
         pendingTags.erase({whenOf[tag], tag});
@@ -501,6 +601,10 @@ runProgram(std::uint64_t seed, bool shallowFirst)
         return rng.uniformInt(4) == 0 ? 0 : 1 + rng.uniformInt(60);
     };
     const auto shallowFire = [&](std::uint64_t tag) {
+        if (ordered && rng.uniformInt(3) == 0) {
+            timerChild(); // instead of the near-future reschedule
+            return;
+        }
         const std::size_t live = sim.pendingEvents();
         const std::uint64_t roll = rng.uniformInt(100);
         if (roll < 55) {
@@ -557,6 +661,8 @@ runProgram(std::uint64_t seed, bool shallowFirst)
             shallowFire(tag);
             return;
         }
+        if (ordered && rng.uniformInt(4) == 0)
+            timerChild();
         const std::uint64_t roll = rng.uniformInt(100);
         if (roll < 20) {
             // Children, some at this very timestamp (a later batch).
@@ -582,6 +688,10 @@ runProgram(std::uint64_t seed, bool shallowFirst)
             --nestedBulks;
             for (int k = 0; k < 4500; ++k)
                 schedule(sim.now(), rng.uniformInt(3) * rng.uniformInt(500));
+            if (ordered) {
+                for (int k = 0; k < 300; ++k)
+                    inOrder(rng.uniformInt(2), rng.uniformInt(3));
+            }
             ++depth;
             sim.runFor(rng.uniformInt(40));
             --depth;
@@ -595,12 +705,51 @@ runProgram(std::uint64_t seed, bool shallowFirst)
         whenOf.push_back(base + delay);
         pendingTags.insert({base + delay, tag});
     };
+    scheduleOrdered = [&](std::size_t q, Tick when) {
+        const std::uint64_t tag = ids.size();
+        ids.push_back(sim.scheduleInOrder(queues[q], when,
+                                          [&fire, tag] { fire(tag); }));
+        when = std::max(when, sim.now()); // both clamp the past
+        whenOf.push_back(when);
+        pendingTags.insert({when, tag});
+        orderedTags.push_back(tag);
+        lastAppend[q] = std::max(lastAppend[q], when);
+    };
+    /** One ordered-queue operation of the main loops. */
+    const auto orderedOp = [&] {
+        const std::size_t q = rng.uniformInt(2);
+        const std::uint64_t roll = rng.uniformInt(100);
+        if (roll < 45) {
+            // A monotone run, many entries sharing a tick.
+            for (std::uint64_t k = 1 + rng.uniformInt(200); k > 0; --k)
+                inOrder(q, rng.uniformInt(3) * rng.uniformInt(8));
+        } else if (roll < 65) {
+            // Behind the queue's tail, some in the past: these fall
+            // back to the heap unless the queue is used up.
+            for (std::uint64_t k = 1 + rng.uniformInt(5); k > 0; --k)
+                scheduleOrdered(q, std::max<Tick>(
+                                       sim.now() + rng.uniformInt(30), 10)
+                                       - 10);
+        } else if (roll < 85) {
+            for (std::uint64_t k = rng.uniformInt(30);
+                 k > 0 && !orderedTags.empty(); --k)
+                cancelTag(orderedTags[rng.uniformInt(orderedTags.size())]);
+        } else {
+            for (std::uint64_t k = rng.uniformInt(10); k > 0; --k)
+                timerChild();
+        }
+    };
 
     if (shallowFirst) {
         shallow = true;
         for (int i = 0; i < 48; ++i)
             schedule(sim.now(), rng.uniformInt(60));
         for (int op = 0; op < 300; ++op) {
+            if (ordered && rng.uniformInt(5) == 0) {
+                orderedOp();
+                observeNext(0);
+                continue;
+            }
             const std::uint64_t roll = rng.uniformInt(100);
             if (roll < 60) {
                 sim.runUntil(sim.now() + rng.uniformInt(100));
@@ -627,6 +776,11 @@ runProgram(std::uint64_t seed, bool shallowFirst)
         for (std::uint64_t i = 0; i < n; ++i)
             schedule(sim.now(), rng.uniformInt(4000));
         for (int op = 0; op < 60; ++op) {
+            if (ordered && rng.uniformInt(4) == 0) {
+                orderedOp();
+                observeNext(0);
+                continue;
+            }
             const std::uint64_t roll = rng.uniformInt(100);
             if (roll < 30) {
                 sim.runUntil(sim.now() + rng.uniformInt(200));
@@ -664,12 +818,16 @@ runProgram(std::uint64_t seed, bool shallowFirst)
 
 TEST(SimulatorFuzz, DispatchOrderMatchesReferenceModel)
 {
-    for (std::uint64_t i = 0; i < 24; ++i) {
-        const std::uint64_t seed = 0x51de5eed00000000ULL + i / 2;
-        const bool shallowFirst = i % 2 == 1;
-        const std::vector<Obs> got = runProgram<Simulator>(seed, shallowFirst);
+    // Per seed: bulk-only, shallow phase first, and with ordered
+    // queues (shallow phase first on odd seeds).
+    for (std::uint64_t i = 0; i < 36; ++i) {
+        const std::uint64_t seed = 0x51de5eed00000000ULL + i / 3;
+        const bool ordered = i % 3 == 2;
+        const bool shallowFirst = ordered ? (i / 3) % 2 == 1 : i % 3 == 1;
+        const std::vector<Obs> got =
+            runProgram<Simulator>(seed, shallowFirst, ordered);
         const std::vector<Obs> want =
-            runProgram<ReferenceSim>(seed, shallowFirst);
+            runProgram<ReferenceSim>(seed, shallowFirst, ordered);
         if (got == want)
             continue;
         const auto [g, w] =
@@ -677,6 +835,7 @@ TEST(SimulatorFuzz, DispatchOrderMatchesReferenceModel)
         std::ostringstream where;
         where << "failing seed 0x" << std::hex << seed << std::dec
               << (shallowFirst ? " (shallow phase first)" : "")
+              << (ordered ? " (ordered queues)" : "")
               << ": diverges at observation " << (g - got.begin());
         if (g != got.end() && w != want.end())
             where << "\n  got  " << *g << "\n  want " << *w;
