@@ -44,7 +44,7 @@ struct Span
 {
     bool haveDecide = false;
     corm::sim::Tick decideTs = 0;
-    /** Delivered tune copies as (send, deliver) pairs. */
+    /** Posted tune sends as (send, first-copy delivery) pairs. */
     std::vector<std::pair<corm::sim::Tick, corm::sim::Tick>> hops;
     bool haveApply = false;
     corm::sim::Tick applyTs = 0;
@@ -78,10 +78,12 @@ usBetween(corm::sim::Tick a, corm::sim::Tick b)
 }
 
 /**
- * Rebuild spans from the event list. Flow events (s/t/f) are always
- * emitted immediately after their companion slice/instant on the
- * same track, so the companion is the preceding event — an invariant
- * of our own instrumentation, checked here via the companion names.
+ * Rebuild spans from the event list. Every flow event (s/t/f) is
+ * emitted immediately after its companion slice/instant, on the same
+ * track and at the companion's timestamp — hop slices at transmit,
+ * spanning send to first-copy delivery — so the companion is the
+ * preceding event: an invariant of our own instrumentation, checked
+ * here via the companion names.
  */
 std::map<TraceId, Span>
 collectSpans(const std::vector<TraceEvent> &events)
@@ -133,8 +135,9 @@ decompose(const std::vector<TraceEvent> &events)
             continue;
         }
         ++b.completed;
-        // The first delivered copy is the one the receiver applied;
-        // later copies are duplicates the endpoint suppressed.
+        // The first posted send is the one the receiver applied
+        // (this mode draws no reordering); retransmissions and
+        // duplicate copies are suppressed at the endpoint.
         const auto &[sendTs, deliverTs] = sp.hops.front();
         b.decideToSend.record(usBetween(sp.decideTs, sendTs));
         b.sendToDeliver.record(usBetween(sendTs, deliverTs));

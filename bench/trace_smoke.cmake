@@ -3,7 +3,10 @@
 # Runs the coordinated RUBiS bench with --trace on, validates the
 # emitted Chrome trace-event JSON with the trace_check schema checker
 # (requiring at least one complete multi-hop causal span — the
-# classifier -> Tune -> apply chain), then reruns with --jobs 2 and
+# classifier -> Tune -> apply chain — and that no flow chain steps
+# backwards in time: the channel's hops are traced at transmit and
+# its deliveries later, and the leg arithmetic depends on that
+# order), then reruns with --jobs 2 and
 # requires the trace bytes to be identical: trace capture comes from
 # trial 0 only, so parallelism must not perturb it.
 
@@ -19,6 +22,7 @@ endif()
 
 execute_process(
     COMMAND ${CHECK_BIN} ${WORK_DIR}/trace_j1.json --require-flow
+        --monotone-flows
     RESULT_VARIABLE rcc)
 if(NOT rcc EQUAL 0)
     message(FATAL_ERROR "trace_check rejected the trace (rc=${rcc})")
@@ -45,5 +49,5 @@ if(NOT rcd EQUAL 0)
         "(${WORK_DIR}/trace_j1.json vs trace_j2.json)")
 endif()
 
-message(STATUS "trace_smoke: trace valid, flow spans present, "
-    "byte-identical across --jobs")
+message(STATUS "trace_smoke: trace valid, flow spans present and "
+    "monotone, byte-identical across --jobs")

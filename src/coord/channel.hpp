@@ -12,11 +12,12 @@
  * duplication, reordering, latency spikes, burst outages; see
  * interconnect/faults.hpp) so tests and benches can verify that
  * coordination degrades gracefully — a lost Tune may only cost
- * performance, never correctness. Messages carrying a non-zero
- * reliable-delivery sequence number (coord/reliable.hpp) are
- * acknowledged by the receiving endpoint, which also suppresses
- * duplicate deliveries of the same (src, seq) so retransmissions and
- * fault-injected copies apply at most once.
+ * performance, never correctness. Each endpoint applies what it
+ * receives by the rules every transport shares (applyAtEndpoint in
+ * coord/transport.hpp): messages carrying a non-zero reliable-delivery
+ * sequence number (coord/reliable.hpp) are acknowledged, and
+ * duplicate deliveries of the same (type, src, seq) are suppressed so
+ * retransmissions and fault-injected copies apply at most once.
  */
 
 #pragma once
@@ -26,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "coord/island.hpp"
@@ -111,16 +113,6 @@ class CoordChannel : public CoordTransport
                 m.trace = flow;
                 deliver(1, a, m, tag);
             });
-        auto drop = [this](std::uint64_t tag) {
-            stats_.dropped.add();
-            pendingSendTime.erase(tag);
-            if (CORM_TRACE_ACTIVE(rec_)) {
-                rec_->instant(fabricTrack(), sim.now(), "hop:drop",
-                              "coord");
-            }
-        };
-        aToB.setDropObserver(drop);
-        bToA.setDropObserver(drop);
     }
 
     CoordChannel(const CoordChannel &) = delete;
@@ -135,13 +127,8 @@ class CoordChannel : public CoordTransport
     send(CoordMessage msg) override
     {
         stats_.sent.add();
-        if (msg.dst == b.id()) {
-            aToB.send(msg.encodeWord0(), msg.encodeWord1(),
-                      msg.encodeWord2(), rememberSend(), msg.trace);
-        } else if (msg.dst == a.id()) {
-            bToA.send(msg.encodeWord0(), msg.encodeWord1(),
-                      msg.encodeWord2(), rememberSend(), msg.trace);
-        } else {
+        const int dir = msg.dst == b.id() ? 0 : msg.dst == a.id() ? 1 : -1;
+        if (dir < 0) {
             // Unknown destination: count as dropped. A production
             // fabric would route; the two-island prototype cannot.
             stats_.dropped.add();
@@ -150,7 +137,25 @@ class CoordChannel : public CoordTransport
                      static_cast<unsigned>(msg.dst),
                      static_cast<unsigned>(a.id()),
                      static_cast<unsigned>(b.id()));
+            return;
         }
+        // Tag every send with a fresh monotonically increasing
+        // sequence so two in-flight identical messages (repeated
+        // tunes of the same entity/delta) keep distinct latency
+        // records. The tag travels the mailbox as an opaque cookie;
+        // only posted sends get a record, and delivery erases it, so
+        // the map stays bounded by the number of in-flight messages.
+        const std::uint64_t tag = ++sendTag;
+        const std::optional<corm::sim::Tick> when =
+            (dir == 0 ? aToB : bToA)
+                .send(msg.encodeWord0(), msg.encodeWord1(),
+                      msg.encodeWord2(), tag, msg.trace);
+        if (when)
+            pendingSendTime.emplace(tag, sim.now());
+        else
+            stats_.dropped.add();
+        if (CORM_TRACE_ACTIVE(rec_))
+            traceSend(dir, msg, when);
     }
 
     /** Set channel one-way latency on both directions (ablations). */
@@ -256,11 +261,15 @@ class CoordChannel : public CoordTransport
     }
 
     /**
-     * Attach a trace recorder (nullptr detaches). The channel emits
-     * per-hop transit slices on a fabric track, propagates causal
-     * flow spans across deliveries, and installs the delivered
-     * message's span id around the destination island's apply
-     * dispatch (obs::TraceScope).
+     * Attach a trace recorder (nullptr detaches). The channel traces
+     * hops at transmit, as the fabric does: each posted send emits
+     * its transit slice [send, first-copy delivery] on the
+     * fabric/<channel name> track with its flow step at the slice's
+     * own timestamp, and a send the weather ate emits hop:drop. A
+     * delivery steps (or, for an ack, ends) the message's span,
+     * preceded by a hop:dup:* instant for a duplicate copy, and the
+     * endpoint installs the span id around the destination island's
+     * apply dispatch (obs::TraceScope).
      */
     void setTrace(corm::obs::TraceRecorder *recorder) { rec_ = recorder; }
 
@@ -281,54 +290,6 @@ class CoordChannel : public CoordTransport
     const std::string &name() const { return name_; }
 
   private:
-    std::uint64_t
-    rememberSend()
-    {
-        // Tag every send with a fresh monotonically increasing
-        // sequence so two in-flight identical messages (repeated
-        // tunes of the same entity/delta) keep distinct latency
-        // records. The tag travels the mailbox as an opaque cookie;
-        // drops erase their record, so the map stays bounded by the
-        // number of in-flight messages.
-        const std::uint64_t tag = ++sendTag;
-        pendingSendTime.emplace(tag, sim.now());
-        return tag;
-    }
-
-    /** True if (src, seq) was recently applied at endpoint @p dir. */
-    bool
-    seenRecently(int dir, const CoordMessage &msg)
-    {
-        // 16-bit src and 32-bit seq no longer fit a packed 32-bit
-        // key; a uint64 holds (type, src, seq) with room to spare.
-        // Callers guarantee seq != 0, so the key never collides with
-        // an empty (zero-initialised) window slot.
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(msg.type) << 48)
-            | (static_cast<std::uint64_t>(msg.src) << 32)
-            | static_cast<std::uint64_t>(msg.seq);
-        auto &window = seenWindow[dir];
-        for (std::uint64_t k : window) {
-            if (k == key)
-                return true;
-        }
-        window[seenHead[dir]++ % window.size()] = key;
-        return false;
-    }
-
-    void
-    sendAckFor(ResourceIsland &learner, const CoordMessage &msg)
-    {
-        CoordMessage ack;
-        ack.type = MsgType::ack;
-        ack.src = learner.id();
-        ack.dst = msg.src;
-        ack.entity = msg.entity;
-        ack.seq = msg.seq; // echo: the sender matches pending by seq
-        ack.trace = msg.trace; // the return leg stays on the span
-        send(ack);
-    }
-
     /** Fabric track for per-direction hop slices (lazy). */
     int
     fabricTrack()
@@ -339,25 +300,37 @@ class CoordChannel : public CoordTransport
     }
 
     /**
-     * Trace one delivery: transit slice (first copies), duplicate
-     * instant, and the message's flow-span hop. Kept out of line
-     * ([[gnu::noinline]]) so deliver() — the per-message hot path —
-     * does not carry this block's string/argument construction code
-     * when tracing is off.
+     * Trace one send at transmit: the transit slice up to the first
+     * copy's delivery tick and the span's flow step, or hop:drop when
+     * the fault roll ate it. Kept out of line ([[gnu::noinline]]), as
+     * is traceDelivery, so the per-message hot path does not carry
+     * the string/argument construction code when tracing is off.
      */
     [[gnu::noinline]] void
-    traceDelivery(int dir, const CoordMessage &msg,
-                  corm::sim::Tick sendTick, bool firstCopy)
+    traceSend(int dir, const CoordMessage &msg,
+              std::optional<corm::sim::Tick> when)
     {
-        if (firstCopy) {
-            // Transit slice: send time to delivery time.
-            rec_->complete(
-                fabricTrack(), sendTick, sim.now() - sendTick,
-                std::string("hop:") + msgTypeName(msg.type), "coord",
-                {{"dir", dir == 0 ? "a2b" : "b2a"},
-                 {"entity", static_cast<std::uint64_t>(msg.entity)},
-                 {"seq", static_cast<int>(msg.seq)}});
+        const corm::sim::Tick now = sim.now();
+        if (!when) {
+            rec_->instant(fabricTrack(), now, "hop:drop", "coord");
+            return;
         }
+        rec_->complete(
+            fabricTrack(), now, *when - now,
+            std::string("hop:") + msgTypeName(msg.type), "coord",
+            {{"dir", dir == 0 ? "a2b" : "b2a"},
+             {"entity", static_cast<std::uint64_t>(msg.entity)},
+             {"seq", static_cast<int>(msg.seq)}});
+        if (msg.trace != 0)
+            rec_->flowStep(fabricTrack(), now, msg.trace, "coord.span",
+                           "coord");
+    }
+
+    /** Trace one delivered copy: duplicate instant and the span's
+     *  flow step, or its end when the ack reaches the sender. */
+    [[gnu::noinline]] void
+    traceDelivery(const CoordMessage &msg, bool firstCopy)
+    {
         if (msg.trace == 0)
             return;
         if (!firstCopy) {
@@ -382,73 +355,41 @@ class CoordChannel : public CoordTransport
             std::uint64_t tag)
     {
         stats_.delivered.add();
-        // Latency accounting by send tag. A duplicated delivery's
-        // second copy misses the (erased) record and is not counted.
-        bool firstCopy = false;
-        corm::sim::Tick sendTick = 0;
-        if (auto it = pendingSendTime.find(tag);
-            it != pendingSendTime.end()) {
-            firstCopy = true;
-            sendTick = it->second;
-            const double us =
-                corm::sim::toMicros(sim.now() - sendTick);
+        // Latency and order accounting by send tag. A duplicated
+        // delivery's second copy misses the (erased) record, so it
+        // is neither timed nor mistaken for an overtaking message.
+        const auto it = pendingSendTime.find(tag);
+        const bool firstCopy = it != pendingSendTime.end();
+        if (firstCopy) {
+            const double us = corm::sim::toMicros(sim.now() - it->second);
             stats_.deliveryLatencyUs.record(us);
             if (deliveryHist)
                 deliveryHist->record(us);
             pendingSendTime.erase(it);
+            // Observed reordering: tags are monotone per direction,
+            // so a first copy below the direction's high-water mark
+            // overtook.
+            if (tag > maxTagDelivered[dir])
+                maxTagDelivered[dir] = tag;
+            else
+                stats_.reorders.add();
         }
         if (CORM_TRACE_ACTIVE(rec_))
-            traceDelivery(dir, msg, sendTick, firstCopy);
-        // Observed reordering: tags are monotone per direction, so a
-        // delivery below the direction's high-water mark overtook.
-        if (tag > maxTagDelivered[dir]) {
-            maxTagDelivered[dir] = tag;
-        } else if (tag != 0) {
-            stats_.reorders.add();
-        }
-        // Idempotent duplicate suppression for reliable messages:
-        // retransmissions and fault-injected copies apply at most
-        // once, but are re-acked so a sender whose ack was lost
-        // stops retrying.
-        if (msg.seq != 0 && msg.type != MsgType::ack
-            && seenRecently(dir, msg)) {
+            traceDelivery(msg, firstCopy);
+        switch (applyAtEndpoint(*this, dst, seen[dir], acks_, rec_, msg)) {
+          case EndpointResult::duplicate:
             stats_.duplicates.add();
-            sendAckFor(dst, msg);
-            return;
-        }
-        // The destination island's effect events (weight change,
-        // boost, thread-share change) join the span via the installed
-        // flow context; a fire-and-forget message's apply is the
-        // span's last leg (a reliable one still has the ack return).
-        corm::obs::TraceScope span(rec_, msg.trace, msg.seq == 0);
-        switch (msg.type) {
-          case MsgType::tune:
+            break;
+          case EndpointResult::tune:
             stats_.tunes.add();
-            dst.applyTune(msg.entity, msg.value);
-            if (msg.seq != 0)
-                sendAckFor(dst, msg);
             break;
-          case MsgType::trigger:
+          case EndpointResult::trigger:
             stats_.triggers.add();
-            dst.applyTrigger(msg.entity);
-            if (msg.seq != 0)
-                sendAckFor(dst, msg);
             break;
-          case MsgType::registerEntity: {
+          case EndpointResult::registration:
             stats_.registrations.add();
-            EntityBinding binding;
-            binding.ref = EntityRef{msg.src, msg.entity};
-            binding.ip = corm::net::IpAddr(
-                static_cast<std::uint32_t>(
-                    std::bit_cast<std::uint64_t>(msg.value)));
-            dst.learnBinding(binding);
-            // Registrations are acknowledged even without a seq so
-            // the announcer can retry losses (see coord/reliable.hpp).
-            sendAckFor(dst, msg);
             break;
-          }
-          case MsgType::ack:
-            acks_.dispatch(msg);
+          case EndpointResult::ack:
             break;
         }
     }
@@ -469,9 +410,8 @@ class CoordChannel : public CoordTransport
     std::map<std::uint64_t, corm::sim::Tick> pendingSendTime;
     std::uint64_t sendTag = 0;
     std::array<std::uint64_t, 2> maxTagDelivered{};
-    /** Per-endpoint window of recently applied (type, src, seq) keys. */
-    std::array<std::array<std::uint64_t, 64>, 2> seenWindow{};
-    std::array<std::size_t, 2> seenHead{};
+    /** Dedup windows of the receiving endpoint, by direction. */
+    std::array<SeenWindow, 2> seen;
 };
 
 } // namespace corm::coord

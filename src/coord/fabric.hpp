@@ -55,7 +55,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -1881,9 +1880,9 @@ class CoordFabric : public CoordTransport
                 // home cannot see. A miss forwards without claiming
                 // the key, so the new home's window stays
                 // authoritative for the forwarded copy.
-                if (msg.seq != 0 && seenContains(msg.dst, msg)) {
+                if (msg.seq != 0 && seen[msg.dst].contains(msg)) {
                     sst.stats.duplicates.add();
-                    sendAckFor(dst, msg);
+                    sendAckFor(*this, msg.dst, msg);
                     return;
                 }
                 sst.stats.migForwards.add();
@@ -1897,107 +1896,12 @@ class CoordFabric : public CoordTransport
         sst.stats.deliveryLatencyUs.record(
             corm::sim::toMicros(simFor(msg.dst).now() - origin));
         sst.stats.hopsPerDelivery.record(static_cast<double>(hops));
-        // Idempotent endpoint dedup of sequenced messages: a
-        // reliable retransmission whose original got through applies
-        // at most once but is re-acked so the sender stops retrying.
-        if (msg.seq != 0 && msg.type != MsgType::ack
-            && seenRecently(msg.dst, msg)) {
+        const EndpointResult r =
+            applyAtEndpoint(*this, dst, seen[msg.dst], acks_, sst.rec, msg);
+        if (r == EndpointResult::duplicate)
             sst.stats.duplicates.add();
-            sendAckFor(dst, msg);
-            return;
-        }
-        corm::obs::TraceScope span(sst.rec, msg.trace,
-                                   msg.seq == 0);
-        switch (msg.type) {
-          case MsgType::tune:
+        else if (r == EndpointResult::tune)
             sst.stats.appliedTunes.add(msg.coalesced);
-            dst.applyTune(msg.entity, msg.value);
-            if (msg.seq != 0)
-                sendAckFor(dst, msg);
-            break;
-          case MsgType::trigger:
-            dst.applyTrigger(msg.entity);
-            if (msg.seq != 0)
-                sendAckFor(dst, msg);
-            break;
-          case MsgType::registerEntity: {
-            EntityBinding binding;
-            binding.ref = EntityRef{msg.src, msg.entity};
-            binding.ip = corm::net::IpAddr(
-                static_cast<std::uint32_t>(
-                    std::bit_cast<std::uint64_t>(msg.value)));
-            dst.learnBinding(binding);
-            // Registrations are acknowledged even without a seq so
-            // the announcer can retry losses.
-            sendAckFor(dst, msg);
-            break;
-          }
-          case MsgType::ack:
-            acks_.dispatch(msg);
-            break;
-        }
-    }
-
-    void
-    sendAckFor(ResourceIsland &learner, const CoordMessage &msg)
-    {
-        CoordMessage ack;
-        ack.type = MsgType::ack;
-        ack.src = learner.id();
-        ack.dst = msg.src;
-        ack.entity = msg.entity;
-        ack.seq = msg.seq;     // echo: the sender matches by seq
-        ack.trace = msg.trace; // the return legs stay on the span
-        send(ack);
-    }
-
-    /**
-     * Endpoint dedup key. The type is part of the key: two reliable
-     * senders sharing a source endpoint (an announcer and a trigger
-     * sender, say) each start their sequence space at 1, and a
-     * window keyed on (src, seq) alone would eat the second sender's
-     * first messages as replays of the first's. The packed lanes are
-     * (type:8 << 48) | (src:16 << 32) | seq:32 — full-width, so no
-     * two distinct (type, src, seq) triples ever alias. The key is
-     * independent of the route taken, which is what makes dedup
-     * stable across a re-parent: a tune re-driven under a new route
-     * still matches the copy that slipped through the old one.
-     */
-    static std::uint64_t
-    seenKey(const CoordMessage &msg)
-    {
-        return (static_cast<std::uint64_t>(msg.type) << 48)
-            | (static_cast<std::uint64_t>(msg.src) << 32)
-            | static_cast<std::uint64_t>(msg.seq);
-    }
-
-    /** True if (type, src, seq) was recently applied at @p endpoint;
-     *  records the key on a miss. */
-    bool
-    seenRecently(IslandId endpoint, const CoordMessage &msg)
-    {
-        const std::uint64_t key = seenKey(msg);
-        SeenWindow &w = seen[endpoint];
-        for (std::uint64_t k : w.keys) {
-            if (k == key)
-                return true;
-        }
-        w.keys[w.head++ % w.keys.size()] = key;
-        return false;
-    }
-
-    /** Lookup-only probe of the dedup window (no recording): the
-     *  forwarding path, where the old home must not claim keys it
-     *  never applied. */
-    bool
-    seenContains(IslandId endpoint, const CoordMessage &msg) const
-    {
-        const std::uint64_t key = seenKey(msg);
-        const SeenWindow &w = seen[endpoint];
-        for (std::uint64_t k : w.keys)
-            if (k == key)
-                return true;
-        return false;
     }
 
     /** Per-island trace track (lazy) on @p st's recorder: relays,
@@ -2049,12 +1953,6 @@ class CoordFabric : public CoordTransport
         return (static_cast<std::uint64_t>(linkKey(from, to)) << 1)
             | (from < to ? 0u : 1u);
     }
-
-    struct SeenWindow
-    {
-        std::array<std::uint64_t, 64> keys{};
-        std::size_t head = 0;
-    };
 
     /** Shard owning @p node. */
     int

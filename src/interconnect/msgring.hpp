@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -200,8 +201,6 @@ class Mailbox
     using DeliverFn = std::function<void(
         std::uint64_t word0, std::uint64_t word1, std::uint64_t word2,
         std::uint64_t tag, std::uint64_t flow)>;
-    /** Observer of messages consumed by the fault injector. */
-    using DropFn = std::function<void(std::uint64_t tag)>;
 
     /** Liveness activity on this direction, as a health monitor
      *  sees it: a send enters the lane even when faults silently eat
@@ -225,9 +224,6 @@ class Mailbox
     /** Install the receiving side's handler. */
     void setReceiver(DeliverFn fn) { receiver = std::move(fn); }
 
-    /** Observe sends the fault injector drops (for accounting). */
-    void setDropObserver(DropFn fn) { onDrop = std::move(fn); }
-
     /** Observe lane activity (nullptr-able; replaces previous). */
     void setActivityObserver(ActivityFn fn)
     {
@@ -248,8 +244,11 @@ class Mailbox
      * opaque sender-side cookies handed back on delivery (the
      * channel uses them for per-message latency accounting and for
      * causal trace-span propagation, respectively).
+     *
+     * @return The first copy's delivery tick, or std::nullopt if the
+     *         fault injector dropped the message.
      */
-    void
+    std::optional<corm::sim::Tick>
     send(std::uint64_t word0, std::uint64_t word1, std::uint64_t word2,
          std::uint64_t tag = 0, std::uint64_t flow = 0)
     {
@@ -261,11 +260,9 @@ class Mailbox
             act = faults->apply(sim.now());
         if (act.drop) {
             dropped.add();
-            if (onDrop)
-                onDrop(tag);
             if (onActivity)
                 onActivity(Activity::dropped);
-            return;
+            return std::nullopt;
         }
         corm::sim::Tick when = sim.now() + latency + act.extraDelay;
         if (!act.reorder) {
@@ -277,6 +274,7 @@ class Mailbox
         if (act.duplicate)
             deliverAt(when + (faults ? faults->params().dupOffset : 0),
                       word0, word1, word2, tag, flow);
+        return when;
     }
 
     /** Adjust latency (ablation sweeps). */
@@ -325,7 +323,6 @@ class Mailbox
     corm::sim::Tick latency;
     std::string name_;
     DeliverFn receiver;
-    DropFn onDrop;
     ActivityFn onActivity;
     FaultInjector *faults = nullptr;
     corm::sim::Tick lastDelivery = 0;

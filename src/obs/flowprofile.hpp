@@ -20,7 +20,12 @@
  *           trigger:apply companions)
  *   ack     transit of the ack return hop (hop:ack slices)
  *
- * and blaming each flow on its dominant leg. Flows folded into an
+ * and blaming each flow on its dominant leg. Every transport traces a
+ * hop at transmit: the hop:* slice spans send to first-copy delivery
+ * and its flow step sits at the slice's own timestamp, so a leg is
+ * attributed when its slice is seen and a later checkpoint inside an
+ * already-attributed interval (a duplicate copy's arrival) adds
+ * nothing (DESIGN.md §12). Flows folded into an
  * aggregate at a tree hub count as `coalesced`; flows whose span
  * dangles (a link-layer abandon deliberately emits no flow end) or
  * that carry an abandon marker count as `abandoned` — never silently
@@ -570,13 +575,12 @@ class FlowProfiler
     /**
      * Fold one flow event (with its companion markers) into @p w.
      *
-     * Companion rule: the recorder emits a flow event immediately
-     * after the slice or instant it annotates, on the same track —
-     * either at the marker's own timestamp (shard fabric hops, decide
-     * slices, retry/abandon/fold instants) or at a transit slice's
-     * *end* (the channel emits hop slices at delivery with
-     * ts = send tick). Scan backwards over consecutive same-track
-     * non-flow events matching either convention; companion adjacency
+     * Companion rule: every producer emits a flow event immediately
+     * after the slice or instant it annotates, on the same track and
+     * at the marker's own timestamp — hop slices at transmit (their
+     * ts is the send tick), decide slices, retry/abandon/fold
+     * instants. Scan backwards over consecutive same-track non-flow
+     * events at the flow event's timestamp; companion adjacency
      * survives the barrier-time shard merge because the pair shares
      * (emitTick, track) with consecutive emitSeqs (DESIGN.md §11).
      */
@@ -594,12 +598,7 @@ class FlowProfiler
             const Ev &c = evs_[j];
             if (c.phase == 's' || c.phase == 't' || c.phase == 'f')
                 break;
-            if (c.track != e.track)
-                break;
-            const bool atTs = c.ts == e.ts;
-            const bool endsAtTs =
-                c.phase == 'X' && c.ts + c.dur == e.ts;
-            if (!atTs && !endsAtTs)
+            if (c.track != e.track || c.ts != e.ts)
                 break;
             if (c.phase == 'X' && startsWith(c.name, "hop:")
                 && !startsWith(c.name, "hop:dup:")) {

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -448,6 +450,140 @@ TEST(ReliableSender, ExhaustedSeqSpaceReclaimsOldestAsAbandoned)
 }
 
 //
+// One endpoint: the channel and the fabric apply by the same rules
+//
+
+namespace {
+
+/** What both endpoints of a two-island transport did with a script. */
+struct EndpointOutcome
+{
+    /** Per endpoint (index 0 = island 1, 1 = island 2). */
+    std::array<std::vector<std::pair<EntityId, double>>, 2> tunes;
+    std::array<std::vector<EntityId>, 2> triggers;
+    std::array<std::vector<EntityId>, 2> bindings;
+    /** Seqs of the acks each endpoint's observer saw. */
+    std::array<std::vector<SeqNum>, 2> acks;
+
+    bool operator==(const EndpointOutcome &) const = default;
+};
+
+CoordMessage
+scripted(MsgType type, IslandId src, EntityId entity, SeqNum seq)
+{
+    CoordMessage m;
+    m.type = type;
+    m.src = src;
+    m.dst = src == 1 ? 2 : 1;
+    m.entity = entity;
+    m.seq = seq;
+    m.value = type == MsgType::tune ? 0.5 : 0.0;
+    return m;
+}
+
+/** Send each message of @p script in turn over @p t, running
+ *  @p run between sends, and record both endpoints' outcomes. */
+EndpointOutcome
+playScript(CoordTransport &t, StubIsland &one, StubIsland &two,
+           const std::function<void()> &run,
+           const std::vector<CoordMessage> &script)
+{
+    EndpointOutcome out;
+    t.addAckObserver(1, [&out](const CoordMessage &a) {
+        out.acks[0].push_back(a.seq);
+    });
+    t.addAckObserver(2, [&out](const CoordMessage &a) {
+        out.acks[1].push_back(a.seq);
+    });
+    for (const CoordMessage &m : script) {
+        t.send(m);
+        run();
+    }
+    StubIsland *isl[] = {&one, &two};
+    for (int i = 0; i < 2; ++i) {
+        out.tunes[i] = isl[i]->tunes;
+        out.triggers[i] = isl[i]->triggers;
+        for (const EntityBinding &b : isl[i]->bindings)
+            out.bindings[i].push_back(b.ref.entity);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(OneEndpoint, ChannelAndFabricApplyTheSameScript)
+{
+    struct Case
+    {
+        const char *name;
+        std::vector<CoordMessage> script;
+        EndpointOutcome expect;
+    };
+    const MsgType tune = MsgType::tune, trigger = MsgType::trigger,
+                  reg = MsgType::registerEntity;
+    std::vector<Case> cases;
+    {
+        Case c{"sequenced duplicate is re-acked, not re-applied",
+               {scripted(tune, 1, 7, 9), scripted(tune, 1, 7, 9)},
+               {}};
+        c.expect.tunes[1] = {{7, 0.5}};
+        c.expect.acks[0] = {9, 9};
+        cases.push_back(c);
+    }
+    {
+        Case c{"type is part of the dedup key",
+               {scripted(reg, 1, 4, 1), scripted(trigger, 1, 5, 1)},
+               {}};
+        c.expect.bindings[1] = {4};
+        c.expect.triggers[1] = {5};
+        c.expect.acks[0] = {1, 1};
+        cases.push_back(c);
+    }
+    {
+        Case c{"registration is acked without a seq",
+               {scripted(reg, 1, 6, 0)},
+               {}};
+        c.expect.bindings[1] = {6};
+        c.expect.acks[0] = {0};
+        cases.push_back(c);
+    }
+    {
+        Case c{"unsequenced tune applies once per copy",
+               {scripted(tune, 1, 2, 0), scripted(tune, 1, 2, 0)},
+               {}};
+        c.expect.tunes[1] = {{2, 0.5}, {2, 0.5}};
+        cases.push_back(c);
+    }
+    {
+        Case c{"acks reach only the addressed endpoint",
+               {scripted(tune, 2, 3, 4), scripted(trigger, 1, 8, 4)},
+               {}};
+        c.expect.tunes[0] = {{3, 0.5}};
+        c.expect.triggers[1] = {8};
+        c.expect.acks[0] = {4};
+        c.expect.acks[1] = {4};
+        cases.push_back(c);
+    }
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        Simulator sim;
+        StubIsland one(1, "one"), two(2, "two");
+        CoordChannel ch(sim, two, one, 100 * usec);
+        const EndpointOutcome viaChannel = playScript(
+            ch, one, two, [&] { sim.runFor(msec); }, c.script);
+
+        FabricRig rig(meshParams(100 * usec), 2);
+        const EndpointOutcome viaFabric = playScript(
+            rig.fabric, rig.at(1), rig.at(2),
+            [&] { rig.runFor(msec); }, c.script);
+
+        EXPECT_TRUE(viaChannel == c.expect);
+        EXPECT_TRUE(viaFabric == c.expect);
+    }
+}
+
+//
 // Channel accounting under fault plans
 //
 
@@ -502,6 +638,40 @@ TEST(ChannelAccounting, ObservedReordersAreCounted)
 
     EXPECT_GT(ch.faultPlan()->reordered(), 0u);
     EXPECT_GT(ch.stats().reorders.value(), 0u);
+}
+
+// A duplicated copy arrives after its first copy and carries the
+// same send tag; only first copies are order-checked, so a dup-only
+// plan reports no reorders however many copies it injects.
+TEST(ChannelAccounting, DuplicatesAreNotReorders)
+{
+    Simulator sim;
+    StubIsland x86(1, "x86"), ixp(2, "ixp");
+    CoordChannel ch(sim, ixp, x86, 100 * usec);
+    FaultPlanParams faults;
+    faults.seed = 5;
+    faults.dupProb = 0.5;
+    ch.installFaultPlan(faults);
+
+    CoordMessage m;
+    m.type = MsgType::tune;
+    m.src = x86.id();
+    m.dst = ixp.id();
+    m.value = 1.0;
+    for (EntityId e = 0; e < 50; ++e) {
+        m.entity = e;
+        ch.send(m);
+        sim.runFor(200 * usec);
+    }
+    sim.runToCompletion();
+
+    ASSERT_GT(ch.faultPlan()->duplicated(), 0u);
+    EXPECT_EQ(ch.faultPlan()->reordered(), 0u);
+    EXPECT_EQ(ch.stats().reorders.value(), 0u);
+    EXPECT_EQ(ch.stats().delivered.value(),
+              50u + ch.faultPlan()->duplicated());
+    // Unsequenced tunes apply once per delivered copy.
+    EXPECT_EQ(ixp.tunes.size(), ch.stats().delivered.value());
 }
 
 TEST(ChannelAccounting, InstallingEmptyPlanRestoresPerfectChannel)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "interconnect/msgring.hpp"
@@ -317,7 +318,7 @@ TEST(FaultInjector, OutageWindowDropsEverything)
     EXPECT_EQ(inj.counters().outageDrops.value(), 2u);
 }
 
-TEST(Mailbox, FaultLossDropsAndNotifiesObserver)
+TEST(Mailbox, FaultLossDropIsReportedBySend)
 {
     Simulator sim;
     Mailbox mbox(sim, 10 * usec, "m");
@@ -326,20 +327,24 @@ TEST(Mailbox, FaultLossDropsAndNotifiesObserver)
     FaultInjector inj(p, 1);
     mbox.setFaultInjector(&inj);
     int deliveries = 0;
-    std::uint64_t droppedTag = 0;
     mbox.setReceiver(
         [&](std::uint64_t, std::uint64_t, std::uint64_t,
             std::uint64_t, std::uint64_t) {
             ++deliveries;
         });
-    mbox.setDropObserver([&](std::uint64_t tag) { droppedTag = tag; });
-    mbox.send(1, 2, 3, 77);
+    EXPECT_EQ(mbox.send(1, 2, 3, 77), std::nullopt);
     sim.runToCompletion();
     EXPECT_EQ(deliveries, 0);
-    EXPECT_EQ(droppedTag, 77u);
     EXPECT_EQ(mbox.totalSent(), 1u);
     EXPECT_EQ(mbox.totalDropped(), 1u);
     EXPECT_EQ(mbox.totalDelivered(), 0u);
+
+    // A posted send reports its delivery tick.
+    mbox.setFaultInjector(nullptr);
+    EXPECT_EQ(mbox.send(1, 2, 3, 78), std::optional<Tick>(
+                                          sim.now() + 10 * usec));
+    sim.runToCompletion();
+    EXPECT_EQ(deliveries, 1);
 }
 
 TEST(Mailbox, FaultDuplicateDeliversSameTagTwice)

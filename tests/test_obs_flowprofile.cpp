@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for flow-latency attribution (obs/flowprofile.hpp): leg
- * arithmetic over synthetic recorder streams (both companion
- * conventions), retry/backoff vs wire separation, coalesced and
+ * arithmetic over synthetic recorder streams, retry/backoff vs wire
+ * separation, the channel's transmit-anchored hops under duplication, coalesced and
  * abandoned outcomes, orphan fragments, per-link distributions,
  * byte-exact agreement between the in-process and offline feeders,
  * the flight recorder's embedded breach report, the p999 summary
@@ -87,26 +87,23 @@ class ExhaustStubIsland : public corm::coord::ResourceIsland
 
 } // namespace
 
-// A two-hop relayed tune: decide slice (flow begin at the slice's
-// END — the channel convention), a fabric-convention hop
-// (flow step at the slice's start ts) and a channel-convention hop
-// (flow step at delivery), then an apply companion. Every gap must
-// land in the right leg, with no time double-counted.
+// A two-hop relayed tune: decide slice, two hops traced at transmit
+// (flow step at the slice's own ts) with a relay dwell between them,
+// then an apply companion. Every gap must land in the right leg,
+// with no time double-counted.
 TEST(FlowProfiler, TwoHopRelayAttributesEveryLeg)
 {
     TraceRecorder rec;
     Tracks t(rec);
     const TraceId id = rec.newFlow();
 
-    rec.complete(t.policy, 100 * usec, 20 * usec, "decide:tune",
+    rec.complete(t.policy, 120 * usec, 20 * usec, "decide:tune",
                  "coord");
     rec.flowBegin(t.policy, 120 * usec, id, "coord.span", "coord");
-    // Shard convention: step at the hop slice's own ts.
     rec.complete(t.link01, 200 * usec, 50 * usec, "hop:tune", "coord");
     rec.flowStep(t.link01, 200 * usec, id, "coord.span", "coord");
-    // Channel convention: step at the hop slice's end (delivery).
     rec.complete(t.link12, 260 * usec, 45 * usec, "hop:tune", "coord");
-    rec.flowStep(t.link12, 305 * usec, id, "coord.span", "coord");
+    rec.flowStep(t.link12, 260 * usec, id, "coord.span", "coord");
     rec.complete(t.node2, 320 * usec, 0, "tune:apply", "coord");
     rec.flowEnd(t.node2, 320 * usec, id, "coord.span", "coord");
 
@@ -126,8 +123,8 @@ TEST(FlowProfiler, TwoHopRelayAttributesEveryLeg)
     EXPECT_EQ(f.hops, 2u);
     EXPECT_EQ(f.totalNs(), 200 * kUs);
     // The post-begin legs partition the end-to-end time exactly
-    // (the decide slice precedes the span anchor in this
-    // convention, so it is additive on top).
+    // (the decide slice is the begin's companion, not a gap after
+    // it, so it is additive on top).
     std::uint64_t sum = 0;
     for (std::uint64_t ns : f.legNs)
         sum += ns;
@@ -166,8 +163,9 @@ TEST(FlowProfiler, RetryBackoffLandsInRetryLegNotWire)
     rec.flowStep(t.policy, 800 * usec, id, "coord.span", "coord");
     rec.complete(t.link01, 810 * usec, 50 * usec, "hop:tune", "coord");
     rec.flowStep(t.link01, 810 * usec, id, "coord.span", "coord");
-    // Ack returns on the reverse link (channel convention).
+    // Ack returns on the reverse link; the span ends on arrival.
     rec.complete(t.link10, 870 * usec, 30 * usec, "hop:ack", "coord");
+    rec.flowStep(t.link10, 870 * usec, id, "coord.span", "coord");
     rec.flowEnd(t.link10, 900 * usec, id, "coord.span", "coord");
 
     FlowProfiler prof;
@@ -184,6 +182,74 @@ TEST(FlowProfiler, RetryBackoffLandsInRetryLegNotWire)
     EXPECT_EQ(f.hops, 2u);
     EXPECT_STREQ(f.blame(), "retry");
     EXPECT_EQ(prof.blameCount("retry"), 1u);
+}
+
+// The channel traces hops at transmit, as the fabric does: every
+// hop slice on its track is followed by the span's flow step at the
+// slice's own timestamp. Under full duplication a reliable tune's
+// ack return is one whole mailbox transit, and the duplicate copies
+// arriving after the first (and the re-acks they draw) must not
+// split it into queue dwell.
+TEST(FlowProfiler, ChannelHopsAnchorAtTransmitUnderDuplication)
+{
+    using namespace corm::coord;
+
+    Simulator sim;
+    ExhaustStubIsland x86(1, "x86"), ixp(2, "ixp");
+    CoordChannel ch(sim, ixp, x86, 120 * usec, "pci");
+    corm::interconnect::FaultPlanParams faults;
+    faults.seed = 7;
+    faults.dupProb = 1.0;
+    ch.installFaultPlan(faults);
+    ReliableSender snd(sim, ch, x86.id());
+
+    TraceRecorder rec;
+    ch.setTrace(&rec);
+    snd.setTrace(&rec);
+    const int policy = rec.track("policy:mgr", "decisions");
+
+    CoordMessage m;
+    m.type = MsgType::tune;
+    m.src = x86.id();
+    m.dst = ixp.id();
+    m.entity = 3;
+    m.value = 1.0;
+    m.trace = rec.newFlow();
+    rec.complete(policy, sim.now(), 0, "decide:tune", "coord");
+    rec.flowBegin(policy, sim.now(), m.trace, "coord.span", "coord");
+    snd.send(m, nullptr);
+    sim.runToCompletion();
+    ASSERT_EQ(ixp.tunes.size(), 1u);
+    EXPECT_GT(ch.stats().duplicates.value(), 0u);
+
+    const auto &evs = rec.events();
+    const int channelTrack = rec.track("fabric", "pci");
+    int hopSlices = 0;
+    for (std::size_t i = 0; i < evs.size(); ++i) {
+        const TraceEvent &e = evs[i];
+        if (e.phase != 'X' || e.name.rfind("hop:", 0) != 0)
+            continue;
+        ++hopSlices;
+        EXPECT_EQ(e.track, channelTrack) << e.name;
+        ASSERT_LT(i + 1, evs.size());
+        const TraceEvent &step = evs[i + 1];
+        EXPECT_EQ(step.phase, 't') << e.name << " at " << e.ts;
+        EXPECT_EQ(step.track, e.track);
+        EXPECT_EQ(step.ts, e.ts);
+        EXPECT_EQ(step.flow, m.trace);
+        EXPECT_EQ(e.dur, 120 * usec);
+    }
+    EXPECT_GE(hopSlices, 3); // the tune, its ack and a re-ack
+
+    FlowProfiler prof;
+    prof.ingest(rec);
+    const FlowBreakdown &f = prof.flows().at(m.trace);
+    EXPECT_EQ(f.outcome, FlowOutcome::completed);
+    EXPECT_EQ(f.legNs[static_cast<int>(FlowLeg::wire)], 120 * kUs);
+    EXPECT_GE(f.legNs[static_cast<int>(FlowLeg::ack)], 120 * kUs);
+    EXPECT_GT(f.dups, 0u);
+    // One link key per message type on the channel track.
+    EXPECT_EQ(prof.links().at({"fabric/pci", "tune"}).count, 1u);
 }
 
 // A tune folded into an open aggregation bucket at a tree hub: the
