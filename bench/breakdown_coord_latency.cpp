@@ -51,7 +51,6 @@ struct Span
     bool haveAck = false;
     corm::sim::Tick ackEnd = 0;
     int retries = 0;
-    int duplicates = 0;
 };
 
 /** Aggregated decomposition of one mode's spans. */
@@ -112,8 +111,6 @@ collectSpans(const std::vector<TraceEvent> &events)
             sp.ackEnd = companion.ts + companion.dur;
         } else if (n.rfind("retry:", 0) == 0) {
             ++sp.retries;
-        } else if (n.rfind("hop:dup:", 0) == 0) {
-            ++sp.duplicates;
         }
     }
     return spans;
@@ -124,12 +121,18 @@ decompose(const std::vector<TraceEvent> &events)
 {
     Breakdown b;
     b.events = events.size();
+    // A duplicate copy is a bare hop:dup:* instant: the span already
+    // passed that point with the first copy, so no flow event marks
+    // it, and copies are counted over the whole trace.
+    for (const TraceEvent &e : events) {
+        if (e.name.rfind("hop:dup:", 0) == 0)
+            ++b.duplicates;
+    }
     for (const auto &[id, sp] : collectSpans(events)) {
         if (!sp.haveDecide)
             continue; // ack-only stragglers of registration traffic
         ++b.spans;
         b.retries += static_cast<std::uint64_t>(sp.retries);
-        b.duplicates += static_cast<std::uint64_t>(sp.duplicates);
         if (!sp.haveApply || sp.hops.empty()) {
             ++b.abandoned;
             continue;

@@ -286,9 +286,10 @@ BM_SchedulerSaturatedSecond(benchmark::State &state)
                          [&pump, &d] { pump(d); });
             };
         for (int i = 0; i < doms; ++i) {
+            std::string name = "d";
+            name += std::to_string(i);
             domains.push_back(std::make_unique<xen::Domain>(
-                sched, static_cast<std::uint32_t>(i + 1),
-                "d" + std::to_string(i), 256.0));
+                sched, static_cast<std::uint32_t>(i + 1), name, 256.0));
             pump(*domains.back());
         }
         state.ResumeTiming();

@@ -266,10 +266,10 @@ class CoordChannel : public CoordTransport
      * its transit slice [send, first-copy delivery] on the
      * fabric/<channel name> track with its flow step at the slice's
      * own timestamp, and a send the weather ate emits hop:drop. A
-     * delivery steps (or, for an ack, ends) the message's span,
-     * preceded by a hop:dup:* instant for a duplicate copy, and the
-     * endpoint installs the span id around the destination island's
-     * apply dispatch (obs::TraceScope).
+     * first copy's delivery steps (or, for an ack, ends) the
+     * message's span; a duplicate copy is a bare hop:dup:* instant.
+     * The endpoint installs the span id around the destination
+     * island's apply dispatch (obs::TraceScope).
      */
     void setTrace(corm::obs::TraceRecorder *recorder) { rec_ = recorder; }
 
@@ -326,8 +326,9 @@ class CoordChannel : public CoordTransport
                            "coord");
     }
 
-    /** Trace one delivered copy: duplicate instant and the span's
-     *  flow step, or its end when the ack reaches the sender. */
+    /** Trace one delivered copy: the span's flow step, or its end
+     *  when the ack reaches the sender. A duplicate copy is only a
+     *  hop:dup:* instant, as on a fabric lane. */
     [[gnu::noinline]] void
     traceDelivery(const CoordMessage &msg, bool firstCopy)
     {
@@ -338,6 +339,7 @@ class CoordChannel : public CoordTransport
                           std::string("hop:dup:")
                               + msgTypeName(msg.type),
                           "coord");
+            return;
         }
         if (msg.type == MsgType::ack) {
             // The ack reaching the original sender is the last hop

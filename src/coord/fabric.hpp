@@ -843,20 +843,19 @@ class CoordFabric : public CoordTransport
     };
 
     /**
-     * One link direction: the interconnect's wire semantics (fault
-     * stream, in-order clamp) over the engine's boundary queues,
-     * owned by the sender's shard. The lane id is derived from the
-     * endpoint ids alone — placement-independent, so the engine's
-     * canonical (when, lane, seq) injection order does not change
-     * with the shard count.
+     * One link direction: the interconnect's wire rule (WireLane:
+     * fault stream, in-order clamp, duplicate tick) over the engine's
+     * boundary queues, owned by the sender's shard. The lane id is
+     * derived from the endpoint ids alone — placement-independent, so
+     * the engine's canonical (when, lane, seq) injection order does
+     * not change with the shard count.
      */
     struct Lane
     {
         std::uint64_t id = 0;
         IslandId from = 0, to = 0;
-        corm::interconnect::FaultInjector *faults = nullptr;
-        corm::sim::Tick lastDelivery = 0; ///< in-order clamp
-        std::uint64_t nextSeq = 0;        ///< per-lane send counter
+        corm::interconnect::WireLane wire;
+        std::uint64_t nextSeq = 0; ///< per-lane send counter
         OnWire onWire;
     };
 
@@ -1404,8 +1403,8 @@ class CoordFabric : public CoordTransport
                          .next();
             link->weather =
                 std::make_unique<corm::interconnect::FaultPlan>(p);
-            link->laneLoHi.faults = &link->weather->aToB();
-            link->laneHiLo.faults = &link->weather->bToA();
+            link->laneLoHi.wire.setInjector(&link->weather->aToB());
+            link->laneHiLo.wire.setInjector(&link->weather->bToA());
         }
         link->laneLoHi.id = laneIdOf(link->lo, link->hi);
         link->laneLoHi.from = link->lo;
@@ -1653,25 +1652,16 @@ class CoordFabric : public CoordTransport
         if (laneActivity_)
             st.laneLog.push_back(
                 {tnow, lane.id, ++st.laneLogSeq, false});
-        corm::interconnect::FaultAction act;
-        if (lane.faults)
-            act = lane.faults->apply(tnow);
-        if (act.drop) {
+        const std::optional<corm::interconnect::WireTicks> t =
+            lane.wire.attempt(tnow, cfg.hopLatency);
+        if (!t) {
             if (CORM_TRACE_ACTIVE(st.rec))
                 st.rec->instant(laneTrackOn(st, lane), tnow,
                                 "hop:drop", "coord");
             dropFlight(st, tag, f, lane.id);
             return false;
         }
-        // Base latency plus weather delay, clamped to in-order
-        // delivery unless reordering was drawn.
-        corm::sim::Tick when =
-            tnow + cfg.hopLatency + act.extraDelay;
-        if (!act.reorder) {
-            when = std::max(when, lane.lastDelivery);
-            lane.lastDelivery = when;
-        }
-        lane.onWire.push(tnow, when);
+        lane.onWire.push(tnow, t->first);
         if (CORM_TRACE_ACTIVE(st.rec)) {
             // The sender already knows the delivery tick, so the hop
             // slice is emitted at transmit: the slice stays on the
@@ -1679,7 +1669,7 @@ class CoordFabric : public CoordTransport
             // on the lane track is the stitch between the
             // sender-side span and the receiver-side continuation.
             st.rec->complete(
-                laneTrackOn(st, lane), tnow, when - tnow,
+                laneTrackOn(st, lane), tnow, t->first - tnow,
                 hopName(f.msg.type), "coord",
                 {{"entity", static_cast<std::uint64_t>(f.msg.entity)},
                  {"seq", static_cast<int>(f.msg.seq)},
@@ -1689,7 +1679,7 @@ class CoordFabric : public CoordTransport
                                  f.msg.trace, "coord.span", "coord");
         }
         corm::sim::ShardMessage e;
-        e.when = when;
+        e.when = t->first;
         e.seq = ++lane.nextSeq;
         e.lane = lane.id;
         e.node = f.to;
@@ -1701,10 +1691,10 @@ class CoordFabric : public CoordTransport
         e.flow = f.msg.trace;
         e.aux = f.msg.coalesced;
         engine_->post(shardOfNode(f.from), shardOfNode(f.to), e);
-        if (act.duplicate && lane.faults) {
+        if (t->second) {
             // Second copy; the receiver counts it and drops it.
             corm::sim::ShardMessage d = e;
-            d.when = when + lane.faults->params().dupOffset;
+            d.when = *t->second;
             d.seq = ++lane.nextSeq;
             d.flags |= corm::sim::ShardMessage::flagDuplicate;
             lane.onWire.push(tnow, d.when);

@@ -13,16 +13,17 @@
  * plus one 64-bit seed, so a faulty run replays bit-identically under
  * any `--jobs` fan-out (each trial owns its own plan instance).
  *
- * The plan is applied at the Mailbox layer (Mailbox::setFaultInjector)
- * rather than inside CoordChannel, so every message crossing a
- * direction experiences the same weather regardless of which layer
- * above produced it.
+ * WireLane is the one place where a wire attempt's fate and ticks are
+ * decided. The Mailbox below CoordChannel and each CoordFabric lane
+ * both send through it, so every message crossing a direction sees the
+ * same rule regardless of which layer above produced it.
  */
 
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -160,6 +161,53 @@ class FaultInjector
     FaultPlanParams cfg;
     corm::sim::Rng rng;
     FaultCounters counters_;
+};
+
+/** Where a posted wire attempt's copies land (WireLane::attempt). */
+struct WireTicks
+{
+    corm::sim::Tick first = 0;             ///< first copy's tick
+    std::optional<corm::sim::Tick> second; ///< duplicate's, if any
+};
+
+/**
+ * The wire rule of one link direction: its fault stream and the
+ * in-order clamp. A copy overtakes earlier ones only when the injector
+ * drew a reorder for it; it is then exempt from the clamp and leaves
+ * it untouched. The duplicate copy lands dupOffset after the first.
+ */
+class WireLane
+{
+  public:
+    /** Subject the lane to @p injector's weather (nullptr: the
+     *  perfect wire). Not owned. */
+    void setInjector(FaultInjector *injector) { faults = injector; }
+
+    /** One attempt sent at @p now over a wire of one-way
+     *  @p latency: one weather roll, then the copies' ticks, or
+     *  std::nullopt if the weather dropped it (loss or outage). */
+    std::optional<WireTicks>
+    attempt(corm::sim::Tick now, corm::sim::Tick latency)
+    {
+        FaultAction act;
+        if (faults)
+            act = faults->apply(now);
+        if (act.drop)
+            return std::nullopt;
+        WireTicks t;
+        t.first = now + latency + act.extraDelay;
+        if (!act.reorder) {
+            t.first = std::max(t.first, lastDelivery);
+            lastDelivery = t.first;
+        }
+        if (act.duplicate)
+            t.second = t.first + faults->params().dupOffset;
+        return t;
+    }
+
+  private:
+    FaultInjector *faults = nullptr;
+    corm::sim::Tick lastDelivery = 0; ///< in-order clamp
 };
 
 /**

@@ -6,7 +6,8 @@
  * the paper: packet payloads are DMAed into a buffer-pool region of
  * reserved host memory, then a descriptor is appended to a message
  * queue which the host-side messaging driver drains either by
- * periodic polling or on a device interrupt.
+ * periodic polling or on a device interrupt. The coordination Mailbox
+ * sends over a WireLane (interconnect/faults.hpp).
  */
 
 #pragma once
@@ -185,11 +186,9 @@ class DmaEngine
  * modelled separately from the bulk-data link so the ablation benches
  * can study coordination-channel latency in isolation.
  *
- * Fault weather (loss, duplication, reordering, latency spikes,
- * outages) is injected here, below the message semantics, via an
- * optional FaultInjector — every word group crossing the direction
- * experiences the same conditions regardless of which layer above
- * produced it.
+ * Each send crosses a WireLane, which decides the attempt's fate and
+ * ticks below the message semantics (optional fault weather, in-order
+ * clamp); the mailbox reports activity and schedules the copies.
  */
 class Mailbox
 {
@@ -206,7 +205,7 @@ class Mailbox
      *  sees it: a send enters the lane even when faults silently eat
      *  it (the sender cannot know), a delivery proves the lane moved.
      */
-    enum class Activity : std::uint8_t { sent, dropped, delivered };
+    enum class Activity : std::uint8_t { sent, delivered };
     /** Observer of lane activity (heartbeats for stall detection). */
     using ActivityFn = std::function<void(Activity)>;
 
@@ -235,15 +234,15 @@ class Mailbox
      * restores the perfect channel). Not owned; must outlive the
      * mailbox or be reset first.
      */
-    void setFaultInjector(FaultInjector *injector) { faults = injector; }
+    void setFaultInjector(FaultInjector *injector)
+    {
+        wire.setInjector(injector);
+    }
 
     /**
-     * Send a three-word message; delivered to the receiver after the
-     * mailbox latency. Messages never reorder unless a fault
-     * injector explicitly holds one back. @p tag and @p flow are
-     * opaque sender-side cookies handed back on delivery (the
-     * channel uses them for per-message latency accounting and for
-     * causal trace-span propagation, respectively).
+     * Send a three-word message across the wire. @p tag and @p flow
+     * are opaque sender-side cookies handed back on delivery (the
+     * channel's latency-accounting tag and trace-span id).
      *
      * @return The first copy's delivery tick, or std::nullopt if the
      *         fault injector dropped the message.
@@ -252,29 +251,16 @@ class Mailbox
     send(std::uint64_t word0, std::uint64_t word1, std::uint64_t word2,
          std::uint64_t tag = 0, std::uint64_t flow = 0)
     {
-        sent.add();
         if (onActivity)
             onActivity(Activity::sent);
-        FaultAction act;
-        if (faults)
-            act = faults->apply(sim.now());
-        if (act.drop) {
-            dropped.add();
-            if (onActivity)
-                onActivity(Activity::dropped);
+        const std::optional<WireTicks> t =
+            wire.attempt(sim.now(), latency);
+        if (!t)
             return std::nullopt;
-        }
-        corm::sim::Tick when = sim.now() + latency + act.extraDelay;
-        if (!act.reorder) {
-            // FIFO: never deliver before the previously sent message.
-            when = std::max(when, lastDelivery);
-            lastDelivery = when;
-        }
-        deliverAt(when, word0, word1, word2, tag, flow);
-        if (act.duplicate)
-            deliverAt(when + (faults ? faults->params().dupOffset : 0),
-                      word0, word1, word2, tag, flow);
-        return when;
+        deliverAt(t->first, word0, word1, word2, tag, flow);
+        if (t->second)
+            deliverAt(*t->second, word0, word1, word2, tag, flow);
+        return t->first;
     }
 
     /** Adjust latency (ablation sweeps). */
@@ -282,21 +268,6 @@ class Mailbox
 
     /** Current one-way latency. */
     corm::sim::Tick oneWayLatency() const { return latency; }
-
-    /** Messages sent. */
-    std::uint64_t totalSent() const { return sent.value(); }
-
-    /** Messages delivered (duplicates count once per copy). */
-    std::uint64_t totalDelivered() const { return delivered.value(); }
-
-    /** Messages consumed by the fault injector. */
-    std::uint64_t totalDropped() const { return dropped.value(); }
-
-    /** Copies accepted but not yet delivered (the wire queue). */
-    std::size_t pendingDeliveries() const { return inFlight; }
-
-    /** High-water mark of the in-flight queue depth. */
-    std::size_t pendingHighWater() const { return inFlightHigh; }
 
     /** Mailbox name. */
     const std::string &name() const { return name_; }
@@ -307,11 +278,7 @@ class Mailbox
               std::uint64_t word1, std::uint64_t word2,
               std::uint64_t tag, std::uint64_t flow)
     {
-        ++inFlight;
-        inFlightHigh = std::max(inFlightHigh, inFlight);
         sim.scheduleAt(when, [this, word0, word1, word2, tag, flow] {
-            --inFlight;
-            delivered.add();
             if (onActivity)
                 onActivity(Activity::delivered);
             if (receiver)
@@ -324,13 +291,7 @@ class Mailbox
     std::string name_;
     DeliverFn receiver;
     ActivityFn onActivity;
-    FaultInjector *faults = nullptr;
-    corm::sim::Tick lastDelivery = 0;
-    corm::sim::Counter sent;
-    corm::sim::Counter delivered;
-    corm::sim::Counter dropped;
-    std::size_t inFlight = 0;
-    std::size_t inFlightHigh = 0;
+    WireLane wire;
 };
 
 } // namespace corm::interconnect

@@ -24,8 +24,9 @@
  * hop at transmit: the hop:* slice spans send to first-copy delivery
  * and its flow step sits at the slice's own timestamp, so a leg is
  * attributed when its slice is seen and a later checkpoint inside an
- * already-attributed interval (a duplicate copy's arrival) adds
- * nothing (DESIGN.md §12). Flows folded into an
+ * already-attributed interval adds nothing (DESIGN.md §12); a
+ * duplicate copy is a bare hop:dup:* instant, no checkpoint at all.
+ * Flows folded into an
  * aggregate at a tree hub count as `coalesced`; flows whose span
  * dangles (a link-layer abandon deliberately emits no flow end) or
  * that carry an abandon marker count as `abandoned` — never silently
@@ -137,7 +138,6 @@ struct FlowBreakdown
     std::uint64_t lastTs = 0;  ///< ns; latest flow event seen
     std::uint64_t hops = 0;    ///< forward wire hops
     std::uint64_t retries = 0; ///< retransmit markers
-    std::uint64_t dups = 0;    ///< duplicate deliveries observed
 
     /** End-to-end nanoseconds (begin to last event). */
     std::uint64_t totalNs() const
@@ -439,7 +439,6 @@ class FlowProfiler
             j.endObject();
             j.field("hops", f.hops);
             j.field("retries", f.retries);
-            j.field("dups", f.dups);
             j.field("begin_ts_ns", f.beginTs);
             j.endObject();
         }
@@ -593,7 +592,6 @@ class FlowProfiler
         bool abandon = false;        // abandon instant
         bool fold = false;           // agg:fold instant
         bool apply = false;          // tune:apply / trigger:apply
-        bool dup = false;            // hop:dup:* instant
         for (std::size_t j = index; j-- > 0;) {
             const Ev &c = evs_[j];
             if (c.phase == 's' || c.phase == 't' || c.phase == 'f')
@@ -616,14 +614,10 @@ class FlowProfiler
                 abandon = true;
             } else if (c.name == "agg:fold") {
                 fold = true;
-            } else if (startsWith(c.name, "hop:dup:")) {
-                dup = true;
             }
         }
 
         FlowBreakdown &f = w.out;
-        if (dup)
-            ++f.dups;
         if (!w.began && f.lastTs == 0 && f.beginTs == 0
             && e.phase != 's') {
             // Orphan fragment (the window evicted the begin): anchor

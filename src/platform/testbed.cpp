@@ -128,7 +128,7 @@ Testbed::armMonitor()
         channel_.setActivityObserver(dir, [this, id](Activity act) {
             if (act == Activity::sent)
                 monitor_->laneSent(id);
-            else if (act == Activity::delivered)
+            else
                 monitor_->laneDelivered(id);
         });
     }

@@ -184,6 +184,43 @@ TEST(FlowProfiler, RetryBackoffLandsInRetryLegNotWire)
     EXPECT_EQ(prof.blameCount("retry"), 1u);
 }
 
+/** One reliable tune x86 -> ixp over a 120 us channel whose plan
+ *  duplicates every message, traced from its decide slice to the
+ *  end of the run. */
+struct DuplicatedChannelTune
+{
+    Simulator sim;
+    ExhaustStubIsland x86{1, "x86"}, ixp{2, "ixp"};
+    corm::coord::CoordChannel ch{sim, ixp, x86, 120 * usec, "pci"};
+    corm::coord::ReliableSender snd{sim, ch, x86.id()};
+    TraceRecorder rec;
+    TraceId span = 0;
+
+    DuplicatedChannelTune()
+    {
+        using namespace corm::coord;
+        corm::interconnect::FaultPlanParams faults;
+        faults.seed = 7;
+        faults.dupProb = 1.0;
+        ch.installFaultPlan(faults);
+        ch.setTrace(&rec);
+        snd.setTrace(&rec);
+        const int policy = rec.track("policy:mgr", "decisions");
+
+        CoordMessage m;
+        m.type = MsgType::tune;
+        m.src = x86.id();
+        m.dst = ixp.id();
+        m.entity = 3;
+        m.value = 1.0;
+        m.trace = span = rec.newFlow();
+        rec.complete(policy, sim.now(), 0, "decide:tune", "coord");
+        rec.flowBegin(policy, sim.now(), m.trace, "coord.span", "coord");
+        snd.send(m, nullptr);
+        sim.runToCompletion();
+    }
+};
+
 // The channel traces hops at transmit, as the fabric does: every
 // hop slice on its track is followed by the span's flow step at the
 // slice's own timestamp. Under full duplication a reliable tune's
@@ -192,38 +229,12 @@ TEST(FlowProfiler, RetryBackoffLandsInRetryLegNotWire)
 // split it into queue dwell.
 TEST(FlowProfiler, ChannelHopsAnchorAtTransmitUnderDuplication)
 {
-    using namespace corm::coord;
+    DuplicatedChannelTune run;
+    ASSERT_EQ(run.ixp.tunes.size(), 1u);
+    EXPECT_GT(run.ch.stats().duplicates.value(), 0u);
 
-    Simulator sim;
-    ExhaustStubIsland x86(1, "x86"), ixp(2, "ixp");
-    CoordChannel ch(sim, ixp, x86, 120 * usec, "pci");
-    corm::interconnect::FaultPlanParams faults;
-    faults.seed = 7;
-    faults.dupProb = 1.0;
-    ch.installFaultPlan(faults);
-    ReliableSender snd(sim, ch, x86.id());
-
-    TraceRecorder rec;
-    ch.setTrace(&rec);
-    snd.setTrace(&rec);
-    const int policy = rec.track("policy:mgr", "decisions");
-
-    CoordMessage m;
-    m.type = MsgType::tune;
-    m.src = x86.id();
-    m.dst = ixp.id();
-    m.entity = 3;
-    m.value = 1.0;
-    m.trace = rec.newFlow();
-    rec.complete(policy, sim.now(), 0, "decide:tune", "coord");
-    rec.flowBegin(policy, sim.now(), m.trace, "coord.span", "coord");
-    snd.send(m, nullptr);
-    sim.runToCompletion();
-    ASSERT_EQ(ixp.tunes.size(), 1u);
-    EXPECT_GT(ch.stats().duplicates.value(), 0u);
-
-    const auto &evs = rec.events();
-    const int channelTrack = rec.track("fabric", "pci");
+    const auto &evs = run.rec.events();
+    const int channelTrack = run.rec.track("fabric", "pci");
     int hopSlices = 0;
     for (std::size_t i = 0; i < evs.size(); ++i) {
         const TraceEvent &e = evs[i];
@@ -236,20 +247,59 @@ TEST(FlowProfiler, ChannelHopsAnchorAtTransmitUnderDuplication)
         EXPECT_EQ(step.phase, 't') << e.name << " at " << e.ts;
         EXPECT_EQ(step.track, e.track);
         EXPECT_EQ(step.ts, e.ts);
-        EXPECT_EQ(step.flow, m.trace);
+        EXPECT_EQ(step.flow, run.span);
         EXPECT_EQ(e.dur, 120 * usec);
     }
     EXPECT_GE(hopSlices, 3); // the tune, its ack and a re-ack
 
     FlowProfiler prof;
-    prof.ingest(rec);
-    const FlowBreakdown &f = prof.flows().at(m.trace);
+    prof.ingest(run.rec);
+    const FlowBreakdown &f = prof.flows().at(run.span);
     EXPECT_EQ(f.outcome, FlowOutcome::completed);
     EXPECT_EQ(f.legNs[static_cast<int>(FlowLeg::wire)], 120 * kUs);
     EXPECT_GE(f.legNs[static_cast<int>(FlowLeg::ack)], 120 * kUs);
-    EXPECT_GT(f.dups, 0u);
     // One link key per message type on the channel track.
     EXPECT_EQ(prof.links().at({"fabric/pci", "tune"}).count, 1u);
+}
+
+// A duplicate copy's arrival is a bare hop:dup:* instant, as on a
+// fabric lane: it neither steps nor ends the span. The span ends at
+// the first ack copy's arrival (240 us). Its only later flow event is
+// the arrival of the re-ack the duplicated tune drew (sent at 170 us),
+// whose transit is ack time; no dwell is queue.
+TEST(FlowProfiler, ChannelDuplicateCopyIsOnlyAnInstant)
+{
+    DuplicatedChannelTune run;
+    std::vector<std::pair<char, Tick>> flowEvents;
+    int dupInstants = 0;
+    for (const TraceEvent &e : run.rec.events()) {
+        if (e.name.rfind("hop:dup:", 0) == 0)
+            ++dupInstants;
+        if ((e.phase == 's' || e.phase == 't' || e.phase == 'f')
+            && e.flow == run.span)
+            flowEvents.emplace_back(e.phase, e.ts);
+    }
+    // The tune, its ack and the re-ack each arrive twice.
+    EXPECT_EQ(dupInstants, 3);
+    const std::vector<std::pair<char, Tick>> expected = {
+        {'s', 0},           // decide
+        {'t', 0},           // tune hop
+        {'t', 120 * usec},  // tune arrival
+        {'t', 120 * usec},  // ack hop
+        {'t', 170 * usec},  // re-ack hop, drawn by the tune's copy
+        {'f', 240 * usec},  // ack arrival
+        {'t', 290 * usec},  // re-ack arrival
+    };
+    EXPECT_EQ(flowEvents, expected);
+
+    FlowProfiler prof;
+    prof.ingest(run.rec);
+    const FlowBreakdown &f = prof.flows().at(run.span);
+    EXPECT_EQ(f.outcome, FlowOutcome::completed);
+    EXPECT_EQ(f.legNs[static_cast<int>(FlowLeg::queue)], 0u);
+    EXPECT_EQ(f.legNs[static_cast<int>(FlowLeg::wire)], 120 * kUs);
+    EXPECT_EQ(f.legNs[static_cast<int>(FlowLeg::ack)], 170 * kUs);
+    EXPECT_EQ(f.totalNs(), 290 * kUs);
 }
 
 // A tune folded into an open aggregation bucket at a tree hub: the
@@ -407,26 +457,6 @@ TEST(FlowProfiler, OrphanFragmentsAnchoredAndExcluded)
     // Only the whole flow feeds the aggregates.
     EXPECT_EQ(prof.total().count, 1u);
     EXPECT_EQ(prof.blameCount("apply"), 1u);
-}
-
-// Duplicate-delivery instants annotate the flow's dup counter.
-TEST(FlowProfiler, DuplicateDeliveriesCounted)
-{
-    TraceRecorder rec;
-    Tracks t(rec);
-    const TraceId id = rec.newFlow();
-
-    rec.flowBegin(t.policy, 100 * usec, id, "coord.span", "coord");
-    rec.instant(t.link01, 150 * usec, "hop:dup:tune", "coord");
-    rec.flowStep(t.link01, 150 * usec, id, "coord.span", "coord");
-    rec.complete(t.node2, 200 * usec, 0, "tune:apply", "coord");
-    rec.flowEnd(t.node2, 200 * usec, id, "coord.span", "coord");
-
-    FlowProfiler prof;
-    prof.ingest(rec);
-    EXPECT_EQ(prof.flows().at(id).dups, 1u);
-    // Dup slices never pollute the per-link first-copy stats.
-    EXPECT_TRUE(prof.links().empty());
 }
 
 // The two feeders must agree byte for byte: profiling the recorder

@@ -185,8 +185,11 @@ TEST(FlightRecorder, BoundedRingAndBreachSnapshot)
     // and the retained window is the most recent events.
     TraceRecorder &ring = mon.flight().recorder();
     const int trk = ring.track("test", "flood");
-    for (int i = 0; i < 1000; ++i)
-        ring.instant(trk, i * usec, "e" + std::to_string(i), "t");
+    for (int i = 0; i < 1000; ++i) {
+        std::string name = "e";
+        name += std::to_string(i);
+        ring.instant(trk, i * usec, name, "t");
+    }
     EXPECT_LE(mon.flight().retained(), 2 * 64u);
     EXPECT_GT(mon.flight().dropped(), 0u);
 

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -455,9 +456,10 @@ TEST_P(PcpuSweep, BusyNeverExceedsCapacity)
     std::vector<std::unique_ptr<Domain>> doms;
     std::vector<std::unique_ptr<Hog>> hogs;
     for (int i = 0; i < ncpu + 2; ++i) {
+        std::string name = "d";
+        name += std::to_string(i);
         doms.push_back(std::make_unique<Domain>(
-            sched, static_cast<std::uint32_t>(i + 1),
-            "d" + std::to_string(i), 256.0));
+            sched, static_cast<std::uint32_t>(i + 1), name, 256.0));
         hogs.push_back(std::make_unique<Hog>(*doms.back()));
     }
     sim.runUntil(2 * sec);
