@@ -77,40 +77,42 @@ usBetween(corm::sim::Tick a, corm::sim::Tick b)
 }
 
 /**
- * Rebuild spans from the event list. Every flow event (s/t/f) is
- * emitted immediately after its companion slice/instant, on the same
- * track and at the companion's timestamp — hop slices at transmit,
- * spanning send to first-copy delivery — so the companion is the
- * preceding event: an invariant of our own instrumentation, checked
- * here via the companion names.
+ * Rebuild spans from the event list. Every flow event (s/t/f) carries
+ * the leg its producer stamped on it, and a hop's stamp carries its
+ * first-copy delivery tick, so each flow event is read alone.
  */
 std::map<TraceId, Span>
 collectSpans(const std::vector<TraceEvent> &events)
 {
+    using corm::obs::FlowMark;
     std::map<TraceId, Span> spans;
-    for (std::size_t i = 1; i < events.size(); ++i) {
-        const TraceEvent &e = events[i];
+    for (const TraceEvent &e : events) {
         if (e.phase != 's' && e.phase != 't' && e.phase != 'f')
             continue;
-        const TraceEvent &companion = events[i - 1];
         Span &sp = spans[e.flow];
-        const std::string &n = companion.name;
-        if (n.rfind("decide:", 0) == 0) {
+        switch (e.stamp.mark) {
+          case FlowMark::decide:
             sp.haveDecide = true;
-            sp.decideTs = companion.ts;
-        } else if (n == "hop:tune") {
-            sp.hops.emplace_back(companion.ts,
-                                 companion.ts + companion.dur);
-        } else if (n == "tune:apply") {
+            sp.decideTs = e.ts;
+            break;
+          case FlowMark::wire:
+            sp.hops.emplace_back(e.ts, e.stamp.end);
+            break;
+          case FlowMark::apply:
             if (!sp.haveApply) {
                 sp.haveApply = true;
-                sp.applyTs = companion.ts;
+                sp.applyTs = e.ts;
             }
-        } else if (n == "hop:ack") {
+            break;
+          case FlowMark::ack:
             sp.haveAck = true;
-            sp.ackEnd = companion.ts + companion.dur;
-        } else if (n.rfind("retry:", 0) == 0) {
+            sp.ackEnd = e.stamp.end;
+            break;
+          case FlowMark::retry:
             ++sp.retries;
+            break;
+          default:
+            break;
         }
     }
     return spans;

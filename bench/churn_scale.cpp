@@ -44,32 +44,6 @@
 
 namespace {
 
-/** Split "1,2,4" into integers within [lo, hi]; exits on garbage. */
-std::vector<int>
-parseIntList(const char *arg, const char *flag, long lo, long hi)
-{
-    std::vector<int> out;
-    const char *p = arg;
-    while (*p != '\0') {
-        char *end = nullptr;
-        const long v = std::strtol(p, &end, 10);
-        if (end == p || v < lo || v > hi) {
-            std::fprintf(stderr,
-                         "churn_scale: bad %s value in '%s' "
-                         "(want %ld..%ld)\n",
-                         flag, arg, lo, hi);
-            std::exit(2);
-        }
-        out.push_back(static_cast<int>(v));
-        p = (*end == ',') ? end + 1 : end;
-    }
-    if (out.empty()) {
-        std::fprintf(stderr, "churn_scale: empty %s list\n", flag);
-        std::exit(2);
-    }
-    return out;
-}
-
 /**
  * Deterministic churn schedule: @p count events spread across the
  * workload span, drawn from a stream keyed on (seed, islands, count)
@@ -146,12 +120,14 @@ main(int argc, char **argv)
     passthrough.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--islands") && i + 1 < argc) {
-            islandCounts =
-                parseIntList(argv[++i], "--islands", 3, 4096);
+            islandCounts = corm::bench::intListFlag(
+                "churn_scale", "--islands", argv[++i], 3, 4096);
         } else if (!std::strcmp(argv[i], "--churn") && i + 1 < argc) {
-            churnCounts = parseIntList(argv[++i], "--churn", 0, 4096);
+            churnCounts = corm::bench::intListFlag(
+                "churn_scale", "--churn", argv[++i], 0, 4096);
         } else if (!std::strcmp(argv[i], "--shards") && i + 1 < argc) {
-            shardCounts = parseIntList(argv[++i], "--shards", 1, 16);
+            shardCounts = corm::bench::intListFlag(
+                "churn_scale", "--shards", argv[++i], 1, 16);
         } else {
             passthrough.push_back(argv[i]);
         }

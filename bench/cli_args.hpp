@@ -1,7 +1,8 @@
 /**
  * @file
  * Strict numeric flag parsing shared by the bench binaries
- * (bench_util.hpp) and the trace tools (trace_check, trace_analyze).
+ * (bench_util.hpp, and the sweep benches' list flags) and the trace
+ * tools (trace_check, trace_analyze).
  *
  * A flag value must be a complete, non-negative number inside the
  * flag's range. Empty, partial ("12abc"), signed ("-3", "+3"),
@@ -20,6 +21,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
 
 namespace corm::bench {
 
@@ -72,6 +76,38 @@ unsignedFlag(const char *prog, const char *flag, const char *text,
         std::exit(2);
     }
     return v;
+}
+
+/**
+ * The comma-separated integers of list flag @p flag (say "1,2,4"),
+ * each in [@p lo, @p hi], or exit 2 with a message naming the flag
+ * and the rejected list. Every element must parse on its own: an
+ * empty list or element ("2,,4") is rejected like a malformed one.
+ */
+inline std::vector<int>
+intListFlag(const char *prog, const char *flag, const char *text,
+            std::uint64_t lo, std::uint64_t hi)
+{
+    std::vector<int> out;
+    std::string item;
+    for (const char *p = text;;) {
+        const char *comma = std::strchr(p, ',');
+        item.assign(p, comma != nullptr ? comma : p + std::strlen(p));
+        std::uint64_t v = 0;
+        if (!parseUnsigned(item.c_str(), lo, hi, v)) {
+            std::fprintf(stderr,
+                         "%s: bad %s list '%s' (want comma-separated "
+                         "integers in %llu..%llu)\n",
+                         prog, flag, text,
+                         static_cast<unsigned long long>(lo),
+                         static_cast<unsigned long long>(hi));
+            std::exit(2);
+        }
+        out.push_back(static_cast<int>(v));
+        if (comma == nullptr)
+            return out;
+        p = comma + 1;
+    }
 }
 
 /**

@@ -48,32 +48,6 @@ struct Weather
     corm::interconnect::FaultPlanParams faults;
 };
 
-/** Split "2,8,16" into integers; exits on garbage. */
-std::vector<int>
-parseIntList(const char *arg, const char *flag)
-{
-    std::vector<int> out;
-    const char *p = arg;
-    while (*p != '\0') {
-        char *end = nullptr;
-        const long v = std::strtol(p, &end, 10);
-        if (end == p || v < 2 || v > 4096) {
-            std::fprintf(stderr,
-                         "fabric_scale: bad %s value in '%s' "
-                         "(want 2..4096)\n",
-                         flag, arg);
-            std::exit(2);
-        }
-        out.push_back(static_cast<int>(v));
-        p = (*end == ',') ? end + 1 : end;
-    }
-    if (out.empty()) {
-        std::fprintf(stderr, "fabric_scale: empty %s list\n", flag);
-        std::exit(2);
-    }
-    return out;
-}
-
 std::vector<corm::coord::FabricTopology>
 parseTopologyList(const char *arg)
 {
@@ -131,7 +105,8 @@ main(int argc, char **argv)
     passthrough.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--islands") && i + 1 < argc) {
-            islandCounts = parseIntList(argv[++i], "--islands");
+            islandCounts = corm::bench::intListFlag(
+                "fabric_scale", "--islands", argv[++i], 2, 4096);
         } else if (!std::strcmp(argv[i], "--topology")
                    && i + 1 < argc) {
             topologies = parseTopologyList(argv[++i]);

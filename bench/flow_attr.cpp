@@ -56,32 +56,6 @@
 
 namespace {
 
-/** Split "1,2,4" into integers within [lo, hi]; exits on garbage. */
-std::vector<int>
-parseIntList(const char *arg, const char *flag, long lo, long hi)
-{
-    std::vector<int> out;
-    const char *p = arg;
-    while (*p != '\0') {
-        char *end = nullptr;
-        const long v = std::strtol(p, &end, 10);
-        if (end == p || v < lo || v > hi) {
-            std::fprintf(stderr,
-                         "flow_attr: bad %s value in '%s' "
-                         "(want %ld..%ld)\n",
-                         flag, arg, lo, hi);
-            std::exit(2);
-        }
-        out.push_back(static_cast<int>(v));
-        p = (*end == ',') ? end + 1 : end;
-    }
-    if (out.empty()) {
-        std::fprintf(stderr, "flow_attr: empty %s list\n", flag);
-        std::exit(2);
-    }
-    return out;
-}
-
 struct CellSpec
 {
     const char *label;
@@ -100,10 +74,12 @@ main(int argc, char **argv)
     passthrough.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--islands") && i + 1 < argc) {
-            islands = parseIntList(argv[++i], "--islands", 2,
-                                   4096)[0];
+            islands = static_cast<int>(corm::bench::unsignedFlag(
+                "flow_attr", argv[i], argv[i + 1], 2, 4096));
+            ++i;
         } else if (!std::strcmp(argv[i], "--shards") && i + 1 < argc) {
-            shardCounts = parseIntList(argv[++i], "--shards", 1, 16);
+            shardCounts = corm::bench::intListFlag(
+                "flow_attr", "--shards", argv[++i], 1, 16);
         } else if (!std::strcmp(argv[i], "--profile")
                    && i + 1 < argc) {
             profilePath = argv[++i];

@@ -60,32 +60,6 @@
 
 namespace {
 
-/** Split "1,2,4" into integers within [lo, hi]; exits on garbage. */
-std::vector<int>
-parseIntList(const char *arg, const char *flag, long lo, long hi)
-{
-    std::vector<int> out;
-    const char *p = arg;
-    while (*p != '\0') {
-        char *end = nullptr;
-        const long v = std::strtol(p, &end, 10);
-        if (end == p || v < lo || v > hi) {
-            std::fprintf(stderr,
-                         "shard_scale: bad %s value in '%s' "
-                         "(want %ld..%ld)\n",
-                         flag, arg, lo, hi);
-            std::exit(2);
-        }
-        out.push_back(static_cast<int>(v));
-        p = (*end == ',') ? end + 1 : end;
-    }
-    if (out.empty()) {
-        std::fprintf(stderr, "shard_scale: empty %s list\n", flag);
-        std::exit(2);
-    }
-    return out;
-}
-
 /** Per-cell deterministic fingerprint, compared across shard counts. */
 struct CellIdentity
 {
@@ -105,10 +79,11 @@ main(int argc, char **argv)
     passthrough.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--islands") && i + 1 < argc) {
-            islandCounts =
-                parseIntList(argv[++i], "--islands", 2, 4096);
+            islandCounts = corm::bench::intListFlag(
+                "shard_scale", "--islands", argv[++i], 2, 4096);
         } else if (!std::strcmp(argv[i], "--shards") && i + 1 < argc) {
-            shardCounts = parseIntList(argv[++i], "--shards", 1, 16);
+            shardCounts = corm::bench::intListFlag(
+                "shard_scale", "--shards", argv[++i], 1, 16);
         } else {
             passthrough.push_back(argv[i]);
         }

@@ -12,12 +12,14 @@
  * duplication, reordering, latency spikes, burst outages; see
  * interconnect/faults.hpp) so tests and benches can verify that
  * coordination degrades gracefully — a lost Tune may only cost
- * performance, never correctness. Each endpoint applies what it
- * receives by the rules every transport shares (applyAtEndpoint in
- * coord/transport.hpp): messages carrying a non-zero reliable-delivery
- * sequence number (coord/reliable.hpp) are acknowledged, and
- * duplicate deliveries of the same (type, src, seq) are suppressed so
- * retransmissions and fault-injected copies apply at most once.
+ * performance, never correctness. A copy the weather duplicated is
+ * dropped at the receiver, as on a fabric lane (and as PCIe's link
+ * layer discards a replayed packet it already received). Each
+ * endpoint applies what it receives by the rules every transport
+ * shares (applyAtEndpoint in coord/transport.hpp): messages carrying
+ * a non-zero reliable-delivery sequence number (coord/reliable.hpp)
+ * are acknowledged, and a retransmission of an already-applied
+ * (type, src, seq) is re-acked but not applied again.
  */
 
 #pragma once
@@ -48,12 +50,15 @@ namespace corm::coord {
 struct ChannelStats
 {
     corm::sim::Counter sent;
+    /** First copies delivered (a wire duplicate counts in
+     *  duplicates instead). */
     corm::sim::Counter delivered;
     corm::sim::Counter dropped;
     corm::sim::Counter tunes;
     corm::sim::Counter triggers;
     corm::sim::Counter registrations;
-    /** Duplicate reliable deliveries suppressed at an endpoint. */
+    /** Wire duplicate copies dropped at the receiver, plus reliable
+     *  retransmissions suppressed by the endpoint's dedup window. */
     corm::sim::Counter duplicates;
     /** Deliveries observed out of send order within a direction. */
     corm::sim::Counter reorders;
@@ -321,9 +326,9 @@ class CoordChannel : public CoordTransport
             {{"dir", dir == 0 ? "a2b" : "b2a"},
              {"entity", static_cast<std::uint64_t>(msg.entity)},
              {"seq", static_cast<int>(msg.seq)}});
-        if (msg.trace != 0)
-            rec_->flowStep(fabricTrack(), now, msg.trace, "coord.span",
-                           "coord");
+        rec_->span(fabricTrack(), now, msg.trace,
+                   corm::obs::FlowStamp::hop(msg.type == MsgType::ack,
+                                             *when));
     }
 
     /** Trace one delivered copy: the span's flow step, or its end
@@ -341,43 +346,43 @@ class CoordChannel : public CoordTransport
                           "coord");
             return;
         }
-        if (msg.type == MsgType::ack) {
-            // The ack reaching the original sender is the last hop
-            // of a reliable span.
-            rec_->flowEnd(fabricTrack(), sim.now(), msg.trace,
-                          "coord.span", "coord");
-        } else {
-            rec_->flowStep(fabricTrack(), sim.now(), msg.trace,
-                           "coord.span", "coord");
-        }
+        // The ack reaching the original sender is the last hop of a
+        // reliable span.
+        rec_->span(fabricTrack(), sim.now(), msg.trace,
+                   {corm::obs::FlowMark::checkpoint},
+                   msg.type == MsgType::ack);
     }
 
     void
     deliver(int dir, ResourceIsland &dst, const CoordMessage &msg,
             std::uint64_t tag)
     {
-        stats_.delivered.add();
-        // Latency and order accounting by send tag. A duplicated
-        // delivery's second copy misses the (erased) record, so it
-        // is neither timed nor mistaken for an overtaking message.
+        // Latency and order accounting by send tag. A copy whose tag
+        // is no longer pending is a wire duplicate: its first copy
+        // already arrived and erased the record. The receiver drops
+        // it, as a fabric lane does, so it is neither delivered,
+        // timed, mistaken for an overtaking message, applied nor
+        // re-acked.
         const auto it = pendingSendTime.find(tag);
         const bool firstCopy = it != pendingSendTime.end();
-        if (firstCopy) {
-            const double us = corm::sim::toMicros(sim.now() - it->second);
-            stats_.deliveryLatencyUs.record(us);
-            if (deliveryHist)
-                deliveryHist->record(us);
-            pendingSendTime.erase(it);
-            // Observed reordering: tags are monotone per direction,
-            // so a first copy below the direction's high-water mark
-            // overtook.
-            if (tag > maxTagDelivered[dir])
-                maxTagDelivered[dir] = tag;
-            else
-                stats_.reorders.add();
-        }
         if (CORM_TRACE_ACTIVE(rec_))
             traceDelivery(msg, firstCopy);
+        if (!firstCopy) {
+            stats_.duplicates.add();
+            return;
+        }
+        stats_.delivered.add();
+        const double us = corm::sim::toMicros(sim.now() - it->second);
+        stats_.deliveryLatencyUs.record(us);
+        if (deliveryHist)
+            deliveryHist->record(us);
+        pendingSendTime.erase(it);
+        // Observed reordering: tags are monotone per direction, so a
+        // first copy below the direction's high-water mark overtook.
+        if (tag > maxTagDelivered[dir])
+            maxTagDelivered[dir] = tag;
+        else
+            stats_.reorders.add();
         switch (applyAtEndpoint(*this, dst, seen[dir], acks_, rec_, msg)) {
           case EndpointResult::duplicate:
             stats_.duplicates.add();

@@ -1565,8 +1565,8 @@ class CoordFabric : public CoordTransport
                        "agg:fold", "coord",
                        {{"entity",
                          static_cast<std::uint64_t>(msg.entity)}});
-            r->flowEnd(nodeTrackOn(sst, node), simFor(node).now(),
-                       msg.trace, "coord.span", "coord");
+            r->span(nodeTrackOn(sst, node), simFor(node).now(),
+                    msg.trace, {corm::obs::FlowMark::fold}, true);
         }
     }
 
@@ -1662,22 +1662,8 @@ class CoordFabric : public CoordTransport
             return false;
         }
         lane.onWire.push(tnow, t->first);
-        if (CORM_TRACE_ACTIVE(st.rec)) {
-            // The sender already knows the delivery tick, so the hop
-            // slice is emitted at transmit: the slice stays on the
-            // sender's shard (single-writer tracks). The flow step
-            // on the lane track is the stitch between the
-            // sender-side span and the receiver-side continuation.
-            st.rec->complete(
-                laneTrackOn(st, lane), tnow, t->first - tnow,
-                hopName(f.msg.type), "coord",
-                {{"entity", static_cast<std::uint64_t>(f.msg.entity)},
-                 {"seq", static_cast<int>(f.msg.seq)},
-                 {"hop", f.hopsSoFar + 1}});
-            if (f.msg.trace != 0)
-                st.rec->flowStep(laneTrackOn(st, lane), tnow,
-                                 f.msg.trace, "coord.span", "coord");
-        }
+        if (CORM_TRACE_ACTIVE(st.rec))
+            traceHop(st, lane, tnow, t->first, f);
         corm::sim::ShardMessage e;
         e.when = t->first;
         e.seq = ++lane.nextSeq;
@@ -1701,6 +1687,30 @@ class CoordFabric : public CoordTransport
             engine_->post(shardOfNode(f.from), shardOfNode(f.to), d);
         }
         return true;
+    }
+
+    /**
+     * Trace one posted wire attempt. The sender already knows the
+     * delivery tick, so the hop slice is emitted at transmit: the
+     * slice stays on the sender's shard (single-writer tracks). The
+     * flow step on the lane track, stamped with that delivery tick,
+     * is the stitch between the sender-side span and the
+     * receiver-side continuation. Out of line, so the untraced
+     * transmit() stays lean.
+     */
+    [[gnu::noinline]] void
+    traceHop(ShardState &st, Lane &lane, corm::sim::Tick tnow,
+             corm::sim::Tick delivery, const Flight &f)
+    {
+        const int trk = laneTrackOn(st, lane);
+        st.rec->complete(
+            trk, tnow, delivery - tnow, hopName(f.msg.type), "coord",
+            {{"entity", static_cast<std::uint64_t>(f.msg.entity)},
+             {"seq", static_cast<int>(f.msg.seq)},
+             {"hop", f.hopsSoFar + 1}});
+        st.rec->span(trk, tnow, f.msg.trace,
+                     corm::obs::FlowStamp::hop(f.msg.type == MsgType::ack,
+                                               delivery, f.attempts > 1));
     }
 
     /**
@@ -1778,7 +1788,7 @@ class CoordFabric : public CoordTransport
             laneId = laneIdOf(from, to);
         const corm::sim::Tick when = simFor(from).now();
         if (CORM_TRACE_ACTIVE(st.rec)) {
-            // Deliberately no flowEnd: an abandoned message's span
+            // Deliberately no flow end: an abandoned message's span
             // dangles (begin/steps without end), which is exactly
             // what the trace shows for information that was lost.
             st.rec->instant(
@@ -1825,9 +1835,9 @@ class CoordFabric : public CoordTransport
         if (node != msg.dst) {
             st.stats.hubRelays.add();
             if (CORM_TRACE_ACTIVE(st.rec) && msg.trace != 0)
-                st.rec->flowStep(nodeTrackOn(st, node),
-                                 simFor(node).now(), msg.trace,
-                                 "coord.span", "coord");
+                st.rec->span(nodeTrackOn(st, node), simFor(node).now(),
+                             msg.trace,
+                             {corm::obs::FlowMark::checkpoint});
             forwardFrom(node, msg, e.origin, hops);
             return;
         }
@@ -1835,14 +1845,9 @@ class CoordFabric : public CoordTransport
             // Final hop of the span: an ack ending a reliable chain
             // or a fire-and-forget apply both terminate here; a
             // sequenced request still has its ack leg ahead.
-            if (msg.type == MsgType::ack || msg.seq == 0)
-                st.rec->flowEnd(nodeTrackOn(st, node),
-                                simFor(node).now(), msg.trace,
-                                "coord.span", "coord");
-            else
-                st.rec->flowStep(nodeTrackOn(st, node),
-                                 simFor(node).now(), msg.trace,
-                                 "coord.span", "coord");
+            st.rec->span(nodeTrackOn(st, node), simFor(node).now(),
+                         msg.trace, {corm::obs::FlowMark::checkpoint},
+                         msg.type == MsgType::ack || msg.seq == 0);
         }
         finalDeliver(msg, e.origin, hops);
     }

@@ -177,8 +177,8 @@ class CoordinationPolicy
         rec->complete(traceTrack, now, 0,
                       std::string("decide:") + msgTypeName(m.type),
                       "coord", std::move(args));
-        rec->flowBegin(traceTrack, now, m.trace, "coord.span",
-                       "coord");
+        rec->span(traceTrack, now, m.trace,
+                  corm::obs::FlowStamp::decide(now));
     }
 
     std::string name_;

@@ -167,9 +167,8 @@ class ReliableSender
                 rec_->instant(myTrack(), sim.now(), "abandon", "coord",
                               {{"seq", static_cast<int>(it->first)},
                                {"departed", 1}});
-                rec_->flowEnd(myTrack(), sim.now(),
-                              it->second.msg.trace, "coord.span",
-                              "coord");
+                rec_->span(myTrack(), sim.now(), it->second.msg.trace,
+                           {corm::obs::FlowMark::abandon}, true);
             }
             if (onAbandon)
                 onAbandon(it->second.msg);
@@ -273,8 +272,8 @@ class ReliableSender
             rec_->instant(myTrack(), sim.now(), "abandon", "coord",
                           {{"seq", static_cast<int>(seq)},
                            {"exhausted", 1}});
-            rec_->flowEnd(myTrack(), sim.now(), oldest->second.msg.trace,
-                          "coord.span", "coord");
+            rec_->span(myTrack(), sim.now(), oldest->second.msg.trace,
+                       {corm::obs::FlowMark::abandon}, true);
         }
         if (onAbandon)
             onAbandon(oldest->second.msg);
@@ -312,8 +311,8 @@ class ReliableSender
                 rec_->instant(myTrack(), sim.now(), "abandon", "coord",
                               {{"seq", static_cast<int>(seq)},
                                {"attempts", st.attempts}});
-                rec_->flowEnd(myTrack(), sim.now(), st.msg.trace,
-                              "coord.span", "coord");
+                rec_->span(myTrack(), sim.now(), st.msg.trace,
+                           {corm::obs::FlowMark::abandon}, true);
             }
             if (onAbandon)
                 onAbandon(st.msg);
@@ -331,8 +330,8 @@ class ReliableSender
                     "coord",
                     {{"seq", static_cast<int>(seq)},
                      {"attempt", st.attempts}});
-                rec_->flowStep(myTrack(), sim.now(), st.msg.trace,
-                               "coord.span", "coord");
+                rec_->span(myTrack(), sim.now(), st.msg.trace,
+                           {corm::obs::FlowMark::retry});
             }
         }
         chan.send(st.msg);

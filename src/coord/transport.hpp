@@ -214,16 +214,19 @@ enum class EndpointResult : std::uint8_t
 
 /**
  * Apply @p msg at its destination endpoint @p dst, whose dedup window
- * is @p seen. A sequenced request seen recently is re-acked, so a
- * sender whose ack was lost stops retrying, and not applied again.
+ * is @p seen. Every transport drops a wire duplicate copy at the
+ * receiver before it gets here, so each sent message reaches this
+ * once. A sequenced request seen recently is a retransmission: it is
+ * re-acked, so a sender whose ack was lost stops retrying, and not
+ * applied again.
  * Otherwise the message's span id is installed (obs::TraceScope) so
  * the island's effect events join the flow — a fire-and-forget
  * message's apply is the span's last leg, a reliable one still has
  * the ack return — and the tune, trigger or registration is applied
  * and acked, or the ack dispatched to @p acks. Registrations are
  * acked even without a seq so the announcer can retry losses (see
- * coord/reliable.hpp); an unsequenced tune or trigger is applied once
- * per delivered copy.
+ * coord/reliable.hpp); an unsequenced tune or trigger is applied
+ * each time it arrives.
  */
 inline EndpointResult
 applyAtEndpoint(CoordTransport &transport, ResourceIsland &dst,

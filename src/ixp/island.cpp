@@ -203,15 +203,8 @@ IxpIsland::applyTune(coord::EntityId entity, double delta)
              {"delta", delta},
              {"threads_before", before},
              {"threads_after", vq->threads}});
-        if (flow.id != 0) {
-            if (flow.final) {
-                rec->flowEnd(islandTrack(), sim.now(), flow.id,
-                             "coord.span", "coord");
-            } else {
-                rec->flowStep(islandTrack(), sim.now(), flow.id,
-                              "coord.span", "coord");
-            }
-        }
+        rec->span(islandTrack(), sim.now(), flow.id,
+                  {obs::FlowMark::apply}, flow.final);
     }
 }
 
@@ -223,10 +216,9 @@ IxpIsland::applyTrigger(coord::EntityId entity)
         const auto flow = rec->currentFlow();
         rec->instant(islandTrack(), sim.now(), "trigger:noop", "ixp",
                      {{"entity", static_cast<std::uint64_t>(entity)}});
-        if (flow.id != 0 && flow.final) {
-            rec->flowEnd(islandTrack(), sim.now(), flow.id,
-                         "coord.span", "coord");
-        }
+        if (flow.final)
+            rec->span(islandTrack(), sim.now(), flow.id,
+                      {obs::FlowMark::apply}, true);
     }
 }
 

@@ -11,28 +11,28 @@
  * records *where* every flow went; this profiler answers *where it
  * spent its time* — splitting each flow into legs:
  *
- *   decide  policy decision slice (decide:* companion of the begin)
+ *   decide  policy decision (the begin's own decide stamp)
  *   queue   un-attributed dwell between legs: hub relay turnaround,
  *           aggregation-buffer hold, ack turnaround at the endpoint
- *   wire    transit of forward hops (hop:* slices, per link)
+ *   wire    transit of forward hops (wire stamps, per link)
  *   retry   reliable-sender backoff waits and link-layer replay gaps
- *   apply   delivery-to-apply dispatch delay (tune:apply and
- *           trigger:apply companions)
- *   ack     transit of the ack return hop (hop:ack slices)
+ *   apply   delivery-to-apply dispatch delay (apply stamps)
+ *   ack     transit of the ack return hop (ack stamps)
  *
- * and blaming each flow on its dominant leg. Every transport traces a
- * hop at transmit: the hop:* slice spans send to first-copy delivery
- * and its flow step sits at the slice's own timestamp, so a leg is
- * attributed when its slice is seen and a later checkpoint inside an
- * already-attributed interval adds nothing (DESIGN.md §12); a
- * duplicate copy is a bare hop:dup:* instant, no checkpoint at all.
- * Flows folded into an
- * aggregate at a tree hub count as `coalesced`; flows whose span
- * dangles (a link-layer abandon deliberately emits no flow end) or
- * that carry an abandon marker count as `abandoned` — never silently
- * dropped. Flow fragments without a begin (a ring-buffer flight
- * window that evicted the decide leg) are counted as `orphans` and
- * excluded from leg accounting.
+ * and blaming each flow on its dominant leg. Every flow event carries
+ * the leg its producer knows (obs::FlowStamp), so a flow event is
+ * read alone, never by the events around it (DESIGN.md §12). Every
+ * transport traces a hop at transmit: the hop's stamp carries its
+ * first-copy delivery tick, so a leg is attributed when its hop is
+ * seen and a later checkpoint inside an already-attributed interval
+ * adds nothing; a duplicate copy is a bare hop:dup:* instant, no flow
+ * event at all. Flows folded into an aggregate at a tree hub count as
+ * `coalesced`; flows whose span dangles (a link-layer abandon
+ * deliberately emits no flow end) or that end on an abandon stamp
+ * count as `abandoned` — never silently dropped. Flow fragments
+ * without a begin (a ring-buffer flight window that evicted the
+ * decide leg) are counted as `orphans` and excluded from leg
+ * accounting.
  *
  * Two feeders share one normalized event stream, so their reports are
  * byte-identical by construction:
@@ -76,34 +76,6 @@
 #include "obs/trace.hpp"
 
 namespace corm::obs {
-
-/** The fixed leg order of every report and blame tie-break. */
-enum class FlowLeg : std::uint8_t
-{
-    decide = 0,
-    queue,
-    wire,
-    retry,
-    apply,
-    ack
-};
-
-inline constexpr std::size_t flowLegCount = 6;
-
-/** Canonical leg name (report keys, blame labels). */
-constexpr const char *
-flowLegName(FlowLeg leg)
-{
-    switch (leg) {
-      case FlowLeg::decide: return "decide";
-      case FlowLeg::queue: return "queue";
-      case FlowLeg::wire: return "wire";
-      case FlowLeg::retry: return "retry";
-      case FlowLeg::apply: return "apply";
-      case FlowLeg::ack: return "ack";
-    }
-    return "?";
-}
 
 /** How one reassembled flow terminated. */
 enum class FlowOutcome : std::uint8_t
@@ -209,6 +181,7 @@ class FlowProfiler
                                    + rec.trackThread(e.track));
             ev.flow = e.flow;
             ev.name = e.name;
+            ev.stamp = e.stamp;
             feed(std::move(ev));
         }
         dirty_ = true;
@@ -286,6 +259,10 @@ class FlowProfiler
                 ? static_cast<TraceId>(id->num)
                 : 0;
             ev.name = name->str;
+            // A missing or unknown stamp reads as a bare checkpoint
+            // (trace_check rejects such a trace outright).
+            if (ev.flow != 0 && !flowStampFromArgs(e.get("args"), ev.stamp))
+                ev.stamp = FlowStamp{};
             feed(std::move(ev));
         }
         dirty_ = true;
@@ -465,6 +442,7 @@ class FlowProfiler
         int track = 0;
         TraceId flow = 0;
         std::string name;
+        FlowStamp stamp; ///< flow events only
     };
 
     /** Serialized "<us>.<ns%1000>" decimal back to integer ns. */
@@ -530,8 +508,7 @@ class FlowProfiler
         blame_.clear();
 
         std::map<TraceId, FlowWork> work;
-        for (std::size_t i = 0; i < evs_.size(); ++i) {
-            const Ev &e = evs_[i];
+        for (const Ev &e : evs_) {
             if (e.phase == 'X' && startsWith(e.name, "hop:")
                 && !startsWith(e.name, "hop:dup:")) {
                 // Per-link wire weather, flow-linked or not: every
@@ -544,7 +521,7 @@ class FlowProfiler
                 continue;
             if (e.flow == 0)
                 continue;
-            attribute(work[e.flow], e, i);
+            attribute(work[e.flow], e);
         }
 
         for (auto &[id, w] : work) {
@@ -572,51 +549,14 @@ class FlowProfiler
     }
 
     /**
-     * Fold one flow event (with its companion markers) into @p w.
-     *
-     * Companion rule: every producer emits a flow event immediately
-     * after the slice or instant it annotates, on the same track and
-     * at the marker's own timestamp — hop slices at transmit (their
-     * ts is the send tick), decide slices, retry/abandon/fold
-     * instants. Scan backwards over consecutive same-track non-flow
-     * events at the flow event's timestamp; companion adjacency
-     * survives the barrier-time shard merge because the pair shares
-     * (emitTick, track) with consecutive emitSeqs (DESIGN.md §11).
+     * Fold one flow event into @p w by the leg its producer stamped
+     * on it (DESIGN.md §12). Only time past the attribution frontier
+     * is attributed, so a checkpoint inside an interval a hop already
+     * covered adds nothing.
      */
     void
-    attribute(FlowWork &w, const Ev &e, std::size_t index) const
+    attribute(FlowWork &w, const Ev &e) const
     {
-        const Ev *hop = nullptr;     // forward or ack transit slice
-        const Ev *decide = nullptr;  // decide:* slice
-        bool retransmit = false;     // retry:* / replay:* instant
-        bool abandon = false;        // abandon instant
-        bool fold = false;           // agg:fold instant
-        bool apply = false;          // tune:apply / trigger:apply
-        for (std::size_t j = index; j-- > 0;) {
-            const Ev &c = evs_[j];
-            if (c.phase == 's' || c.phase == 't' || c.phase == 'f')
-                break;
-            if (c.track != e.track || c.ts != e.ts)
-                break;
-            if (c.phase == 'X' && startsWith(c.name, "hop:")
-                && !startsWith(c.name, "hop:dup:")) {
-                hop = &c;
-            } else if (c.phase == 'X'
-                       && startsWith(c.name, "decide:")) {
-                decide = &c;
-            } else if (c.name == "tune:apply"
-                       || c.name == "trigger:apply") {
-                apply = true;
-            } else if (startsWith(c.name, "retry:")
-                       || startsWith(c.name, "replay:")) {
-                retransmit = true;
-            } else if (c.name == "abandon") {
-                abandon = true;
-            } else if (c.name == "agg:fold") {
-                fold = true;
-            }
-        }
-
         FlowBreakdown &f = w.out;
         if (!w.began && f.lastTs == 0 && f.beginTs == 0
             && e.phase != 's') {
@@ -632,9 +572,9 @@ class FlowProfiler
                 f.beginTs = e.ts;
                 f.lastTs = std::max(f.lastTs, e.ts);
                 w.cursor = e.ts;
-                if (decide)
+                if (e.stamp.mark == FlowMark::decide && e.stamp.end > e.ts)
                     f.legNs[static_cast<std::size_t>(
-                        FlowLeg::decide)] += decide->dur;
+                        FlowLeg::decide)] += e.stamp.end - e.ts;
             }
             return;
         }
@@ -644,50 +584,52 @@ class FlowProfiler
         };
         const std::uint64_t gap =
             e.ts > w.cursor ? e.ts - w.cursor : 0;
-        if (hop) {
-            // Transit interval [hs, he]; the dwell before the hop is
+        switch (e.stamp.mark) {
+          case FlowMark::wire:
+          case FlowMark::ack: {
+            // Transit interval [ts, end]; the dwell before the hop is
             // backoff wait when a retransmit opened it, queueing
-            // otherwise. Clamps keep overlapping markers from double
-            // counting: only time past the frontier is attributed.
-            const std::uint64_t hs = hop->ts;
-            const std::uint64_t he = hop->ts + hop->dur;
-            const std::uint64_t pre =
-                hs > w.cursor ? hs - w.cursor : 0;
-            const bool wasRetry = retransmit || w.pendingRetry;
-            addLeg(wasRetry ? FlowLeg::retry : FlowLeg::queue, pre);
-            const std::uint64_t from = std::max(hs, w.cursor);
-            const std::uint64_t transit = he > from ? he - from : 0;
-            const bool isAck = hop->name == "hop:ack";
-            addLeg(isAck ? FlowLeg::ack : FlowLeg::wire, transit);
+            // otherwise.
+            const std::uint64_t end = e.stamp.end;
+            const bool wasRetry = e.stamp.replay || w.pendingRetry;
+            addLeg(wasRetry ? FlowLeg::retry : FlowLeg::queue, gap);
+            const std::uint64_t from = std::max(e.ts, w.cursor);
+            const bool isAck = e.stamp.mark == FlowMark::ack;
+            addLeg(isAck ? FlowLeg::ack : FlowLeg::wire,
+                   end > from ? end - from : 0);
             if (!isAck)
                 ++f.hops;
-            if (retransmit)
+            if (e.stamp.replay)
                 ++f.retries;
             w.pendingRetry = false;
-            w.cursor = std::max(w.cursor, he);
-        } else if (retransmit) {
+            w.cursor = std::max(w.cursor, end);
+            break;
+          }
+          case FlowMark::retry:
             addLeg(FlowLeg::retry, gap);
             ++f.retries;
             w.pendingRetry = true;
-            w.cursor = std::max(w.cursor, e.ts);
-        } else if (apply) {
+            break;
+          case FlowMark::apply:
             addLeg(FlowLeg::apply, gap);
-            w.cursor = std::max(w.cursor, e.ts);
-        } else if (abandon) {
+            break;
+          case FlowMark::abandon:
             addLeg(FlowLeg::retry, gap);
             w.abandonMarked = true;
-            w.cursor = std::max(w.cursor, e.ts);
-        } else if (fold) {
+            break;
+          case FlowMark::fold:
             addLeg(FlowLeg::queue, gap);
             w.coalesced = true;
-            w.cursor = std::max(w.cursor, e.ts);
-        } else {
-            // Naked checkpoint: hub relay arrival or final delivery
-            // on a node track. Wire time was attributed by the lane
-            // hop; any residue is dwell.
+            break;
+          case FlowMark::decide:
+          case FlowMark::checkpoint:
+            // Hub relay arrival, final delivery or an effect on a
+            // node track. Wire time was attributed by the lane hop;
+            // any residue is dwell.
             addLeg(FlowLeg::queue, gap);
-            w.cursor = std::max(w.cursor, e.ts);
+            break;
         }
+        w.cursor = std::max(w.cursor, e.ts);
         f.lastTs = std::max(f.lastTs, e.ts);
         if (e.phase == 'f')
             w.ended = true;

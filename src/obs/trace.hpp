@@ -19,6 +19,10 @@
  *    translation into scheduler action, and each leg emits a flow
  *    event bound to the slice it sits on, so Perfetto draws one
  *    arrow chain from classifier decision to scheduler effect.
+ *    Every flow event carries its own stamp (FlowStamp): the leg it
+ *    marks and, for a decision or a hop, the tick that leg ends —
+ *    so attribution reads each flow event alone, never its
+ *    neighbours (DESIGN.md §12).
  *
  * Overhead policy: tracing costs nothing when off. At compile time,
  * defining CORM_OBS_NO_TRACE turns every CORM_TRACE_ACTIVE() site
@@ -44,6 +48,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -89,6 +94,136 @@ struct TraceArg
     {}
 };
 
+/** The legs a flow's time splits into, in report and blame order
+ *  (obs/flowprofile.hpp). */
+enum class FlowLeg : std::uint8_t
+{
+    decide = 0,
+    queue,
+    wire,
+    retry,
+    apply,
+    ack
+};
+
+inline constexpr std::size_t flowLegCount = 6;
+
+/** Canonical leg name (report keys, blame labels). */
+constexpr const char *
+flowLegName(FlowLeg leg)
+{
+    switch (leg) {
+      case FlowLeg::decide: return "decide";
+      case FlowLeg::queue: return "queue";
+      case FlowLeg::wire: return "wire";
+      case FlowLeg::retry: return "retry";
+      case FlowLeg::apply: return "apply";
+      case FlowLeg::ack: return "ack";
+    }
+    return "?";
+}
+
+/** What one flow event marks; its producer knows and stamps it. */
+enum class FlowMark : std::uint8_t
+{
+    decide,     ///< the policy decision that begins the span
+    checkpoint, ///< an arrival: hub relay, final delivery, effect
+    wire,       ///< a forward hop, traced at transmit
+    ack,        ///< the ack's return hop, traced at transmit
+    retry,      ///< a reliable sender's retransmission
+    apply,      ///< the destination island applied the message
+    fold,       ///< folded into a hub aggregate (the span ends)
+    abandon     ///< the sender gave the message up (the span ends)
+};
+
+/** Serialized mark name (the "leg" argument of a flow event). */
+constexpr const char *
+flowMarkName(FlowMark mark)
+{
+    switch (mark) {
+      case FlowMark::decide: return "decide";
+      case FlowMark::checkpoint: return "checkpoint";
+      case FlowMark::wire: return "wire";
+      case FlowMark::ack: return "ack";
+      case FlowMark::retry: return "retry";
+      case FlowMark::apply: return "apply";
+      case FlowMark::fold: return "fold";
+      case FlowMark::abandon: return "abandon";
+    }
+    return "?";
+}
+
+/**
+ * A flow event's stamp. A decision or a hop also carries the tick its
+ * leg ends, in exact integer ns: a hop's first-copy delivery (known at
+ * transmit), a decision's end. A hop is a replay when the link layer
+ * sent it again after losing an earlier attempt.
+ */
+struct FlowStamp
+{
+    FlowMark mark = FlowMark::checkpoint;
+    bool replay = false;     ///< hops only
+    corm::sim::Tick end = 0; ///< decide and hops only
+
+    /** A transit traced at transmit: forward (wire) or ack return. */
+    static FlowStamp
+    hop(bool ack, corm::sim::Tick delivery, bool replayed = false)
+    {
+        return {ack ? FlowMark::ack : FlowMark::wire, replayed,
+                delivery};
+    }
+
+    /** A policy decision ending at @p end (the span's begin). */
+    static FlowStamp
+    decide(corm::sim::Tick end)
+    {
+        return {FlowMark::decide, false, end};
+    }
+
+    /** True for the marks that carry an end tick. */
+    bool
+    hasEnd() const
+    {
+        return mark == FlowMark::decide || isHop();
+    }
+
+    bool
+    isHop() const
+    {
+        return mark == FlowMark::wire || mark == FlowMark::ack;
+    }
+};
+
+/**
+ * Decode the stamp a serialized flow event carries in its @p args
+ * ("leg", plus "end_ns" and, on hops, "replay"). False when the leg
+ * is missing or unknown, or an end-carrying mark lacks its end.
+ */
+inline bool
+flowStampFromArgs(const JsonValue *args, FlowStamp &out)
+{
+    const JsonValue *leg = args ? args->get("leg") : nullptr;
+    if (!leg || !leg->isString())
+        return false;
+    int m = 0;
+    while (m <= static_cast<int>(FlowMark::abandon)
+           && leg->str != flowMarkName(static_cast<FlowMark>(m)))
+        ++m;
+    if (m > static_cast<int>(FlowMark::abandon))
+        return false;
+    out.mark = static_cast<FlowMark>(m);
+    if (!out.hasEnd())
+        return true;
+    const JsonValue *end = args->get("end_ns");
+    if (!end || !end->isNumber() || end->num < 0)
+        return false;
+    out.end = static_cast<corm::sim::Tick>(end->num);
+    const JsonValue *replay = args->get("replay");
+    out.replay = replay && replay->kind == JsonValue::Kind::boolean
+        && replay->b;
+    return true;
+}
+
 /** One recorded event (Chrome trace-event phases). */
 struct TraceEvent
 {
@@ -100,6 +235,7 @@ struct TraceEvent
     std::string name;
     std::string category;
     std::vector<TraceArg> args;
+    FlowStamp stamp{}; ///< s/t/f only
 
     /**
      * Merge key, filled only when a merge clock is installed (see
@@ -295,28 +431,36 @@ class TraceRecorder
         push(std::move(e));
     }
 
+    /**
+     * Flow event of span @p id, the one emission entry point of every
+     * coordination leg: a decide stamp begins the span ('s'), @p last
+     * ends it ('f'), anything else steps it ('t'). A null id (an
+     * unflowed message) records nothing.
+     */
     void
-    flowBegin(int trk, corm::sim::Tick ts, TraceId id, std::string name,
-              std::string category)
+    span(int trk, corm::sim::Tick ts, TraceId id, FlowStamp stamp,
+         bool last = false)
     {
-        flowEvent('s', trk, ts, id, std::move(name),
-                  std::move(category));
-    }
-
-    void
-    flowStep(int trk, corm::sim::Tick ts, TraceId id, std::string name,
-             std::string category)
-    {
-        flowEvent('t', trk, ts, id, std::move(name),
-                  std::move(category));
-    }
-
-    void
-    flowEnd(int trk, corm::sim::Tick ts, TraceId id, std::string name,
-            std::string category)
-    {
-        flowEvent('f', trk, ts, id, std::move(name),
-                  std::move(category));
+        if (!enabled_ || id == 0)
+            return;
+        char phase = stamp.mark == FlowMark::decide ? 's'
+            : last                                  ? 'f'
+                                                    : 't';
+        // A span ends exactly once: retransmitted or duplicated final
+        // legs (a re-acked Tune, a duplicated ack) would otherwise
+        // each emit an end, splitting the causal chain. The first end
+        // wins; later ones join the chain as ordinary steps.
+        if (phase == 'f' && !endedFlows.insert(id).second)
+            phase = 't';
+        TraceEvent e;
+        e.phase = phase;
+        e.ts = ts;
+        e.track = trk;
+        e.flow = id;
+        e.name = "coord.span";
+        e.category = "coord";
+        e.stamp = stamp;
+        push(std::move(e));
     }
 
     // Introspection ------------------------------------------------
@@ -373,7 +517,16 @@ class TraceRecorder
                 j.field("id", e.flow);
             if (e.phase == 'i')
                 j.field("s", std::string("t"));
-            if (!e.args.empty()) {
+            if (e.phase == 's' || e.phase == 't' || e.phase == 'f') {
+                j.beginObject("args");
+                j.field("leg", std::string(flowMarkName(e.stamp.mark)));
+                if (e.stamp.hasEnd())
+                    j.field("end_ns",
+                            static_cast<std::uint64_t>(e.stamp.end));
+                if (e.stamp.isHop())
+                    j.field("replay", e.stamp.replay);
+                j.endObject();
+            } else if (!e.args.empty()) {
                 j.beginObject("args");
                 for (const TraceArg &a : e.args) {
                     if (a.quoted)
@@ -410,22 +563,6 @@ class TraceRecorder
         int pid = 0;
         int tid = 0;
     };
-
-    void
-    flowEvent(char phase, int trk, corm::sim::Tick ts, TraceId id,
-              std::string name, std::string category)
-    {
-        if (!enabled_ || id == 0)
-            return;
-        // A span ends exactly once: retransmitted or duplicated final
-        // legs (a re-acked Tune, a duplicated ack) would otherwise
-        // each emit an end, splitting the causal chain. The first end
-        // wins; later ones join the chain as ordinary steps.
-        if (phase == 'f' && !endedFlows.insert(id).second)
-            phase = 't';
-        push({phase, ts, 0, trk, id, std::move(name),
-              std::move(category), {}});
-    }
 
     void
     push(TraceEvent &&e)

@@ -10,8 +10,10 @@
  * begins.
  *
  * Checked invariants: a traceEvents array; per-event ph/name/pid/tid;
- * ts on timed events; dur on complete events; positive ids on flow
- * events; per-flow exactly one begin, at most one end, events in
+ * ts on timed events; dur on complete events; positive ids and a
+ * known leg stamp on flow events (obs::FlowStamp: a decision or hop
+ * must end no earlier than its ts); per-flow exactly one begin, at
+ * most one end, events in
  * non-decreasing timestamp order — and, when @p require_flow is set,
  * at least one complete begin → step → end chain (the causal
  * coordination span the tracing tentpole exists to show). Optional
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <map>
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace corm::obs {
 
@@ -177,6 +181,15 @@ checkTrace(const JsonValue &doc, const TraceCheckParams &params)
                 eventViolation("flow event without positive id", i);
                 continue;
             }
+            FlowStamp stamp;
+            if (!flowStampFromArgs(e.get("args"), stamp))
+                eventViolation("flow event without a known leg stamp",
+                               i);
+            else if (stamp.hasEnd()
+                     && static_cast<double>(stamp.end)
+                         < std::round(ts->num * 1000.0))
+                eventViolation("flow event whose leg ends before its ts",
+                               i);
             FlowChain &c = chains[id->num];
             const bool first = c.begins + c.steps + c.ends == 0;
             if (!first && ts->num < c.lastTs) {

@@ -718,8 +718,8 @@ runFabricScenario(const FabricScenarioConfig &cfg)
             "coord",
             {{"entity", static_cast<std::uint64_t>(m.entity)},
              {"dst", static_cast<std::uint64_t>(m.dst)}});
-        rootRec->flowBegin(policyTrk, now, m.trace, "coord.span",
-                           "coord");
+        rootRec->span(policyTrk, now, m.trace,
+                      obs::FlowStamp::decide(now));
     };
     // Root-originated send callbacks capture one reference to this
     // context plus the message, which keeps them inside

@@ -153,126 +153,6 @@ class Summary
 };
 
 /**
- * Log-linear histogram over non-negative values (an HdrHistogram-style
- * layout): values are bucketed with bounded relative error, supporting
- * quantile queries without storing samples. Used for latency
- * distributions where min/max/mean alone hide the tail.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param max_value Largest trackable value; larger samples clamp.
-     * @param sub_buckets Buckets per power-of-two range (relative
-     *        error ~ 1/sub_buckets). Must be a power of two >= 2.
-     */
-    explicit Histogram(double max_value = 1e12, int sub_buckets = 64)
-        : maxValue(max_value), subBuckets(sub_buckets)
-    {
-        // Ranges: values in [S << (r-1), S << r) map to half-range r.
-        int ranges = 1;
-        double top = static_cast<double>(subBuckets);
-        while (top <= maxValue) {
-            top *= 2.0;
-            ++ranges;
-        }
-        counts.assign(static_cast<std::size_t>(subBuckets)
-                          + static_cast<std::size_t>(ranges)
-                                * (subBuckets / 2),
-                      0);
-    }
-
-    /** Record one non-negative sample (negatives clamp to zero). */
-    void
-    record(double x)
-    {
-        if (x < 0.0)
-            x = 0.0;
-        if (x > maxValue)
-            x = maxValue;
-        ++counts[indexOf(x)];
-        ++n;
-        summary.record(x);
-    }
-
-    /** Number of samples recorded. */
-    std::uint64_t count() const { return n; }
-
-    /** Streaming summary over the same samples. */
-    const Summary &stats() const { return summary; }
-
-    /**
-     * Value at quantile @p q in [0, 1]; returns the representative
-     * (upper-edge) value of the containing bucket, 0 if empty.
-     */
-    double
-    quantile(double q) const
-    {
-        if (n == 0)
-            return 0.0;
-        q = std::clamp(q, 0.0, 1.0);
-        const auto target = static_cast<std::uint64_t>(
-            std::ceil(q * static_cast<double>(n)));
-        std::uint64_t seen = 0;
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-            seen += counts[i];
-            if (seen >= target && counts[i] > 0)
-                return upperEdge(i);
-        }
-        return summary.max();
-    }
-
-    /** Forget all samples. */
-    void
-    reset()
-    {
-        std::fill(counts.begin(), counts.end(), 0);
-        n = 0;
-        summary.reset();
-    }
-
-  private:
-    std::size_t
-    indexOf(double x) const
-    {
-        const auto v = static_cast<std::uint64_t>(x);
-        if (v < static_cast<std::uint64_t>(subBuckets))
-            return static_cast<std::size_t>(v);
-        // For v >= S, shift v right until it falls in [S/2, S); the
-        // shift count selects the half-range, the shifted value the
-        // sub-bucket within it. Relative error is bounded by 2/S.
-        const int msb = 63 - __builtin_clzll(v);
-        const int sub_bits = __builtin_ctz(
-            static_cast<unsigned>(subBuckets));
-        const int range = msb - sub_bits + 1;
-        const std::size_t sub =
-            static_cast<std::size_t>(v >> range)
-            - static_cast<std::size_t>(subBuckets / 2);
-        const std::size_t idx = static_cast<std::size_t>(subBuckets)
-            + static_cast<std::size_t>(range - 1) * (subBuckets / 2)
-            + sub;
-        return std::min(idx, counts.size() - 1);
-    }
-
-    double
-    upperEdge(std::size_t idx) const
-    {
-        if (idx < static_cast<std::size_t>(subBuckets))
-            return static_cast<double>(idx);
-        const std::size_t rel = idx - subBuckets;
-        const std::size_t range = rel / (subBuckets / 2) + 1;
-        const std::size_t sub = rel % (subBuckets / 2) + subBuckets / 2;
-        return static_cast<double>((sub + 1) << range);
-    }
-
-    double maxValue;
-    int subBuckets;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t n = 0;
-    Summary summary;
-};
-
-/**
  * Time series of (tick, value) points, e.g. the Fig. 7 IXP buffer
  * occupancy trace. Append-only; callers sample on their own cadence.
  */

@@ -203,17 +203,10 @@ class XenIsland : public coord::ResourceIsland
                        {"delta", delta},
                        {"weight_before", before},
                        {"weight_after", dom.weight()}});
-        if (flow.id != 0) {
-            // A fire-and-forget tune ends its span here; a reliable
-            // one still has the ack's return hop.
-            if (flow.final) {
-                rec->flowEnd(islandTrack(), sim.now(), flow.id,
-                             "coord.span", "coord");
-            } else {
-                rec->flowStep(islandTrack(), sim.now(), flow.id,
-                              "coord.span", "coord");
-            }
-        }
+        // A fire-and-forget tune ends its span here; a reliable one
+        // still has the ack's return hop.
+        rec->span(islandTrack(), sim.now(), flow.id,
+                  {corm::obs::FlowMark::apply}, flow.final);
     }
 
     /** Trigger: boost the entity's VCPUs in the run queue. */
@@ -234,8 +227,8 @@ class XenIsland : public coord::ResourceIsland
                                        dom->id())}});
             // Always a step: the span finishes when the boosted VCPU
             // reaches a PCPU (CreditScheduler::dispatch).
-            rec->flowStep(islandTrack(), sim.now(), flow.id,
-                          "coord.span", "coord");
+            rec->span(islandTrack(), sim.now(), flow.id,
+                      {corm::obs::FlowMark::apply});
         }
         ctl.boost(*dom);
     }

@@ -216,13 +216,9 @@ CreditScheduler::boostTraced(Domain &dom)
           case VcpuState::running:
             // Already has the CPU: the Trigger's effect is immediate.
             if (flow.id != 0) {
-                if (flow.final) {
-                    rec_->flowEnd(obsTrack(), sim.now(), flow.id,
-                                  "coord.span", "coord");
-                } else {
-                    rec_->flowStep(obsTrack(), sim.now(), flow.id,
-                                   "coord.span", "coord");
-                }
+                rec_->span(obsTrack(), sim.now(), flow.id,
+                           {corm::obs::FlowMark::checkpoint},
+                           flow.final);
                 rec_->instant(obsTrack(), sim.now(),
                               "boost:already-running", "xen",
                               {{"dom", static_cast<std::uint64_t>(
@@ -397,13 +393,8 @@ CreditScheduler::traceBoostDispatch(Vcpu &vc, PCpu &pc)
              {"pcpu", pc.index}});
     }
     if (auto it = boostFlows.find(&vc); it != boostFlows.end()) {
-        if (it->second.final) {
-            rec_->flowEnd(obsTrack(), sim.now(), it->second.id,
-                          "coord.span", "coord");
-        } else {
-            rec_->flowStep(obsTrack(), sim.now(), it->second.id,
-                           "coord.span", "coord");
-        }
+        rec_->span(obsTrack(), sim.now(), it->second.id,
+                   {corm::obs::FlowMark::checkpoint}, it->second.final);
         boostFlows.erase(it);
     }
 }

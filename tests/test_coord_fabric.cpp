@@ -286,7 +286,7 @@ TEST(CoordFabricTrace, SpansSurviveMultiHopRelays)
 
     const int trk = rec.track("test", "policy");
     const corm::obs::TraceId id = rec.newFlow();
-    rec.flowBegin(trk, rig.now(), id, "coord.span", "coord");
+    rec.span(trk, rig.now(), id, corm::obs::FlowStamp::decide(rig.now()));
     CoordMessage m = tune(4, 6, 11, 1.0); // 4-2-1-3-6: three relays
     m.trace = id;
     rig.fabric.send(m);
@@ -316,7 +316,7 @@ TEST(CoordFabricTrace, DroppedAtHubLeavesDanglingSpanNotViolation)
 
     const int trk = rec.track("test", "policy");
     const corm::obs::TraceId id = rec.newFlow();
-    rec.flowBegin(trk, rig.now(), id, "coord.span", "coord");
+    rec.span(trk, rig.now(), id, corm::obs::FlowStamp::decide(rig.now()));
     CoordMessage m = tune(1, 2, 3, 1.0);
     m.trace = id;
     rig.fabric.send(m);

@@ -32,11 +32,10 @@ using namespace corm::sim;
 using namespace corm::obs;
 using namespace corm::coord;
 
-// Counter and Histogram exist in both corm::sim (component stats)
-// and corm::obs (registry-owned metrics); these tests exercise the
-// obs ones.
+// Counter exists in both corm::sim (component stats) and corm::obs
+// (registry-owned metrics); these tests exercise the obs one.
+// obs::Histogram is the only histogram.
 using ObsCounter = corm::obs::Counter;
-using ObsHistogram = corm::obs::Histogram;
 
 //
 // MetricRegistry
@@ -83,22 +82,22 @@ TEST(Metrics, HistogramBucketEdges)
 {
     // Bucket 0 holds values < 1 (and negatives/NaN); bucket i holds
     // [2^(i-1), 2^i).
-    EXPECT_EQ(ObsHistogram::bucketFor(-5.0), 0u);
-    EXPECT_EQ(ObsHistogram::bucketFor(0.0), 0u);
-    EXPECT_EQ(ObsHistogram::bucketFor(0.999), 0u);
-    EXPECT_EQ(ObsHistogram::bucketFor(1.0), 1u);
-    EXPECT_EQ(ObsHistogram::bucketFor(1.999), 1u);
-    EXPECT_EQ(ObsHistogram::bucketFor(2.0), 2u);
-    EXPECT_EQ(ObsHistogram::bucketFor(3.999), 2u);
-    EXPECT_EQ(ObsHistogram::bucketFor(4.0), 3u);
-    EXPECT_EQ(ObsHistogram::bucketFor(1024.0), 11u);
-    EXPECT_EQ(ObsHistogram::bucketFor(1e300), ObsHistogram::bucketCount - 1);
+    EXPECT_EQ(Histogram::bucketFor(-5.0), 0u);
+    EXPECT_EQ(Histogram::bucketFor(0.0), 0u);
+    EXPECT_EQ(Histogram::bucketFor(0.999), 0u);
+    EXPECT_EQ(Histogram::bucketFor(1.0), 1u);
+    EXPECT_EQ(Histogram::bucketFor(1.999), 1u);
+    EXPECT_EQ(Histogram::bucketFor(2.0), 2u);
+    EXPECT_EQ(Histogram::bucketFor(3.999), 2u);
+    EXPECT_EQ(Histogram::bucketFor(4.0), 3u);
+    EXPECT_EQ(Histogram::bucketFor(1024.0), 11u);
+    EXPECT_EQ(Histogram::bucketFor(1e300), Histogram::bucketCount - 1);
 
-    EXPECT_EQ(ObsHistogram::bucketUpperEdge(0), 1.0);
-    EXPECT_EQ(ObsHistogram::bucketUpperEdge(1), 2.0);
-    EXPECT_EQ(ObsHistogram::bucketUpperEdge(11), 2048.0);
+    EXPECT_EQ(Histogram::bucketUpperEdge(0), 1.0);
+    EXPECT_EQ(Histogram::bucketUpperEdge(1), 2.0);
+    EXPECT_EQ(Histogram::bucketUpperEdge(11), 2048.0);
 
-    ObsHistogram h;
+    Histogram h;
     h.record(0.5);
     h.record(1.0);
     h.record(1.5);
@@ -156,9 +155,9 @@ TEST(Trace, JsonWellFormedAgainstOwnParser)
                  {{"k", std::uint64_t(7)}, {"s", "va\"lue"}});
     rec.instant(t2, 1500, "mark", "cat");
     rec.counter(t2, 2000, "queue", "bytes", 42.0);
-    rec.flowBegin(t1, 1000, id, "span", "cat");
-    rec.flowStep(t2, 1500, id, "span", "cat");
-    rec.flowEnd(t2, 2000, id, "span", "cat");
+    rec.span(t1, 1000, id, FlowStamp::decide(1000));
+    rec.span(t2, 1500, id, {FlowMark::checkpoint});
+    rec.span(t2, 2000, id, {FlowMark::checkpoint}, true);
 
     JsonValue doc;
     std::string err;
@@ -190,7 +189,7 @@ TEST(Trace, DisabledRecorderRecordsNothing)
     rec.setEnabled(false);
     const int trk = rec.track("p", "t");
     rec.complete(trk, 0, 1, "x", "c");
-    rec.flowBegin(trk, 0, rec.newFlow(), "s", "c");
+    rec.span(trk, 0, rec.newFlow(), FlowStamp::decide(0));
     EXPECT_TRUE(rec.events().empty());
     EXPECT_FALSE(CORM_TRACE_ACTIVE(
         static_cast<TraceRecorder *>(nullptr)));
@@ -201,12 +200,50 @@ TEST(Trace, DuplicateFlowEndsDowngradeToSteps)
     TraceRecorder rec;
     const int trk = rec.track("p", "t");
     const TraceId id = rec.newFlow();
-    rec.flowBegin(trk, 0, id, "s", "c");
-    rec.flowEnd(trk, 10, id, "s", "c");
-    rec.flowEnd(trk, 20, id, "s", "c"); // duplicated final leg
+    rec.span(trk, 0, id, FlowStamp::decide(0));
+    rec.span(trk, 10, id, {FlowMark::checkpoint}, true);
+    rec.span(trk, 20, id, {FlowMark::checkpoint}, true); // duplicated final leg
     ASSERT_EQ(rec.events().size(), 3u);
     EXPECT_EQ(rec.events()[1].phase, 'f');
     EXPECT_EQ(rec.events()[2].phase, 't');
+}
+
+TEST(Trace, FlowStampsSerializeAndSurviveAbsorb)
+{
+    TraceRecorder rec;
+    const int trk = rec.track("fabric", "fabric.0-1");
+    const TraceId id = rec.newFlow();
+    rec.span(trk, 1000, id, FlowStamp::decide(1000));
+    rec.span(trk, 1500, id, FlowStamp::hop(true, 121500, true));
+    rec.span(trk, 121500, id, {FlowMark::fold}, true);
+
+    // Written into each flow event's args ...
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(rec.json(), doc, &err)) << err;
+    std::vector<FlowStamp> parsed;
+    for (const auto &e : doc.get("traceEvents")->items) {
+        FlowStamp st;
+        if (e.get("id") && flowStampFromArgs(e.get("args"), st))
+            parsed.push_back(st);
+    }
+    ASSERT_EQ(parsed.size(), 3u);
+    EXPECT_EQ(parsed[0].mark, FlowMark::decide);
+    EXPECT_EQ(parsed[0].end, 1000u);
+    EXPECT_EQ(parsed[1].mark, FlowMark::ack);
+    EXPECT_EQ(parsed[1].end, 121500u);
+    EXPECT_TRUE(parsed[1].replay);
+    EXPECT_EQ(parsed[2].mark, FlowMark::fold);
+
+    // ... and carried through the shard merge's absorb.
+    TraceRecorder merged;
+    for (const TraceEvent &e : rec.events())
+        merged.absorb(e, "fabric", "fabric.0-1");
+    ASSERT_EQ(merged.events().size(), 3u);
+    EXPECT_EQ(merged.events()[1].stamp.mark, FlowMark::ack);
+    EXPECT_EQ(merged.events()[1].stamp.end, 121500u);
+    EXPECT_EQ(merged.events()[2].phase, 'f');
+    EXPECT_EQ(merged.json(), rec.json());
 }
 
 TEST(Trace, ScopeSavesAndRestoresFlowContext)
@@ -287,8 +324,7 @@ TEST(TraceSpans, OneCausalChainAcrossFaultyChannel)
     m.trace = rec.newFlow();
     const int policyTrk = rec.track("ixp", "policy");
     rec.complete(policyTrk, sim.now(), 0, "decide:tune", "coord");
-    rec.flowBegin(policyTrk, sim.now(), m.trace, "coord.span",
-                  "coord");
+    rec.span(policyTrk, sim.now(), m.trace, FlowStamp::decide(sim.now()));
     sender.send(m);
     sim.runFor(1 * sec);
 
@@ -478,7 +514,7 @@ TEST(Metrics, PrometheusExpositionEscapesLabelValues)
 TEST(Metrics, PrometheusHistogramIsCumulative)
 {
     MetricRegistry m;
-    ObsHistogram &h = m.histogram("lat.us");
+    Histogram &h = m.histogram("lat.us");
     h.record(0.5);
     h.record(1.5);
     h.record(3.0);
@@ -504,7 +540,7 @@ TEST(Metrics, PrometheusHistogramIsCumulative)
 
 TEST(Metrics, HistogramQuantiles)
 {
-    ObsHistogram h;
+    Histogram h;
     EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0); // empty
 
     // One value: every quantile is that value (clamped to [min,max]).
@@ -515,7 +551,7 @@ TEST(Metrics, HistogramQuantiles)
 
     // Uniform 1..1000: log2 buckets give coarse but ordered
     // estimates; p50 must sit well below p99 and both inside range.
-    ObsHistogram u;
+    Histogram u;
     for (int i = 1; i <= 1000; ++i)
         u.record(static_cast<double>(i));
     const double p50 = u.quantile(0.50);
@@ -532,7 +568,7 @@ TEST(Metrics, HistogramQuantiles)
 TEST(Metrics, TextReportCarriesPercentilesNotBuckets)
 {
     MetricRegistry m;
-    ObsHistogram &h = m.histogram("d.hist");
+    Histogram &h = m.histogram("d.hist");
     for (int i = 0; i < 100; ++i)
         h.record(8.0);
     std::ostringstream out;
@@ -575,8 +611,8 @@ TEST(TraceCheck, FlowMissingAckLegIsIncomplete)
     TraceRecorder rec;
     rec.setEnabled(true);
     const int t = rec.track("island", "ixp");
-    rec.flowBegin(t, 100, 7, "coord.span", "coord");
-    rec.flowStep(t, 200, 7, "coord.span", "coord");
+    rec.span(t, 100, 7, FlowStamp::decide(100));
+    rec.span(t, 200, 7, {FlowMark::checkpoint});
 
     const TraceCheckResult r = checkTraceText(rec.json(), false);
     EXPECT_TRUE(r.ok());
@@ -594,10 +630,14 @@ TEST(TraceCheck, DoubleBeginAndDisorderAreViolations)
     // step. The recorder never emits this; the checker must still
     // catch it (it also guards third-party traces).
     const std::string bad = R"({"traceEvents":[
-        {"ph":"s","name":"x","pid":1,"tid":1,"ts":100,"id":7},
-        {"ph":"s","name":"x","pid":1,"tid":1,"ts":150,"id":7},
-        {"ph":"t","name":"x","pid":1,"tid":1,"ts":50,"id":7},
-        {"ph":"f","name":"x","pid":1,"tid":1,"ts":200,"id":7}
+        {"ph":"s","name":"x","pid":1,"tid":1,"ts":100,"id":7,
+         "args":{"leg":"decide","end_ns":100000}},
+        {"ph":"s","name":"x","pid":1,"tid":1,"ts":150,"id":7,
+         "args":{"leg":"decide","end_ns":150000}},
+        {"ph":"t","name":"x","pid":1,"tid":1,"ts":50,"id":7,
+         "args":{"leg":"checkpoint"}},
+        {"ph":"f","name":"x","pid":1,"tid":1,"ts":200,"id":7,
+         "args":{"leg":"checkpoint"}}
     ]})";
     const TraceCheckResult r = checkTraceText(bad, false);
     EXPECT_FALSE(r.ok());
@@ -615,6 +655,60 @@ TEST(TraceCheck, DoubleBeginAndDisorderAreViolations)
     EXPECT_FALSE(garbage.ok());
     EXPECT_NE(garbage.violations[0].find("malformed JSON"),
               std::string::npos);
+}
+
+TEST(TraceCheck, FlowEventWithoutStampIsViolation)
+{
+    // Attribution reads each flow event's own stamp; a flow event
+    // that carries none cannot be attributed.
+    const std::string missing = R"({"traceEvents":[
+        {"ph":"s","name":"x","pid":1,"tid":1,"ts":100,"id":7,
+         "args":{"leg":"decide","end_ns":100000}},
+        {"ph":"f","name":"x","pid":1,"tid":1,"ts":200,"id":7}
+    ]})";
+    const TraceCheckResult r = checkTraceText(missing, false);
+    ASSERT_EQ(r.violations.size(), 1u);
+    EXPECT_NE(r.violations[0].find("event 1: flow event without a "
+                                   "known leg stamp"),
+              std::string::npos)
+        << r.violations[0];
+}
+
+TEST(TraceCheck, UnknownStampAndHopEndingEarlyAreViolations)
+{
+    // An unknown leg name, and a hop whose delivery tick precedes
+    // its own transmit.
+    const std::string bad = R"({"traceEvents":[
+        {"ph":"s","name":"x","pid":1,"tid":1,"ts":100,"id":7,
+         "args":{"leg":"decide","end_ns":100000}},
+        {"ph":"t","name":"x","pid":1,"tid":1,"ts":150,"id":7,
+         "args":{"leg":"teleport"}},
+        {"ph":"t","name":"x","pid":1,"tid":2,"ts":160,"id":7,
+         "args":{"leg":"wire","end_ns":159999,"replay":false}},
+        {"ph":"f","name":"x","pid":1,"tid":1,"ts":200,"id":7,
+         "args":{"leg":"checkpoint"}}
+    ]})";
+    const TraceCheckResult r = checkTraceText(bad, false);
+    ASSERT_EQ(r.violations.size(), 2u);
+    EXPECT_NE(r.violations[0].find("event 1: flow event without a "
+                                   "known leg stamp"),
+              std::string::npos)
+        << r.violations[0];
+    EXPECT_NE(r.violations[1].find("event 2: flow event whose leg ends "
+                                   "before its ts"),
+              std::string::npos)
+        << r.violations[1];
+
+    // The recorder's own output always carries valid stamps.
+    TraceRecorder rec;
+    const int trk = rec.track("fabric", "pci");
+    rec.span(trk, 100, 9, FlowStamp::decide(100));
+    rec.span(trk, 100, 9, FlowStamp::hop(false, 220, true));
+    rec.span(trk, 220, 9, {FlowMark::apply}, true);
+    const TraceCheckResult good = checkTraceText(rec.json(), true);
+    EXPECT_TRUE(good.ok()) << (good.violations.empty()
+                                   ? ""
+                                   : good.violations.front());
 }
 
 TEST(TraceCheck, ExpectTracksCountsDeclaredTracks)
@@ -652,8 +746,10 @@ TEST(TraceCheck, StitchedFlowsRejectTeleportingSpans)
     // step in between is exactly what a sharded merge that lost the
     // lane flow-steps produces: the span "teleports" across shards.
     const std::string teleport = R"({"traceEvents":[
-        {"ph":"s","name":"x","pid":1,"tid":1,"ts":100,"id":7},
-        {"ph":"f","name":"x","pid":2,"tid":5,"ts":200,"id":7}
+        {"ph":"s","name":"x","pid":1,"tid":1,"ts":100,"id":7,
+         "args":{"leg":"decide","end_ns":100000}},
+        {"ph":"f","name":"x","pid":2,"tid":5,"ts":200,"id":7,
+         "args":{"leg":"checkpoint"}}
     ]})";
     TraceCheckParams p;
     p.require_stitched = true;
@@ -667,9 +763,12 @@ TEST(TraceCheck, StitchedFlowsRejectTeleportingSpans)
 
     // Same shape with the lane hop present: stitched, accepted.
     const std::string stitched = R"({"traceEvents":[
-        {"ph":"s","name":"x","pid":1,"tid":1,"ts":100,"id":7},
-        {"ph":"t","name":"x","pid":1,"tid":2,"ts":150,"id":7},
-        {"ph":"f","name":"x","pid":2,"tid":5,"ts":200,"id":7}
+        {"ph":"s","name":"x","pid":1,"tid":1,"ts":100,"id":7,
+         "args":{"leg":"decide","end_ns":100000}},
+        {"ph":"t","name":"x","pid":1,"tid":2,"ts":150,"id":7,
+         "args":{"leg":"checkpoint"}},
+        {"ph":"f","name":"x","pid":2,"tid":5,"ts":200,"id":7,
+         "args":{"leg":"checkpoint"}}
     ]})";
     const TraceCheckResult good = checkTraceText(stitched, p);
     EXPECT_TRUE(good.ok()) << (good.violations.empty()
@@ -681,9 +780,12 @@ TEST(TraceCheck, StitchedFlowsRejectTeleportingSpans)
     // stitch — the option demands at least one cross-track span so
     // the check cannot pass vacuously.
     const std::string local = R"({"traceEvents":[
-        {"ph":"s","name":"x","pid":1,"tid":1,"ts":100,"id":7},
-        {"ph":"t","name":"x","pid":1,"tid":1,"ts":150,"id":7},
-        {"ph":"f","name":"x","pid":1,"tid":1,"ts":200,"id":7}
+        {"ph":"s","name":"x","pid":1,"tid":1,"ts":100,"id":7,
+         "args":{"leg":"decide","end_ns":100000}},
+        {"ph":"t","name":"x","pid":1,"tid":1,"ts":150,"id":7,
+         "args":{"leg":"checkpoint"}},
+        {"ph":"f","name":"x","pid":1,"tid":1,"ts":200,"id":7,
+         "args":{"leg":"checkpoint"}}
     ]})";
     const TraceCheckResult none = checkTraceText(local, p);
     EXPECT_FALSE(none.ok());
@@ -793,7 +895,7 @@ TEST(Series, SamplerPollsRegistryAndDerivesPercentiles)
 {
     MetricRegistry m;
     m.counter("c.total").add(4);
-    ObsHistogram &h = m.histogram("lat.us");
+    Histogram &h = m.histogram("lat.us");
     for (int i = 0; i < 100; ++i)
         h.record(10.0);
 

@@ -87,10 +87,10 @@ class ExhaustStubIsland : public corm::coord::ResourceIsland
 
 } // namespace
 
-// A two-hop relayed tune: decide slice, two hops traced at transmit
-// (flow step at the slice's own ts) with a relay dwell between them,
-// then an apply companion. Every gap must land in the right leg,
-// with no time double-counted.
+// A two-hop relayed tune: a 20 us decision, two hops traced at
+// transmit (flow step at the slice's own ts, stamped with its
+// delivery tick) with a relay dwell between them, then an apply.
+// Every gap must land in the right leg, with no time double-counted.
 TEST(FlowProfiler, TwoHopRelayAttributesEveryLeg)
 {
     TraceRecorder rec;
@@ -99,13 +99,13 @@ TEST(FlowProfiler, TwoHopRelayAttributesEveryLeg)
 
     rec.complete(t.policy, 120 * usec, 20 * usec, "decide:tune",
                  "coord");
-    rec.flowBegin(t.policy, 120 * usec, id, "coord.span", "coord");
+    rec.span(t.policy, 120 * usec, id, FlowStamp::decide(140 * usec));
     rec.complete(t.link01, 200 * usec, 50 * usec, "hop:tune", "coord");
-    rec.flowStep(t.link01, 200 * usec, id, "coord.span", "coord");
+    rec.span(t.link01, 200 * usec, id, FlowStamp::hop(false, 250 * usec));
     rec.complete(t.link12, 260 * usec, 45 * usec, "hop:tune", "coord");
-    rec.flowStep(t.link12, 260 * usec, id, "coord.span", "coord");
+    rec.span(t.link12, 260 * usec, id, FlowStamp::hop(false, 305 * usec));
     rec.complete(t.node2, 320 * usec, 0, "tune:apply", "coord");
-    rec.flowEnd(t.node2, 320 * usec, id, "coord.span", "coord");
+    rec.span(t.node2, 320 * usec, id, {FlowMark::apply}, true);
 
     FlowProfiler prof;
     prof.ingest(rec);
@@ -123,8 +123,8 @@ TEST(FlowProfiler, TwoHopRelayAttributesEveryLeg)
     EXPECT_EQ(f.hops, 2u);
     EXPECT_EQ(f.totalNs(), 200 * kUs);
     // The post-begin legs partition the end-to-end time exactly
-    // (the decide slice is the begin's companion, not a gap after
-    // it, so it is additive on top).
+    // (the decision's interval is stamped on the begin, not a gap
+    // after it, so it is additive on top).
     std::uint64_t sum = 0;
     for (std::uint64_t ns : f.legNs)
         sum += ns;
@@ -155,18 +155,18 @@ TEST(FlowProfiler, RetryBackoffLandsInRetryLegNotWire)
     Tracks t(rec);
     const TraceId id = rec.newFlow();
 
-    rec.flowBegin(t.policy, 100 * usec, id, "coord.span", "coord");
+    rec.span(t.policy, 100 * usec, id, FlowStamp::decide(100 * usec));
     rec.complete(t.link01, 110 * usec, 50 * usec, "hop:tune", "coord");
-    rec.flowStep(t.link01, 110 * usec, id, "coord.span", "coord");
+    rec.span(t.link01, 110 * usec, id, FlowStamp::hop(false, 160 * usec));
     // First copy eaten by weather; the sender times out and retries.
     rec.instant(t.policy, 800 * usec, "retry:tune", "coord");
-    rec.flowStep(t.policy, 800 * usec, id, "coord.span", "coord");
+    rec.span(t.policy, 800 * usec, id, {FlowMark::retry});
     rec.complete(t.link01, 810 * usec, 50 * usec, "hop:tune", "coord");
-    rec.flowStep(t.link01, 810 * usec, id, "coord.span", "coord");
+    rec.span(t.link01, 810 * usec, id, FlowStamp::hop(false, 860 * usec));
     // Ack returns on the reverse link; the span ends on arrival.
     rec.complete(t.link10, 870 * usec, 30 * usec, "hop:ack", "coord");
-    rec.flowStep(t.link10, 870 * usec, id, "coord.span", "coord");
-    rec.flowEnd(t.link10, 900 * usec, id, "coord.span", "coord");
+    rec.span(t.link10, 870 * usec, id, FlowStamp::hop(true, 900 * usec));
+    rec.span(t.link10, 900 * usec, id, {FlowMark::checkpoint}, true);
 
     FlowProfiler prof;
     prof.ingest(rec);
@@ -215,7 +215,7 @@ struct DuplicatedChannelTune
         m.value = 1.0;
         m.trace = span = rec.newFlow();
         rec.complete(policy, sim.now(), 0, "decide:tune", "coord");
-        rec.flowBegin(policy, sim.now(), m.trace, "coord.span", "coord");
+        rec.span(policy, sim.now(), m.trace, FlowStamp::decide(sim.now()));
         snd.send(m, nullptr);
         sim.runToCompletion();
     }
@@ -225,8 +225,7 @@ struct DuplicatedChannelTune
 // hop slice on its track is followed by the span's flow step at the
 // slice's own timestamp. Under full duplication a reliable tune's
 // ack return is one whole mailbox transit, and the duplicate copies
-// arriving after the first (and the re-acks they draw) must not
-// split it into queue dwell.
+// arriving after the first must not split it into queue dwell.
 TEST(FlowProfiler, ChannelHopsAnchorAtTransmitUnderDuplication)
 {
     DuplicatedChannelTune run;
@@ -250,7 +249,9 @@ TEST(FlowProfiler, ChannelHopsAnchorAtTransmitUnderDuplication)
         EXPECT_EQ(step.flow, run.span);
         EXPECT_EQ(e.dur, 120 * usec);
     }
-    EXPECT_GE(hopSlices, 3); // the tune, its ack and a re-ack
+    // The tune and its ack: the receiver drops the tune's duplicate
+    // copy, so it draws no re-ack.
+    EXPECT_EQ(hopSlices, 2);
 
     FlowProfiler prof;
     prof.ingest(run.rec);
@@ -263,10 +264,10 @@ TEST(FlowProfiler, ChannelHopsAnchorAtTransmitUnderDuplication)
 }
 
 // A duplicate copy's arrival is a bare hop:dup:* instant, as on a
-// fabric lane: it neither steps nor ends the span. The span ends at
-// the first ack copy's arrival (240 us). Its only later flow event is
-// the arrival of the re-ack the duplicated tune drew (sent at 170 us),
-// whose transit is ack time; no dwell is queue.
+// fabric lane: it neither steps nor ends the span, and the receiver
+// drops it before the endpoint, so the tune's copy draws no re-ack.
+// The span ends at the first ack copy's arrival (240 us), one tune
+// transit and one ack transit after the decision; no dwell is queue.
 TEST(FlowProfiler, ChannelDuplicateCopyIsOnlyAnInstant)
 {
     DuplicatedChannelTune run;
@@ -279,16 +280,14 @@ TEST(FlowProfiler, ChannelDuplicateCopyIsOnlyAnInstant)
             && e.flow == run.span)
             flowEvents.emplace_back(e.phase, e.ts);
     }
-    // The tune, its ack and the re-ack each arrive twice.
-    EXPECT_EQ(dupInstants, 3);
+    // The tune and its ack each arrive twice.
+    EXPECT_EQ(dupInstants, 2);
     const std::vector<std::pair<char, Tick>> expected = {
         {'s', 0},           // decide
         {'t', 0},           // tune hop
         {'t', 120 * usec},  // tune arrival
         {'t', 120 * usec},  // ack hop
-        {'t', 170 * usec},  // re-ack hop, drawn by the tune's copy
         {'f', 240 * usec},  // ack arrival
-        {'t', 290 * usec},  // re-ack arrival
     };
     EXPECT_EQ(flowEvents, expected);
 
@@ -298,8 +297,76 @@ TEST(FlowProfiler, ChannelDuplicateCopyIsOnlyAnInstant)
     EXPECT_EQ(f.outcome, FlowOutcome::completed);
     EXPECT_EQ(f.legNs[static_cast<int>(FlowLeg::queue)], 0u);
     EXPECT_EQ(f.legNs[static_cast<int>(FlowLeg::wire)], 120 * kUs);
-    EXPECT_EQ(f.legNs[static_cast<int>(FlowLeg::ack)], 170 * kUs);
-    EXPECT_EQ(f.totalNs(), 290 * kUs);
+    EXPECT_EQ(f.legNs[static_cast<int>(FlowLeg::ack)], 120 * kUs);
+    EXPECT_EQ(f.totalNs(), 240 * kUs);
+}
+
+/** An unflowed tune, then an ack on span @p span, sent at one tick
+ *  over the channel's single fabric/pci track. */
+struct SameTickChannelSends
+{
+    Simulator sim;
+    ExhaustStubIsland x86{1, "x86"}, ixp{2, "ixp"};
+    corm::coord::CoordChannel ch{sim, ixp, x86, 120 * usec, "pci"};
+    TraceRecorder rec;
+    TraceId span = 0;
+
+    SameTickChannelSends()
+    {
+        using namespace corm::coord;
+        ch.setTrace(&rec);
+        const int policy = rec.track("policy:mgr", "decisions");
+        span = rec.newFlow();
+        rec.complete(policy, 0, 0, "decide:tune", "coord");
+        rec.span(policy, 0, span, FlowStamp::decide(0));
+
+        CoordMessage tune;
+        tune.type = MsgType::tune;
+        tune.src = x86.id();
+        tune.dst = ixp.id();
+        tune.entity = 3;
+        tune.value = 1.0;
+        ch.send(tune);
+        CoordMessage ack;
+        ack.type = MsgType::ack;
+        ack.src = ixp.id();
+        ack.dst = x86.id();
+        ack.entity = 3;
+        ack.seq = 1;
+        ack.trace = span;
+        ch.send(ack);
+        sim.runToCompletion();
+    }
+};
+
+// Two messages share one track and one tick: the unflowed tune's hop
+// slice sits right before the ack's hop slice and flow step. The flow
+// step carries its own ack stamp, so the transit is ack time and no
+// forward hop. Read by position, the tune's slice in front of it made
+// the same transit a wire hop.
+TEST(FlowProfiler, SameTickChannelSendsKeepTheirOwnLegs)
+{
+    SameTickChannelSends run;
+    const auto &evs = run.rec.events();
+    const int channelTrack = run.rec.track("fabric", "pci");
+    std::vector<std::string> atZero;
+    for (const TraceEvent &e : evs) {
+        if (e.track == channelTrack && e.ts == 0)
+            atZero.push_back(e.name);
+    }
+    const std::vector<std::string> shape = {"hop:tune", "hop:ack",
+                                            "coord.span"};
+    EXPECT_EQ(atZero, shape);
+
+    FlowProfiler prof;
+    prof.ingest(run.rec);
+    const FlowBreakdown &f = prof.flows().at(run.span);
+    EXPECT_EQ(f.outcome, FlowOutcome::completed);
+    EXPECT_EQ(f.legNs[static_cast<int>(FlowLeg::ack)], 120 * kUs);
+    EXPECT_EQ(f.legNs[static_cast<int>(FlowLeg::wire)], 0u);
+    EXPECT_EQ(f.hops, 0u);
+    EXPECT_EQ(f.totalNs(), 120 * kUs);
+    EXPECT_STREQ(f.blame(), "ack");
 }
 
 // A tune folded into an open aggregation bucket at a tree hub: the
@@ -311,11 +378,11 @@ TEST(FlowProfiler, AggregationFoldCoalescesWithQueueDwell)
     Tracks t(rec);
     const TraceId id = rec.newFlow();
 
-    rec.flowBegin(t.policy, 100 * usec, id, "coord.span", "coord");
+    rec.span(t.policy, 100 * usec, id, FlowStamp::decide(100 * usec));
     rec.complete(t.link01, 120 * usec, 50 * usec, "hop:tune", "coord");
-    rec.flowStep(t.link01, 120 * usec, id, "coord.span", "coord");
+    rec.span(t.link01, 120 * usec, id, FlowStamp::hop(false, 170 * usec));
     rec.instant(t.node2, 400 * usec, "agg:fold", "coord");
-    rec.flowEnd(t.node2, 400 * usec, id, "coord.span", "coord");
+    rec.span(t.node2, 400 * usec, id, {FlowMark::fold}, true);
 
     FlowProfiler prof;
     prof.ingest(rec);
@@ -340,13 +407,13 @@ TEST(FlowProfiler, AbandonMarkerAndDanglingSpanAreAbandoned)
     const TraceId a = rec.newFlow();
     const TraceId b = rec.newFlow();
 
-    rec.flowBegin(t.policy, 100 * usec, a, "coord.span", "coord");
+    rec.span(t.policy, 100 * usec, a, FlowStamp::decide(100 * usec));
     rec.instant(t.policy, 900 * usec, "abandon", "coord");
-    rec.flowEnd(t.policy, 900 * usec, a, "coord.span", "coord");
+    rec.span(t.policy, 900 * usec, a, {FlowMark::abandon}, true);
 
-    rec.flowBegin(t.policy, 200 * usec, b, "coord.span", "coord");
+    rec.span(t.policy, 200 * usec, b, FlowStamp::decide(200 * usec));
     rec.complete(t.link01, 210 * usec, 50 * usec, "hop:tune", "coord");
-    rec.flowStep(t.link01, 210 * usec, b, "coord.span", "coord");
+    rec.span(t.link01, 210 * usec, b, FlowStamp::hop(false, 260 * usec));
     // No further events: the link layer abandoned the message.
 
     FlowProfiler prof;
@@ -398,7 +465,7 @@ TEST(FlowProfiler, SeqExhaustionAbandonIsTracedAndAttributed)
     // flight, so it is the one exhaustion reclaims.
     const TraceId id = rec.newFlow();
     rec.complete(policy, sim.now(), 0, "decide:tune", "coord");
-    rec.flowBegin(policy, sim.now(), id, "coord.span", "coord");
+    rec.span(policy, sim.now(), id, FlowStamp::decide(sim.now()));
     m.entity = 1;
     m.trace = id;
     snd.send(m, nullptr);
@@ -437,14 +504,14 @@ TEST(FlowProfiler, OrphanFragmentsAnchoredAndExcluded)
     const TraceId whole = rec.newFlow();
     const TraceId frag = rec.newFlow();
 
-    rec.flowBegin(t.policy, 100 * usec, whole, "coord.span", "coord");
+    rec.span(t.policy, 100 * usec, whole, FlowStamp::decide(100 * usec));
     rec.complete(t.node2, 150 * usec, 0, "tune:apply", "coord");
-    rec.flowEnd(t.node2, 150 * usec, whole, "coord.span", "coord");
+    rec.span(t.node2, 150 * usec, whole, {FlowMark::apply}, true);
 
     // The fragment: step + end only, begin evicted.
-    rec.flowStep(t.link01, 500 * usec, frag, "coord.span", "coord");
+    rec.span(t.link01, 500 * usec, frag, {FlowMark::checkpoint});
     rec.complete(t.node2, 620 * usec, 0, "tune:apply", "coord");
-    rec.flowEnd(t.node2, 620 * usec, frag, "coord.span", "coord");
+    rec.span(t.node2, 620 * usec, frag, {FlowMark::apply}, true);
 
     FlowProfiler prof;
     prof.ingest(rec);
@@ -470,25 +537,23 @@ TEST(FlowProfiler, InProcessAndJsonFeedersAgreeByteForByte)
         const TraceId id = rec.newFlow();
         const Tick base = (100 + 300 * i) * usec;
         rec.complete(t.policy, base, 0, "decide:tune", "coord");
-        rec.flowBegin(t.policy, base, id, "coord.span", "coord");
+        rec.span(t.policy, base, id, FlowStamp::decide(base));
         rec.complete(t.link01, base + 20 * usec, 50 * usec, "hop:tune",
                      "coord");
-        rec.flowStep(t.link01, base + 20 * usec, id, "coord.span",
-                     "coord");
+        rec.span(t.link01, base + 20 * usec, id,
+                 FlowStamp::hop(false, base + 70 * usec));
         if (i % 3 == 0) {
             rec.instant(t.policy, base + 500 * usec, "retry:tune",
                         "coord");
-            rec.flowStep(t.policy, base + 500 * usec, id, "coord.span",
-                         "coord");
+            rec.span(t.policy, base + 500 * usec, id, {FlowMark::retry});
             rec.complete(t.link01, base + 510 * usec, 50 * usec,
                          "hop:tune", "coord");
-            rec.flowStep(t.link01, base + 510 * usec, id, "coord.span",
-                         "coord");
+            rec.span(t.link01, base + 510 * usec, id,
+                     FlowStamp::hop(false, base + 560 * usec));
         }
         rec.complete(t.node2, base + 600 * usec, 0, "tune:apply",
                      "coord");
-        rec.flowEnd(t.node2, base + 600 * usec, id, "coord.span",
-                    "coord");
+        rec.span(t.node2, base + 600 * usec, id, {FlowMark::apply}, true);
     }
 
     FlowProfiler inproc;
@@ -514,11 +579,10 @@ TEST(FlowProfiler, SlowestFlowsRankedAndCapped)
         const TraceId id = rec.newFlow();
         if (tot == 500)
             slowestId = id;
-        rec.flowBegin(t.policy, 100 * usec, id, "coord.span", "coord");
+        rec.span(t.policy, 100 * usec, id, FlowStamp::decide(100 * usec));
         rec.complete(t.node2, (100 + tot) * usec, 0, "tune:apply",
                      "coord");
-        rec.flowEnd(t.node2, (100 + tot) * usec, id, "coord.span",
-                    "coord");
+        rec.span(t.node2, (100 + tot) * usec, id, {FlowMark::apply}, true);
     }
 
     FlowProfiler prof;
@@ -550,11 +614,11 @@ TEST(FlightRecorder, SnapshotEmbedsFlowProfile)
     TraceRecorder &rec = flight.recorder();
     Tracks t(rec);
     const TraceId id = rec.newFlow();
-    rec.flowBegin(t.policy, 100 * usec, id, "coord.span", "coord");
+    rec.span(t.policy, 100 * usec, id, FlowStamp::decide(100 * usec));
     rec.complete(t.link01, 120 * usec, 50 * usec, "hop:tune", "coord");
-    rec.flowStep(t.link01, 120 * usec, id, "coord.span", "coord");
+    rec.span(t.link01, 120 * usec, id, FlowStamp::hop(false, 170 * usec));
     rec.complete(t.node2, 200 * usec, 0, "tune:apply", "coord");
-    rec.flowEnd(t.node2, 200 * usec, id, "coord.span", "coord");
+    rec.span(t.node2, 200 * usec, id, {FlowMark::apply}, true);
 
     flight.snapshot("breach:test", 1 * msec);
     ASSERT_TRUE(flight.hasSnapshot());
@@ -723,9 +787,9 @@ TEST(TraceCheckMonotone, BackwardsStepIsPerEventViolation)
     TraceRecorder rec;
     Tracks t(rec);
     const TraceId id = rec.newFlow();
-    rec.flowBegin(t.policy, 200 * usec, id, "coord.span", "coord");
-    rec.flowStep(t.link01, 100 * usec, id, "coord.span", "coord");
-    rec.flowEnd(t.node2, 300 * usec, id, "coord.span", "coord");
+    rec.span(t.policy, 200 * usec, id, FlowStamp::decide(200 * usec));
+    rec.span(t.link01, 100 * usec, id, {FlowMark::checkpoint});
+    rec.span(t.node2, 300 * usec, id, {FlowMark::checkpoint}, true);
     const std::string trace = rec.json();
 
     // Default mode: one coarse per-flow ordering violation; the
@@ -757,13 +821,13 @@ TEST(TraceCheckMonotone, MonotoneAndDanglingFlowsPass)
     TraceRecorder rec;
     Tracks t(rec);
     const TraceId a = rec.newFlow();
-    rec.flowBegin(t.policy, 100 * usec, a, "coord.span", "coord");
-    rec.flowStep(t.link01, 200 * usec, a, "coord.span", "coord");
-    rec.flowEnd(t.node2, 300 * usec, a, "coord.span", "coord");
+    rec.span(t.policy, 100 * usec, a, FlowStamp::decide(100 * usec));
+    rec.span(t.link01, 200 * usec, a, {FlowMark::checkpoint});
+    rec.span(t.node2, 300 * usec, a, {FlowMark::checkpoint}, true);
     // A dangling (abandoned) flow is not a monotonicity violation.
     const TraceId b = rec.newFlow();
-    rec.flowBegin(t.policy, 150 * usec, b, "coord.span", "coord");
-    rec.flowStep(t.link01, 250 * usec, b, "coord.span", "coord");
+    rec.span(t.policy, 150 * usec, b, FlowStamp::decide(150 * usec));
+    rec.span(t.link01, 250 * usec, b, {FlowMark::checkpoint});
 
     TraceCheckParams params;
     params.monotone_flows = true;

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -94,67 +95,6 @@ TEST(Summary, MergeWithEmptySides)
     EXPECT_DOUBLE_EQ(b.mean(), 1.0);
 }
 
-TEST(Histogram, CountMatchesRecords)
-{
-    Histogram h(1e6);
-    for (int i = 0; i < 1000; ++i)
-        h.record(static_cast<double>(i));
-    EXPECT_EQ(h.count(), 1000u);
-    EXPECT_EQ(h.stats().count(), 1000u);
-}
-
-TEST(Histogram, QuantileOrdering)
-{
-    Histogram h(1e6);
-    Rng rng(7);
-    for (int i = 0; i < 50000; ++i)
-        h.record(rng.exponential(1000.0));
-    const double p50 = h.quantile(0.50);
-    const double p90 = h.quantile(0.90);
-    const double p99 = h.quantile(0.99);
-    EXPECT_LE(p50, p90);
-    EXPECT_LE(p90, p99);
-}
-
-TEST(Histogram, QuantileBoundedRelativeError)
-{
-    // Record exact values and verify the quantile comes back within
-    // the structure's relative-error bound (2/sub_buckets).
-    Histogram h(1e9, 64);
-    std::vector<double> values;
-    Rng rng(13);
-    for (int i = 0; i < 20000; ++i)
-        values.push_back(rng.uniform(1.0, 1e6));
-    for (double v : values)
-        h.record(v);
-    std::sort(values.begin(), values.end());
-    for (double q : {0.1, 0.5, 0.9, 0.99}) {
-        const double exact =
-            values[static_cast<std::size_t>(q * (values.size() - 1))];
-        const double approx = h.quantile(q);
-        EXPECT_NEAR(approx / exact, 1.0, 0.05)
-            << "quantile " << q;
-    }
-}
-
-TEST(Histogram, ExtremesClampSafely)
-{
-    Histogram h(1000.0);
-    h.record(-5.0);    // clamps to 0
-    h.record(1e12);    // clamps to max
-    EXPECT_EQ(h.count(), 2u);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-}
-
-TEST(Histogram, ResetForgetsEverything)
-{
-    Histogram h(1000.0);
-    h.record(10.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-}
-
 TEST(TimeSeries, RecordsInOrder)
 {
     TimeSeries ts;
@@ -196,7 +136,7 @@ class HistogramMeanSweep : public ::testing::TestWithParam<double>
 TEST_P(HistogramMeanSweep, SummaryMeanTracksExactMean)
 {
     const double scale = GetParam();
-    Histogram h(1e12);
+    corm::obs::Histogram h;
     Rng rng(static_cast<std::uint64_t>(scale));
     double sum = 0.0;
     const int n = 20000;
@@ -205,7 +145,7 @@ TEST_P(HistogramMeanSweep, SummaryMeanTracksExactMean)
         h.record(v);
         sum += v;
     }
-    EXPECT_NEAR(h.stats().mean(), sum / n, sum / n * 1e-9);
+    EXPECT_NEAR(h.mean(), sum / n, sum / n * 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, HistogramMeanSweep,
