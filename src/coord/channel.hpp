@@ -333,12 +333,10 @@ class CoordChannel : public CoordTransport
 
     /** Trace one delivered copy: the span's flow step, or its end
      *  when the ack reaches the sender. A duplicate copy is only a
-     *  hop:dup:* instant, as on a fabric lane. */
+     *  hop:dup:* instant, as on a fabric lane, flowed or not. */
     [[gnu::noinline]] void
     traceDelivery(const CoordMessage &msg, bool firstCopy)
     {
-        if (msg.trace == 0)
-            return;
         if (!firstCopy) {
             rec_->instant(fabricTrack(), sim.now(),
                           std::string("hop:dup:")

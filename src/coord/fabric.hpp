@@ -32,7 +32,7 @@
  * PCIe DLLP ACK/NAK retry) re-sends fault-eaten wire messages with
  * exponential backoff, causal trace spans are carried hop by hop,
  * and per-lane activity logs feed health-monitor stall watchdogs at
- * window barriers (see drainLaneActivity). Delivery semantics match
+ * window barriers (see watchLanes). Delivery semantics match
  * CoordChannel: Tune/Trigger dispatch to the destination island,
  * sequenced messages are acknowledged and deduplicated at the
  * endpoint, registrations install bindings and are always acked.
@@ -58,6 +58,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -69,6 +70,7 @@
 #include "coord/message.hpp"
 #include "coord/transport.hpp"
 #include "interconnect/faults.hpp"
+#include "obs/monitor.hpp"
 #include "obs/trace.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
@@ -329,39 +331,89 @@ class CoordFabric : public CoordTransport
     };
 
     /**
-     * Record per-lane send/delivery activity shard-locally so the
-     * health monitor's stall watchdogs can run at barrier time (see
-     * drainLaneActivity). Off by default — recording costs a vector
-     * push per wire attempt/delivery.
+     * Feed @p mon's per-lane stall watchdogs: every directional lane
+     * registers as a monitor lane, in link-key order, and each shard
+     * logs its lanes' sends and deliveries during a window (a vector
+     * push per wire attempt or arriving copy, so off by default).
+     * Call resyncLaneWatch() after a membership change and
+     * feedLaneWatch() at each window barrier.
      */
-    void setLaneActivityRecording(bool on) { laneActivity_ = on; }
+    void
+    watchLanes(corm::obs::HealthMonitor &mon)
+    {
+        watch_ = &mon;
+        resyncLaneWatch();
+    }
+
+    /**
+     * Register the lanes a join or re-parent created and retire the
+     * lanes that departed with an island. Lane ids and names are pure
+     * functions of the endpoint ids, so a re-joined pair revives its
+     * old monitor lane, and each lane's index is resolved only here.
+     */
+    void
+    resyncLaneWatch()
+    {
+        std::vector<int> live;
+        forEachLaneId([&](const std::string &name, std::uint64_t id) {
+            auto [lane, fresh] = watchLane_.tryEmplace(id);
+            if (fresh)
+                lane = watch_->lane(name);
+            live.push_back(lane);
+        });
+        watch_->retireLanesExcept(live);
+    }
+
+    /** Replay the window's lane activity into the watched monitor,
+     *  stamped with the tick each send or delivery happened at. */
+    void
+    feedLaneWatch()
+    {
+        drainLaneActivity([this](const LaneEvent &e) {
+            const int *lane = watchLane_.find(e.lane);
+            assert(lane && "lane activity before resyncLaneWatch()");
+            if (e.delivered)
+                watch_->laneDeliveredAt(*lane, e.when);
+            else
+                watch_->laneSentAt(*lane, e.when);
+        });
+    }
 
     /**
      * Hand the window's lane activity to @p fn in canonical
      * (when, lane, delivered-before-sent, seq) order — placement
      * independent because a lane's sends are logged only by its
      * sender shard and its deliveries only by its receiver shard.
-     * Runs on the coordinator at a window barrier.
+     * Each shard's log rises in time, so merging the logs by time
+     * leaves only runs of equal times to sort. Runs on the
+     * coordinator at a window barrier.
      */
+    template <typename Fn>
     void
-    drainLaneActivity(const std::function<void(const LaneEvent &)> &fn)
+    drainLaneActivity(Fn &&fn)
     {
         laneScratch_.clear();
-        for (auto &st : states) {
-            laneScratch_.insert(laneScratch_.end(), st.laneLog.begin(),
-                                st.laneLog.end());
+        for (ShardState &st : states) {
+            laneMerge_.clear();
+            std::merge(laneScratch_.begin(), laneScratch_.end(),
+                       st.laneLog.begin(), st.laneLog.end(),
+                       std::back_inserter(laneMerge_),
+                       [](const LaneEvent &a, const LaneEvent &b) {
+                           return a.when < b.when;
+                       });
+            laneScratch_.swap(laneMerge_);
             st.laneLog.clear();
         }
-        std::sort(laneScratch_.begin(), laneScratch_.end(),
-                  [](const LaneEvent &a, const LaneEvent &b) {
-                      if (a.when != b.when)
-                          return a.when < b.when;
-                      if (a.lane != b.lane)
-                          return a.lane < b.lane;
-                      if (a.delivered != b.delivered)
-                          return a.delivered;
-                      return a.seq < b.seq;
-                  });
+        corm::sim::sortTimeRuns(
+            laneScratch_, [](const LaneEvent &a, const LaneEvent &b) {
+                if (a.when != b.when)
+                    return a.when < b.when;
+                if (a.lane != b.lane)
+                    return a.lane < b.lane;
+                if (a.delivered != b.delivered)
+                    return a.delivered;
+                return a.seq < b.seq;
+            });
         for (const LaneEvent &e : laneScratch_)
             fn(e);
     }
@@ -398,7 +450,7 @@ class CoordFabric : public CoordTransport
      *  - the engine's lookahead must not exceed hopLatency (a hop is
      *    the minimum cross-shard interaction latency);
      *  - tracing uses per-shard recorders (setShardTrace), and lane
-     *    monitoring runs off drainLaneActivity at barriers;
+     *    monitoring runs off feedLaneWatch at barriers;
      *  - send(msg) must execute on the shard owning msg.src, which
      *    falls out naturally when workload events are scheduled on
      *    the source island's shard simulator;
@@ -1649,7 +1701,7 @@ class CoordFabric : public CoordTransport
         const corm::sim::Tick tnow = nowFor(f.from);
         // Logged before the fault roll, so the stall watchdog sees
         // attempts the weather ate.
-        if (laneActivity_)
+        if (watch_)
             st.laneLog.push_back(
                 {tnow, lane.id, ++st.laneLogSeq, false});
         const std::optional<corm::interconnect::WireTicks> t =
@@ -1813,7 +1865,7 @@ class CoordFabric : public CoordTransport
         ShardState &st = stateFor(node);
         // Every arriving copy counts as lane activity, duplicates
         // included.
-        if (laneActivity_)
+        if (watch_)
             st.laneLog.push_back({simFor(node).now(), e.lane,
                                   ++st.laneLogSeq, true});
         if (e.flags & corm::sim::ShardMessage::flagDuplicate) {
@@ -2039,8 +2091,9 @@ class CoordFabric : public CoordTransport
     /** (old home, entity) -> new home forwarding pointers. */
     std::map<std::uint64_t, IslandId> migrated_;
     AbandonFn onAbandon;
-    bool laneActivity_ = false;
-    std::vector<LaneEvent> laneScratch_;     ///< drain scratch
+    corm::obs::HealthMonitor *watch_ = nullptr; ///< see watchLanes
+    FlatTable<int> watchLane_; ///< lane id -> monitor lane
+    std::vector<LaneEvent> laneScratch_, laneMerge_; ///< drain scratch
     std::vector<AbandonRecord> abandonScratch_;
     corm::sim::Logger logger{"coord.fabric"};
 };

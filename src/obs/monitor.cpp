@@ -5,10 +5,13 @@
 
 #include "obs/monitor.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 namespace corm::obs {
@@ -114,6 +117,83 @@ formatDuration(corm::sim::Tick t)
     return buf;
 }
 
+// Health lines format their numbers with integer std::to_chars where
+// that gives printf's exact text, and with snprintf elsewhere:
+// floating-point to_chars reads large tables, which raised
+// fabric_churn_faulty's peak RSS by about 0.1 MB.
+
+void
+appendInt(std::string &out, std::int64_t v)
+{
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void
+appendPrintf(std::string &out, const char *fmt, double v)
+{
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof(buf), fmt, v);
+    out.append(buf, static_cast<std::size_t>(n));
+}
+
+/**
+ * Append "%.6f" of toSeconds(@p t). Below 2^50 ns that double is
+ * within 2^-53 of t / 1e9, too close to cross a microsecond rounding
+ * boundary, except when t sits exactly on a half microsecond: there
+ * the sign of the double's own error decides, and fma gives it
+ * exactly. So the text is t rounded to whole microseconds.
+ */
+void
+appendSeconds(std::string &out, corm::sim::Tick t)
+{
+    if (t >= (corm::sim::Tick{1} << 50)) {
+        appendPrintf(out, "%.6f", corm::sim::toSeconds(t));
+        return;
+    }
+    const corm::sim::Tick ns = t % 1000;
+    const bool up = ns > 500
+        || (ns == 500
+            && std::fma(corm::sim::toSeconds(t), 1e9,
+                        -static_cast<double>(t))
+                > 0);
+    auto us = static_cast<std::int64_t>(t / 1000 + (up ? 1 : 0));
+    appendInt(out, us / 1000000);
+    char frac[7] = {'.'};
+    for (int i = 6; i > 0; --i, us /= 10)
+        frac[i] = static_cast<char>('0' + us % 10);
+    out.append(frac, sizeof(frac));
+}
+
+/** Append "%.10g" of @p v: an integral value below 1e10 prints as
+ *  its digits. */
+void
+appendG10(std::string &out, double v)
+{
+    if (std::fabs(v) < 1e10 && v == std::trunc(v)
+        && !(v == 0 && std::signbit(v)))
+        appendInt(out, static_cast<std::int64_t>(v));
+    else
+        appendPrintf(out, "%.10g", v);
+}
+
+/** Append @p ev's str() line, the text printf's "t=%.6fs %-13s
+ *  observed=%.10g threshold=%.10g <subject>" writes. */
+void
+appendEvent(std::string &out, const HealthEvent &ev)
+{
+    const std::string_view kind = healthEventKindName(ev.kind);
+    out += "t=";
+    appendSeconds(out, ev.when);
+    out.append("s ").append(kind).append(
+        13 - std::min<std::size_t>(kind.size(), 13), ' ');
+    out += " observed=";
+    appendG10(out, ev.observed);
+    out += " threshold=";
+    appendG10(out, ev.threshold);
+    out.append(" ").append(ev.subject);
+}
+
 } // namespace
 
 bool
@@ -192,12 +272,9 @@ healthEventKindName(HealthEvent::Kind k)
 std::string
 HealthEvent::str() const
 {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "t=%.6fs %-13s observed=%.10g threshold=%.10g ",
-                  corm::sim::toSeconds(when),
-                  healthEventKindName(kind), observed, threshold);
-    return buf + subject;
+    std::string out;
+    appendEvent(out, *this);
+    return out;
 }
 
 std::vector<std::string>
@@ -376,37 +453,29 @@ HealthMonitor::retireLane(int id)
 }
 
 void
-HealthMonitor::retireLanesExcept(const std::vector<std::string> &live)
+HealthMonitor::retireLanesExcept(const std::vector<int> &live)
 {
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-        if (lanes_[i].retired)
-            continue;
-        bool found = false;
-        for (const std::string &name : live) {
-            if (lanes_[i].name == name) {
-                found = true;
-                break;
-            }
-        }
-        if (!found)
+    std::vector<bool> keep(lanes_.size(), false);
+    for (const int id : live)
+        keep[static_cast<std::size_t>(id)] = true;
+    for (std::size_t i = 0; i < lanes_.size(); ++i)
+        if (!keep[i])
             retireLane(static_cast<int>(i));
-    }
 }
 
 void
-HealthMonitor::noteAbandon(const std::string &who)
+HealthMonitor::noteAbandon(std::string who)
 {
-    noteAbandonAt(who, sim.now());
+    noteAbandonAt(std::move(who), sim.now());
 }
 
 void
-HealthMonitor::noteAbandonAt(const std::string &who,
-                             corm::sim::Tick when)
+HealthMonitor::noteAbandonAt(std::string who, corm::sim::Tick when)
 {
     HealthEvent ev;
     ev.kind = HealthEvent::Kind::abandon;
     ev.when = when;
-    ev.subject = who;
+    ev.subject = std::move(who);
     emit(std::move(ev));
 }
 
@@ -545,7 +614,7 @@ HealthMonitor::emit(HealthEvent ev)
     if (bad)
         flight_.snapshot(name, ev.when);
 
-    events_.push_back(ev);
+    events_.push_back(std::move(ev));
     if (bad && policyCb_)
         policyCb_(events_.back());
 }
@@ -553,7 +622,6 @@ HealthMonitor::emit(HealthEvent ev)
 std::string
 HealthMonitor::healthReport() const
 {
-    std::ostringstream out;
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "[health] rules %zu, lanes %zu, events %zu "
@@ -561,12 +629,16 @@ HealthMonitor::healthReport() const
                   "(dropped %" PRIu64 ")\n",
                   rules_.size(), lanes_.size(), events_.size(),
                   breaches_, flight_.retained(), flight_.dropped());
-    out << buf;
+    std::string out = buf;
+    out.reserve(out.size() + 96 * events_.size());
     for (const std::string &e : ruleErrors_)
-        out << "  rule-error: " << e << "\n";
-    for (const HealthEvent &ev : events_)
-        out << "  " << ev.str() << "\n";
-    return out.str();
+        out += "  rule-error: " + e + "\n";
+    for (const HealthEvent &ev : events_) {
+        out += "  ";
+        appendEvent(out, ev);
+        out += '\n';
+    }
+    return out;
 }
 
 } // namespace corm::obs

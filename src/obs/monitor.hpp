@@ -212,15 +212,15 @@ class HealthMonitor
      */
     void retireLane(int id);
 
-    /** Retire every lane whose name is absent from @p live — sugar
-     *  for the churn path (names as registered via lane()). */
-    void retireLanesExcept(const std::vector<std::string> &live);
+    /** Retire every lane whose id is absent from @p live, in lane
+     *  id order — sugar for the churn path. */
+    void retireLanesExcept(const std::vector<int> &live);
 
     /** The reliable layer gave up on a message. */
-    void noteAbandon(const std::string &who);
+    void noteAbandon(std::string who);
 
     /** Explicit-time variant of noteAbandon (see laneSentAt). */
-    void noteAbandonAt(const std::string &who, corm::sim::Tick when);
+    void noteAbandonAt(std::string who, corm::sim::Tick when);
 
     // Outputs --------------------------------------------------------
 

@@ -50,6 +50,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -67,30 +68,19 @@ inline constexpr bool traceCompiledIn = false;
 inline constexpr bool traceCompiledIn = true;
 #endif
 
-/** One trace-event argument; numbers serialize unquoted. */
+/**
+ * One trace-event argument. The value keeps its type and is formatted
+ * only when the trace is written (JsonWriter::field): numbers
+ * unquoted ("%.10g" for doubles), strings quoted and escaped. Most
+ * events of a bounded flight ring are discarded unwritten.
+ */
 struct TraceArg
 {
     std::string key;
-    std::string value;
-    bool quoted = false;
+    std::variant<std::string, double, std::uint64_t, int> value;
 
-    TraceArg(std::string k, double v) : key(std::move(k))
-    {
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), "%.10g", v);
-        value = buf;
-    }
-    TraceArg(std::string k, std::uint64_t v)
-        : key(std::move(k)), value(std::to_string(v))
-    {}
-    TraceArg(std::string k, int v)
-        : key(std::move(k)), value(std::to_string(v))
-    {}
-    TraceArg(std::string k, std::string v)
-        : key(std::move(k)), value(std::move(v)), quoted(true)
-    {}
-    TraceArg(std::string k, const char *v)
-        : key(std::move(k)), value(v), quoted(true)
+    template <typename V>
+    TraceArg(std::string k, V v) : key(std::move(k)), value(std::move(v))
     {}
 };
 
@@ -528,12 +518,10 @@ class TraceRecorder
                 j.endObject();
             } else if (!e.args.empty()) {
                 j.beginObject("args");
-                for (const TraceArg &a : e.args) {
-                    if (a.quoted)
-                        j.field(a.key.c_str(), a.value);
-                    else
-                        j.fieldRaw(a.key.c_str(), a.value);
-                }
+                for (const TraceArg &a : e.args)
+                    std::visit(
+                        [&](const auto &v) { j.field(a.key.c_str(), v); },
+                        a.value);
                 j.endObject();
             }
             j.endObject();

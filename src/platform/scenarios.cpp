@@ -546,24 +546,16 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     ShardIsland &root = *islands.front();
 
     // Per-lane stall watchdogs: one heartbeat lane per link
-    // direction. The fabric logs lane activity shard-locally and the
-    // barrier probe replays it into the monitor in canonical order
-    // with explicit timestamps — watchdog state is then a pure
-    // function of the global event set, identical for every shard
-    // count.
+    // direction, fed by the fabric at window barriers
+    // (CoordFabric::watchLanes).
     corm::obs::MetricRegistry registry;
     std::unique_ptr<corm::obs::HealthMonitor> monitor;
     corm::obs::HealthMonitor::Params monitorParams;
-    std::map<std::uint64_t, int> laneMon; // directional lane id -> monitor lane
     if (cfg.monitorLanes) {
         monitor = std::make_unique<corm::obs::HealthMonitor>(
             sim, registry, monitorParams);
         monitor->setMirrorTrace(trace);
-        fabric.forEachLaneId(
-            [&](const std::string &lane_name, std::uint64_t id) {
-                laneMon[id] = monitor->lane(lane_name);
-            });
-        fabric.setLaneActivityRecording(true);
+        fabric.watchLanes(*monitor);
     }
     if (cfg.wire)
         cfg.wire(fabric);
@@ -856,25 +848,6 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     const Tick workloadStart = sim.now();
     std::uint64_t churnSkipped = 0;
 
-    // Re-wire watchdog lanes after a membership change: links born
-    // from a join or re-parent get lanes registered, links that
-    // departed with an island retire (no spurious stall breach for
-    // traffic that will never resume). Lane ids and names are pure
-    // functions of the endpoint ids, so a re-joined pair revives its
-    // old lane rather than growing a new one.
-    const auto resyncLanes = [&] {
-        if (!monitor)
-            return;
-        std::vector<std::string> live;
-        fabric.forEachLaneId(
-            [&](const std::string &lane_name, std::uint64_t id) {
-                if (!laneMon.count(id))
-                    laneMon[id] = monitor->lane(lane_name);
-                live.push_back(lane_name);
-            });
-        monitor->retireLanesExcept(live);
-    };
-
     const auto applyChurn = [&](const ChurnEvent &ev, Tick now) {
         using Kind = ChurnEvent::Kind;
         if (ev.island <= 0 || ev.island >= n) {
@@ -989,16 +962,6 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     // a pure function of the global event set, so every probe
     // decision replays identically under any shard count.
     corm::sim::PeriodicEvent poll(sim, pollPeriod, [] {});
-    const auto drainLaneActivity = [&] {
-        fabric.drainLaneActivity(
-            [&](const coord::CoordFabric::LaneEvent &e) {
-                const int lane = laneMon.at(e.lane);
-                if (e.delivered)
-                    monitor->laneDeliveredAt(lane, e.when);
-                else
-                    monitor->laneSentAt(lane, e.when);
-            });
-    };
     // Barrier-time capture sequence (all workers parked):
     //  0. apply churn events due by this window's end (and any
     //     re-parents whose delay elapsed) at the barrier tick;
@@ -1026,14 +989,16 @@ runFabricScenario(const FabricScenarioConfig &cfg)
                 ++nextChurnIdx;
             }
             fabric.churnTick(windowEnd);
-            if (fabric.routeEpoch() != epoch)
-                resyncLanes();
+            // Links born from a join or re-parent get watchdog lanes;
+            // links that departed with an island retire theirs.
+            if (monitor && fabric.routeEpoch() != epoch)
+                fabric.resyncLaneWatch();
         }
         if (capture)
             capture->mergeWindow();
         fabric.drainAbandoned();
         if (monitor) {
-            drainLaneActivity();
+            fabric.feedLaneWatch();
             if (windowEnd >= nextMonAt) {
                 monitor->poll(windowEnd);
                 nextMonAt = windowEnd + monitorParams.samplePeriod;
@@ -1053,7 +1018,7 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         capture->mergeWindow();
     fabric.drainAbandoned();
     if (monitor) {
-        drainLaneActivity();
+        fabric.feedLaneWatch();
         monitor->poll(sim.now());
     }
 

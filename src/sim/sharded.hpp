@@ -110,6 +110,32 @@ struct ShardMessage
     static constexpr std::uint8_t flagDuplicate = 1;
 };
 
+/**
+ * Sort @p v by @p before, a total order that ranks by the elements'
+ * `when` first. If the times already rise, only each run of equal
+ * times needs sorting; otherwise the whole vector is sorted. The
+ * order is total, so both ways give the same result. Returns false
+ * when it had to sort everything.
+ */
+template <typename T, typename Before>
+bool
+sortTimeRuns(std::vector<T> &v, Before before)
+{
+    for (auto i = v.begin(); i != v.end();) {
+        auto j = i + 1;
+        while (j != v.end() && j->when == i->when)
+            ++j;
+        if (j != v.end() && j->when < i->when) {
+            std::sort(v.begin(), v.end(), before);
+            return false;
+        }
+        if (j - i > 1)
+            std::sort(i, j, before);
+        i = j;
+    }
+    return true;
+}
+
 /** Host-side counters of the sharded engine itself. */
 struct ShardEngineStats
 {
@@ -436,7 +462,8 @@ class ShardedEngine
             }
             if (scratch_.empty())
                 continue;
-            sortCanonical();
+            if (!sortTimeRuns(scratch_, canonicalBefore))
+                ++stats_.fullSorts;
             const std::size_t base = arena.size();
             arena.insert(arena.end(), scratch_.begin(),
                          scratch_.end());
@@ -457,32 +484,6 @@ class ShardedEngine
                 ++stats_.batches;
                 i = j;
             }
-        }
-    }
-
-    /**
-     * Put scratch_ into canonical order. If its times already rise,
-     * only runs of equal times need ordering by (lane, seq);
-     * otherwise sort it all. (lane, seq) is unique, so the canonical
-     * order is unique and both ways give the same result.
-     */
-    void
-    sortCanonical()
-    {
-        const auto first = scratch_.begin();
-        const auto last = scratch_.end();
-        for (auto i = first; i != last;) {
-            auto j = i + 1;
-            while (j != last && j->when == i->when)
-                ++j;
-            if (j != last && j->when < i->when) {
-                std::sort(first, last, canonicalBefore);
-                ++stats_.fullSorts;
-                return;
-            }
-            if (j - i > 1)
-                std::sort(i, j, canonicalBefore);
-            i = j;
         }
     }
 

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,50 +56,29 @@ trigger(IslandId src, IslandId dst, EntityId e)
 }
 
 /**
- * Feeds a health monitor from the fabric's lane activity logs at
- * window barriers, the way runFabricScenario does: lanes register in
- * link-key order, departed lanes retire on resync(), and the monitor
- * polls at its sample period.
+ * Watches the fabric's lanes with a health monitor the way
+ * runFabricScenario does: the fabric feeds the monitor at every
+ * window barrier, and the monitor polls at its sample period.
  */
 struct LaneWatch
 {
     CoordFabric &fabric;
     corm::obs::HealthMonitor &mon;
     Tick period;
-    std::map<std::uint64_t, int> lanes;
     Tick nextPoll = 0;
     Tick barrierAt = 0; ///< tick of the barrier being served
 
     LaneWatch(CoordFabric &f, corm::obs::HealthMonitor &m, Tick sample)
         : fabric(f), mon(m), period(sample)
     {
-        fabric.setLaneActivityRecording(true);
-        resync();
-    }
-
-    void
-    resync()
-    {
-        std::vector<std::string> live;
-        fabric.forEachLaneId(
-            [&](const std::string &lane_name, std::uint64_t id) {
-                if (!lanes.count(id))
-                    lanes[id] = mon.lane(lane_name);
-                live.push_back(lane_name);
-            });
-        mon.retireLanesExcept(live);
+        fabric.watchLanes(mon);
     }
 
     void
     barrier(Tick windowEnd)
     {
         barrierAt = windowEnd;
-        fabric.drainLaneActivity([&](const CoordFabric::LaneEvent &e) {
-            if (e.delivered)
-                mon.laneDeliveredAt(lanes.at(e.lane), e.when);
-            else
-                mon.laneSentAt(lanes.at(e.lane), e.when);
-        });
+        fabric.feedLaneWatch();
         if (windowEnd >= nextPoll) {
             mon.poll(windowEnd);
             nextPoll = windowEnd + period;
@@ -482,7 +460,7 @@ TEST(CoordChurnMonitor, CleanLeaveRetiresLanesWithoutSpuriousStall)
     rig.sim().scheduleAt(0, [&] { rig.fabric.send(tune(1, 3, 7, 1.0)); });
     rig.runFor(1 * msec);
     rig.fabric.leave(3, rig.now());
-    watch.resync(); // lanes to 3 are gone from the live set: retire
+    rig.fabric.resyncLaneWatch(); // lanes to 3 left the live set: retire
     rig.runFor(49 * msec);
 
     EXPECT_EQ(mon.breaches(), 0u) << mon.healthReport();
@@ -557,7 +535,7 @@ TEST(CoordChurnMonitor, StallAcrossHubOutageDrivesReparentAndRecovers)
         reparented = true; // the watchdog says hub 2 is dead
         rig.fabric.crash(2, watch.barrierAt);
         rig.fabric.reparentNow(watch.barrierAt);
-        watch.resync();
+        rig.fabric.resyncLaneWatch();
     });
 
     ReliableSender::Params rp;

@@ -18,12 +18,15 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "coord/fabric.hpp"
 #include "coord/flattable.hpp"
 #include "coord/reliable.hpp"
 #include "fabric_rig.hpp"
+#include "obs/metrics.hpp"
+#include "obs/monitor.hpp"
 #include "obs/trace.hpp"
 #include "obs/tracecheck.hpp"
 #include "platform/report.hpp"
@@ -407,6 +410,87 @@ TEST(CoordFabricLanes, ExposesPerDirectionLanesAndQueueDepth)
         "fab.1-2", "fab.2-1", "fab.1-3", "fab.3-1", "fab.2-4", "fab.4-2",
         "fab.2-5", "fab.5-2", "fab.3-6", "fab.6-3", "fab.3-7", "fab.7-3"};
     EXPECT_EQ(ordered, want);
+}
+
+// The drain merges the shards' lane logs, each already in time
+// order, and sorts only runs of equal ticks. Random same-tick bursts
+// across a mesh's 56 lanes, logged by 1, 2 or 4 shards, must come out
+// in exactly the order a full sort by the canonical comparator gives
+// — and, leaving out the shard-local seq, the same for every shard
+// count.
+TEST(CoordFabricLanes, DrainOrderMatchesFullCanonicalSort)
+{
+    using LaneEvent = CoordFabric::LaneEvent;
+    const auto canonicalBefore = [](const LaneEvent &a,
+                                    const LaneEvent &b) {
+        if (a.when != b.when)
+            return a.when < b.when;
+        if (a.lane != b.lane)
+            return a.lane < b.lane;
+        if (a.delivered != b.delivered)
+            return a.delivered;
+        return a.seq < b.seq;
+    };
+    const auto key = [](const LaneEvent &e) {
+        return std::make_tuple(e.when, e.lane, e.delivered, e.seq);
+    };
+    using Placed = std::tuple<Tick, std::uint64_t, bool>;
+    constexpr int kIslands = 8;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("seed=" + std::to_string(seed));
+        std::vector<Placed> firstOrder;
+        for (int shards : {1, 2, 4}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards));
+            FabricParams p = meshParams(10 * usec);
+            p.faults.seed = seed;
+            p.faults.dupProb = 0.2;
+            p.faults.lossProb = 0.1;
+            FabricRig rig(p, kIslands, shards);
+            corm::obs::MetricRegistry reg;
+            corm::obs::HealthMonitor mon(rig.sim(), reg);
+            rig.fabric.watchLanes(mon); // turns lane logging on
+
+            std::vector<Placed> order;
+            std::size_t sharedTicks = 0;
+            rig.onBarrier = [&](Tick) {
+                std::vector<LaneEvent> got;
+                rig.fabric.drainLaneActivity(
+                    [&got](const LaneEvent &e) { got.push_back(e); });
+                std::vector<LaneEvent> want = got;
+                std::sort(want.begin(), want.end(), canonicalBefore);
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    EXPECT_EQ(key(got[i]), key(want[i])) << "event " << i;
+                    order.emplace_back(got[i].when, got[i].lane,
+                                       got[i].delivered);
+                    if (i > 0 && got[i].when == got[i - 1].when
+                        && got[i].lane != got[i - 1].lane)
+                        ++sharedTicks;
+                }
+            };
+            // 400 sends over 40 ticks 5 us apart: ~10 lanes per tick.
+            std::mt19937_64 rng(seed);
+            for (int m = 0; m < 400; ++m) {
+                const auto src = static_cast<IslandId>(1 + rng() % kIslands);
+                auto dst = static_cast<IslandId>(1 + rng() % (kIslands - 1));
+                if (dst >= src)
+                    ++dst;
+                const Tick at = static_cast<Tick>(rng() % 40) * 5 * usec;
+                // The rig places island i on shard (i-1)*K/n.
+                rig.engine.sim((src - 1) * shards / kIslands)
+                    .scheduleAt(at, [&rig, src, dst, m] {
+                        rig.fabric.send(
+                            tune(src, dst, static_cast<EntityId>(m % 3), 1.0));
+                    });
+            }
+            rig.runFor(5 * msec);
+
+            EXPECT_GT(sharedTicks, 100u);
+            if (firstOrder.empty())
+                firstOrder = order;
+            else
+                EXPECT_EQ(order, firstOrder);
+        }
+    }
 }
 
 TEST(CoordFabricTopology, ParseAndNameRoundTrip)

@@ -5,6 +5,7 @@
  * an identical second batch must run with fewer than one heap
  * allocation per 100 wire messages: hops, hub folds and deliveries
  * reuse the fabric's flat tables instead of allocating map nodes.
+ * The bound holds with the lane watchdogs fed at every barrier too.
  * A warm ordered event queue, which carries the barrier batches and
  * fold flushes, must allocate nothing at all.
  *
@@ -22,6 +23,8 @@
 #include <vector>
 
 #include "coord/fabric.hpp"
+#include "obs/metrics.hpp"
+#include "obs/monitor.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 
@@ -194,6 +197,36 @@ TEST(FabricAllocations, WarmShardedTreeBatchAllocatesAlmostNothing)
     expectSecondBatchAllocationFree(
         fabric, engine.sim(0),
         [&engine](Tick d) { engine.runFor(d); });
+}
+
+TEST(FabricAllocations, WarmMonitoredTreeBatchAllocatesAlmostNothing)
+{
+    // The same batch with the lane watchdogs on: every wire attempt
+    // and delivery is logged, merged and fed to the monitor at each
+    // barrier, which polls at its sample period. The logs, the drain
+    // scratch and the lane index are warm after the first batch.
+    const FabricParams p = treeParams();
+    ShardedEngine engine(1, p.hopLatency);
+    CoordFabric fabric(engine.sim(0), p);
+    const auto islands = attachIslands(fabric);
+    fabric.enableSharding(engine, std::vector<int>(kIslands, 0));
+    corm::obs::MetricRegistry registry;
+    corm::obs::HealthMonitor monitor(engine.sim(0), registry);
+    fabric.watchLanes(monitor);
+    Tick nextPoll = 0;
+    engine.setProbe([&](Tick windowEnd) {
+        fabric.feedLaneWatch();
+        if (windowEnd >= nextPoll) {
+            monitor.poll(windowEnd);
+            nextPoll = windowEnd + kEpoch;
+        }
+        return false;
+    });
+    expectSecondBatchAllocationFree(
+        fabric, engine.sim(0),
+        [&engine](Tick d) { engine.runFor(d); });
+    // Clean links: every send was answered, nothing stalled.
+    EXPECT_TRUE(monitor.events().empty()) << monitor.healthReport();
 }
 
 TEST(SimulatorAllocations, WarmOrderedQueueAllocatesNothing)

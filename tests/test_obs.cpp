@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -244,6 +247,58 @@ TEST(Trace, FlowStampsSerializeAndSurviveAbsorb)
     EXPECT_EQ(merged.events()[1].stamp.end, 121500u);
     EXPECT_EQ(merged.events()[2].phase, 'f');
     EXPECT_EQ(merged.json(), rec.json());
+}
+
+// Arguments keep their type until the trace is written, and then
+// read exactly as the recorder's eager formatting wrote them:
+// "%.10g" for doubles, decimal integers, escaped quoted strings.
+TEST(Trace, TypedArgumentsWriteTheirOldText)
+{
+    const auto g10 = [](double v) {
+        char buf[48];
+        std::snprintf(buf, sizeof(buf), "%.10g", v);
+        return std::string(buf);
+    };
+    const std::vector<double> doubles = {
+        0.1, 1e-7, -0.0, 1e300, 42.0, -3.0, 1.0 / 3.0, 123456789012.0,
+        2.5e-300, 65536.0};
+    std::vector<TraceArg> args;
+    std::vector<std::pair<std::string, std::string>> want;
+    for (std::size_t i = 0; i < doubles.size(); ++i) {
+        const std::string key = "d" + std::to_string(i);
+        args.emplace_back(key, doubles[i]);
+        want.emplace_back(key, g10(doubles[i]));
+    }
+    const std::uint64_t umax = std::numeric_limits<std::uint64_t>::max();
+    args.emplace_back("umax", umax);
+    want.emplace_back("umax", std::to_string(umax));
+    args.emplace_back("neg", -17);
+    want.emplace_back("neg", std::to_string(-17));
+    args.emplace_back("esc", std::string("q\"b\\n\nc\x01"));
+    want.emplace_back("esc", "\"q\\\"b\\\\n\\nc\\u0001\"");
+    args.emplace_back("lit", "plain");
+    want.emplace_back("lit", "\"plain\"");
+    EXPECT_EQ(want[2].second, "-0");
+    EXPECT_EQ(want[3].second, "1e+300");
+
+    TraceRecorder rec;
+    rec.instant(rec.track("p", "t"), 0, "ev", "cat", args);
+    rec.counter(rec.track("p", "t"), 5, "ctr", "series", 0.1);
+    const std::string json = rec.json();
+    for (const auto &[key, text] : want) {
+        const std::string field = "\"" + key + "\": " + text;
+        const std::size_t at = json.find(field);
+        ASSERT_NE(at, std::string::npos) << field << "\n" << json;
+        const char next = json[at + field.size()];
+        EXPECT_TRUE(next == ',' || next == '\n') << field;
+    }
+    EXPECT_NE(json.find("\"series\": 0.1\n"), std::string::npos);
+    JsonValue doc;
+    std::string err;
+    EXPECT_TRUE(parseJson(json, doc, &err)) << err;
+
+    // A typed value costs no more room than the old text value.
+    EXPECT_LE(sizeof(TraceArg), 2 * sizeof(std::string) + sizeof(double));
 }
 
 TEST(Trace, ScopeSavesAndRestoresFlowContext)

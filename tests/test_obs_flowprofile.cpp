@@ -301,6 +301,40 @@ TEST(FlowProfiler, ChannelDuplicateCopyIsOnlyAnInstant)
     EXPECT_EQ(f.totalNs(), 240 * kUs);
 }
 
+// A duplicate copy is traced whether or not its message carries a
+// span, as on a fabric lane: the channel's hop:dup:* instants count
+// exactly its wire duplicates.
+TEST(FlowProfiler, ChannelTracesDuplicateOfUnflowedMessage)
+{
+    using namespace corm::coord;
+    Simulator sim;
+    ExhaustStubIsland x86{1, "x86"}, ixp{2, "ixp"};
+    CoordChannel ch{sim, ixp, x86, 120 * usec, "pci"};
+    corm::interconnect::FaultPlanParams faults;
+    faults.seed = 7;
+    faults.dupProb = 1.0;
+    ch.installFaultPlan(faults);
+    TraceRecorder rec;
+    ch.setTrace(&rec);
+
+    CoordMessage tune;
+    tune.type = MsgType::tune;
+    tune.src = x86.id();
+    tune.dst = ixp.id();
+    tune.entity = 3;
+    tune.value = 1.0;
+    ch.send(tune); // no span
+    sim.runToCompletion();
+
+    EXPECT_EQ(ch.stats().duplicates.value(), 1u);
+    EXPECT_EQ(ixp.tunes.size(), 1u);
+    int dupInstants = 0;
+    for (const TraceEvent &e : rec.events())
+        if (e.phase == 'i' && e.name == "hop:dup:tune")
+            ++dupInstants;
+    EXPECT_EQ(dupInstants, 1);
+}
+
 /** An unflowed tune, then an ack on span @p span, sent at one tick
  *  over the channel's single fabric/pci track. */
 struct SameTickChannelSends

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -34,6 +37,18 @@ fastParams()
     p.samplePeriod = 10 * msec;
     p.stallTimeout = 50 * msec;
     return p;
+}
+
+/** HealthEvent::str()'s text as printf formats it. */
+std::string
+printfLine(const HealthEvent &ev)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "t=%.6fs %-13s observed=%.10g threshold=%.10g ",
+                  toSeconds(ev.when), healthEventKindName(ev.kind),
+                  ev.observed, ev.threshold);
+    return buf + ev.subject;
 }
 
 } // namespace
@@ -167,6 +182,116 @@ TEST(HealthMonitor, StallIsSendGatedAndRecovers)
     mon.noteAbandon("reg:entity=3");
     EXPECT_EQ(mon.breaches(), 2u);
     EXPECT_EQ(mon.events().back().kind, HealthEvent::Kind::abandon);
+}
+
+TEST(HealthEvent, TextMatchesPrintfForEveryKind)
+{
+    const std::vector<Tick> whens = {0,
+                                     1,
+                                     499,
+                                     500,
+                                     501,
+                                     1500,
+                                     2500,
+                                     999999499,
+                                     999999500,
+                                     999999501,
+                                     25 * msec + 1,
+                                     3600 * sec + 7,
+                                     123456789012345,
+                                     (Tick{1} << 50) - 1,
+                                     Tick{1} << 50,
+                                     (Tick{1} << 53) + 500,
+                                     ~Tick{0}};
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> values = {
+        0.0,  0.1,         1e-7,        -0.0,          1e300,
+        5.0,  -2.5,        1e-12,       100.25,        9999999999.0,
+        1e10, -9999999999, 123456789.0, 0.30000000001, inf,
+        -inf, std::numeric_limits<double>::quiet_NaN()};
+    for (int k = 0; k <= static_cast<int>(HealthEvent::Kind::abandon);
+         ++k) {
+        for (std::size_t i = 0; i < whens.size(); ++i) {
+            for (std::size_t v = 0; v < values.size(); ++v) {
+                HealthEvent ev;
+                ev.kind = static_cast<HealthEvent::Kind>(k);
+                ev.when = whens[i];
+                ev.observed = values[v];
+                ev.threshold = values[(v + i + 1) % values.size()];
+                ev.subject = v % 2 ? "lane fab.1-2" : "";
+                EXPECT_EQ(ev.str(), printfLine(ev));
+            }
+        }
+    }
+    // Random ticks of every magnitude, half microseconds included.
+    std::mt19937_64 rng(23);
+    for (int n = 0; n < 20000; ++n) {
+        HealthEvent ev;
+        ev.kind = HealthEvent::Kind::stall;
+        ev.when = rng() >> (rng() % 64);
+        if (n % 8 == 0)
+            ev.when = ev.when / 1000 * 1000 + 500;
+        ev.observed = static_cast<double>(rng() % 100000) / 8.0;
+        ASSERT_EQ(ev.str(), printfLine(ev)) << ev.when;
+    }
+}
+
+TEST(HealthMonitor, ReportLinesMatchPrintf)
+{
+    Simulator sim;
+    MetricRegistry reg;
+    Gauge &g = reg.gauge("g");
+    HealthMonitor::Params p = fastParams();
+    p.rules = {"g value < 10", "missing.metric value < 1"};
+    HealthMonitor mon(sim, reg, p);
+    const int lane = mon.lane("chan.a2b");
+    mon.laneSentAt(lane, 1 * msec);
+    g.set(20.0);
+    mon.poll(100 * msec); // breach + stall
+    g.set(0.5);
+    mon.laneDeliveredAt(lane, 120 * msec);
+    mon.poll(130 * msec); // recover
+    mon.noteAbandonAt("fabric:tune,dst=4", 140 * msec);
+    ASSERT_EQ(mon.events().size(), 5u);
+    ASSERT_EQ(mon.ruleErrors().size(), 1u);
+
+    char head[160];
+    std::snprintf(head, sizeof(head),
+                  "[health] rules %zu, lanes %zu, events %zu "
+                  "(unhealthy %llu), flight retained %zu "
+                  "(dropped %llu)\n",
+                  mon.rules().size(), std::size_t{1}, mon.events().size(),
+                  static_cast<unsigned long long>(mon.breaches()),
+                  mon.flight().retained(),
+                  static_cast<unsigned long long>(mon.flight().dropped()));
+    std::string want = head;
+    want += "  rule-error: " + mon.ruleErrors()[0] + "\n";
+    for (const HealthEvent &ev : mon.events())
+        want += "  " + printfLine(ev) + "\n";
+    EXPECT_EQ(mon.healthReport(), want);
+}
+
+TEST(HealthMonitor, RetireLanesExceptRetiresInLaneOrder)
+{
+    Simulator sim;
+    MetricRegistry reg;
+    HealthMonitor mon(sim, reg, fastParams()); // stallTimeout 50ms
+    std::vector<int> lanes;
+    for (const char *name : {"l0", "l1", "l2", "l3", "l4"})
+        lanes.push_back(mon.lane(name));
+    for (const int l : lanes)
+        mon.laneSentAt(l, 0);
+    mon.poll(100 * msec); // all five stall
+    ASSERT_EQ(mon.events().size(), 5u);
+
+    // Live in scrambled order; lanes 4 and 1 depart and emit their
+    // balancing recovers in lane order, then stay retired.
+    mon.retireLanesExcept({lanes[3], lanes[0], lanes[2]});
+    mon.retireLanesExcept({lanes[3], lanes[0], lanes[2]});
+    ASSERT_EQ(mon.events().size(), 7u);
+    EXPECT_EQ(mon.events()[5].kind, HealthEvent::Kind::stallRecover);
+    EXPECT_EQ(mon.events()[5].subject, "lane l1");
+    EXPECT_EQ(mon.events()[6].subject, "lane l4");
 }
 
 TEST(FlightRecorder, BoundedRingAndBreachSnapshot)
