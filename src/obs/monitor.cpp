@@ -352,14 +352,14 @@ HealthMonitor::stop()
 int
 HealthMonitor::lane(const std::string &name)
 {
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-        if (lanes_[i].name == name)
-            return static_cast<int>(i);
+    const auto [it, added] =
+        laneIds_.try_emplace(name, static_cast<int>(lanes_.size()));
+    if (added) {
+        Lane l;
+        l.name = name;
+        lanes_.push_back(std::move(l));
     }
-    Lane l;
-    l.name = name;
-    lanes_.push_back(std::move(l));
-    return static_cast<int>(lanes_.size() - 1);
+    return it->second;
 }
 
 void

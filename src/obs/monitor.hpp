@@ -45,6 +45,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/flight.hpp"
@@ -183,7 +184,11 @@ class HealthMonitor
 
     // Liveness lanes -----------------------------------------------
 
-    /** Register (or fetch) the heartbeat lane named @p name. */
+    /**
+     * Register (or fetch) the heartbeat lane named @p name. Ids
+     * follow first-registration order; a name registered again
+     * returns its id, retired or not. O(1) through a name index.
+     */
     int lane(const std::string &name);
 
     /** A message entered lane @p id (even if faults ate it). */
@@ -311,6 +316,7 @@ class HealthMonitor
     std::vector<SloRule> rules_;
     std::vector<std::string> ruleErrors_;
     std::vector<Lane> lanes_;
+    std::unordered_map<std::string, int> laneIds_; ///< name -> id
     std::vector<HealthEvent> events_;
     std::function<void(const HealthEvent &)> policyCb_;
     std::uint64_t breaches_ = 0;

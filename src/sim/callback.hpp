@@ -25,9 +25,11 @@
  * SmallCallback, so passing "no callback" through either vocabulary
  * type means the same thing.
  *
- * emplace() builds a callable directly in an existing SmallCallback;
- * the event kernel uses it to construct each callback in its slot,
- * with no temporary to move from.
+ * emplace() builds a callable directly in an existing SmallCallback,
+ * with no temporary to move from. emplaceEmpty() does the same into
+ * a callback known to be empty, without reading it first: the event
+ * kernel builds each callback that way in a slot it keeps empty
+ * while free, so a cold slot costs stores only.
  */
 
 #pragma once
@@ -153,6 +155,19 @@ class SmallCallback
     emplace(F &&f)
     {
         reset();
+        construct(std::forward<F>(f));
+    }
+
+    /**
+     * emplace() for a callback that is empty: the old state is never
+     * read, only written. Requires !*this (an empty callback holds
+     * null call and ops, which construct() relies on for the fields
+     * it leaves unwritten).
+     */
+    template <typename F, typename = AcceptsCallable<F>>
+    void
+    emplaceEmpty(F &&f)
+    {
         construct(std::forward<F>(f));
     }
 

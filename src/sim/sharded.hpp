@@ -22,9 +22,12 @@
  * coordinator while every worker is parked at the barrier, so the
  * mutex/condvar generation barrier provides all the happens-before
  * the queues need (no atomics in the hot path, clean under TSan).
- * Between windows the coordinator drains the queues, sorts each
- * destination's arrivals into the canonical (when, lane, seq) order
- * and injects them into the destination Simulator as batch events,
+ * Between windows the coordinator moves the queues into each
+ * destination's ingress arena, copying each message at most once (a
+ * lone source queue meeting an empty arena hands its buffer over and
+ * is not copied at all), sorts the arrivals in place into the
+ * canonical (when, lane, seq) order and injects them into the
+ * destination Simulator as batch events,
  * through one ordered queue per shard simulator (Simulator::
  * scheduleInOrder): a barrier's batches rise in time, and so do
  * successive barriers' while every hop takes the same latency. The
@@ -60,6 +63,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -111,15 +115,16 @@ struct ShardMessage
 };
 
 /**
- * Sort @p v by @p before, a total order that ranks by the elements'
- * `when` first. If the times already rise, only each run of equal
- * times needs sorting; otherwise the whole vector is sorted. The
- * order is total, so both ways give the same result. Returns false
- * when it had to sort everything.
+ * Sort the range @p v (a vector or a span) by @p before, a total
+ * order that ranks by the elements' `when` first. If the times
+ * already rise, only each run of equal times needs sorting;
+ * otherwise the whole range is sorted. The order is total, so both
+ * ways give the same result. Returns false when it had to sort
+ * everything.
  */
-template <typename T, typename Before>
+template <typename Range, typename Before>
 bool
-sortTimeRuns(std::vector<T> &v, Before before)
+sortTimeRuns(Range &&v, Before before)
 {
     for (auto i = v.begin(); i != v.end();) {
         auto j = i + 1;
@@ -436,8 +441,12 @@ class ShardedEngine
 
     /**
      * Barrier work: move every boundary message into its
-     * destination's ingress arena in canonical order and schedule
-     * one batch event per equal-timestamp run.
+     * destination's ingress arena, sort the new arrivals there into
+     * canonical order and schedule one batch event per
+     * equal-timestamp run. Each message is copied at most once: the
+     * first non-empty queue to meet an empty arena swaps buffers with
+     * it instead (the arena's old buffer, empty, becomes the queue's),
+     * and later queues append.
      */
     void
     drainAndInject()
@@ -452,34 +461,37 @@ class ShardedEngine
                 arena.clear();
                 consumed_[dd] = 0;
             }
-            scratch_.clear();
+            const std::size_t base = arena.size();
             for (int s = 0; s < nShards_; ++s) {
                 auto &q = outbox_[static_cast<std::size_t>(s)][dd];
                 stats_.maxBoundaryDepth =
                     std::max(stats_.maxBoundaryDepth, q.size());
-                scratch_.insert(scratch_.end(), q.begin(), q.end());
+                if (q.empty())
+                    continue;
+                if (arena.empty())
+                    arena.swap(q);
+                else
+                    arena.insert(arena.end(), q.begin(), q.end());
                 q.clear();
             }
-            if (scratch_.empty())
+            const std::span<ShardMessage> fresh(arena.data() + base,
+                                                arena.size() - base);
+            if (fresh.empty())
                 continue;
-            if (!sortTimeRuns(scratch_, canonicalBefore))
+            if (!sortTimeRuns(fresh, canonicalBefore))
                 ++stats_.fullSorts;
-            const std::size_t base = arena.size();
-            arena.insert(arena.end(), scratch_.begin(),
-                         scratch_.end());
-            stats_.messages += scratch_.size();
-            receivedBy_[dd] += scratch_.size();
+            stats_.messages += fresh.size();
+            receivedBy_[dd] += fresh.size();
             std::size_t i = 0;
-            while (i < scratch_.size()) {
+            while (i < fresh.size()) {
                 std::size_t j = i + 1;
-                while (j < scratch_.size()
-                       && scratch_[j].when == scratch_[i].when)
+                while (j < fresh.size() && fresh[j].when == fresh[i].when)
                     ++j;
                 const std::size_t at = base + i;
                 const std::uint32_t count =
                     static_cast<std::uint32_t>(j - i);
                 sims_[dd]->scheduleInOrder(
-                    injectQueues_[dd], scratch_[i].when,
+                    injectQueues_[dd], fresh[i].when,
                     [this, d, at, count] { deliverRun(d, at, count); });
                 ++stats_.batches;
                 i = j;
@@ -514,7 +526,6 @@ class ShardedEngine
     std::vector<std::vector<ShardMessage>> ingress_;
     /** Arena entries already delivered (written by the owner shard). */
     std::vector<std::size_t> consumed_;
-    std::vector<ShardMessage> scratch_; ///< coordinator sort buffer
     /** postedBy_[src]: written by src's thread (like its outbox row);
      *  receivedBy_[dst]: written by the coordinator at barriers. */
     std::vector<std::uint64_t> postedBy_;

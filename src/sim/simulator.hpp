@@ -52,9 +52,24 @@
  *    tombstone is resolved when the entry reaches the front.
  *    Generations make stale ids (fired, cancelled, or reused slots)
  *    harmless no-ops, which also keeps pendingEvents() exact.
+ *  - The slot table is split in two parallel arrays. One holds each
+ *    slot's 8-byte liveness record (generation, state), which is all
+ *    that cancel(), tombstone sweeps and nextEventAt() read; eight
+ *    share a cache line. The other holds each slot's callback alone
+ *    on one 64-byte-aligned cache line, touched only to build, move
+ *    out or release the callback.
  *  - Callbacks are SmallCallback (sim/callback.hpp): common lambdas
  *    like [this]{...} are stored inline, with no heap allocation,
- *    and schedule() builds each one directly in its slot.
+ *    and schedule() builds each one directly in its slot. Invariant:
+ *    a free slot always holds an empty callback (dispatch moves it
+ *    out, cancel() resets it, a new slot starts empty), so building
+ *    into it only writes the line and never reads it.
+ *  - Taking an entry from a sorted source prefetches the liveness
+ *    record and the callback line of the entry prefetchAhead places
+ *    further on in that source. A workload scheduled up front in one
+ *    order and dispatched in another (the spill run) would otherwise
+ *    start every dispatch with a cache miss into a table larger than
+ *    the caches.
  *  - runs batch-pop all events that share a timestamp and dispatch
  *    the batch in insertion order, re-checking tombstones per event
  *    so a batch member may cancel another member.
@@ -111,7 +126,7 @@ class Simulator
     scheduleAt(Tick when, F &&f)
     {
         const std::uint32_t slot = allocSlot();
-        slots[slot].cb.emplace(std::forward<F>(f));
+        callbacks[slot].cb.emplaceEmpty(std::forward<F>(f));
         return enqueue(when, slot);
     }
 
@@ -153,7 +168,7 @@ class Simulator
     scheduleInOrder(OrderedQueue q, Tick when, F &&f)
     {
         const std::uint32_t slot = allocSlot();
-        slots[slot].cb.emplace(std::forward<F>(f));
+        callbacks[slot].cb.emplaceEmpty(std::forward<F>(f));
         if (when < currentTick)
             when = currentTick;
         SortedSource &src = queues[q.index];
@@ -170,11 +185,11 @@ class Simulator
                                   + static_cast<std::ptrdiff_t>(src.pos));
             src.pos = 0;
         }
-        slots[slot].state = SlotState::pending;
+        meta[slot].state = SlotState::pending;
         src.entries.push_back(HeapEntry{when, ++nextSeq, slot});
         ++orderedPending;
         ++liveEvents;
-        return makeId(slots[slot].generation, slot);
+        return makeId(meta[slot].generation, slot);
     }
 
     /** scheduleInOrder() calls that went to the heap (out of order). */
@@ -190,14 +205,14 @@ class Simulator
     cancel(EventId id)
     {
         const std::uint32_t slot = slotOf(id);
-        if (slot >= slots.size())
+        if (slot >= meta.size())
             return; // invalidEventId and ids from other simulators
-        Slot &s = slots[slot];
-        if (s.generation != generationOf(id) ||
-            s.state != SlotState::pending)
+        SlotMeta &m = meta[slot];
+        if (m.generation != generationOf(id) ||
+            m.state != SlotState::pending)
             return; // stale id: fired, cancelled, or slot reused
-        s.state = SlotState::cancelled;
-        s.cb.reset(); // release captures eagerly
+        m.state = SlotState::cancelled;
+        callbacks[slot].cb.reset(); // release captures eagerly
         --liveEvents;
         ++deadEntries;
         // Amortized tombstone collection: once the majority of the
@@ -222,7 +237,8 @@ class Simulator
     reserve(std::size_t events)
     {
         heap.reserve(events);
-        slots.reserve(events);
+        meta.reserve(events);
+        callbacks.reserve(events);
         freeSlots.reserve(events);
         if (batch.capacity() < 64)
             batch.reserve(64);
@@ -240,7 +256,7 @@ class Simulator
     nextEventAt()
     {
         for (Lead top = leader(); top.entry; top = leader()) {
-            if (slots[top.entry->slot].state != SlotState::cancelled)
+            if (meta[top.entry->slot].state != SlotState::cancelled)
                 return top.entry->when;
             sweepDead(take(top));
         }
@@ -312,13 +328,21 @@ class Simulator
         bool empty() const { return pos == entries.size(); }
     };
 
-    /** Callback storage + liveness for one in-flight event id. */
-    struct Slot
+    /** Liveness of one slot: all that cancellation and tombstone
+     *  checks read. */
+    struct SlotMeta
     {
-        Callback cb;
         std::uint32_t generation = 0;
         SlotState state = SlotState::free;
     };
+    static_assert(sizeof(SlotMeta) == 8);
+
+    /** The callback of one slot, alone on its cache line. */
+    struct alignas(64) CallbackLine
+    {
+        Callback cb;
+    };
+    static_assert(sizeof(CallbackLine) == 64);
 
     // EventId layout: high 32 bits generation, low 32 bits slot+1
     // (so invalidEventId = 0 never names a slot). A slot's
@@ -348,8 +372,9 @@ class Simulator
     allocSlot()
     {
         if (freeSlots.empty()) {
-            slots.emplace_back();
-            return static_cast<std::uint32_t>(slots.size() - 1);
+            meta.emplace_back();
+            callbacks.emplace_back();
+            return static_cast<std::uint32_t>(meta.size() - 1);
         }
         const std::uint32_t idx = freeSlots.back();
         freeSlots.pop_back();
@@ -362,18 +387,18 @@ class Simulator
     {
         if (when < currentTick)
             when = currentTick;
-        slots[slot].state = SlotState::pending;
+        meta[slot].state = SlotState::pending;
         pushEntry(HeapEntry{when, ++nextSeq, slot});
         ++liveEvents;
-        return makeId(slots[slot].generation, slot);
+        return makeId(meta[slot].generation, slot);
     }
 
     void
     freeSlot(std::uint32_t idx)
     {
-        Slot &s = slots[idx];
-        ++s.generation; // invalidate every id minted for this use
-        s.state = SlotState::free;
+        SlotMeta &m = meta[idx];
+        ++m.generation; // invalidate every id minted for this use
+        m.state = SlotState::free;
         freeSlots.push_back(idx);
     }
 
@@ -515,15 +540,28 @@ class Simulator
         return best;
     }
 
-    /** Remove and return @p top's entry. Requires top.entry. */
-    HeapEntry
+    /**
+     * Remove and return @p top's entry. Requires top.entry. A sorted
+     * source is consumed in order, so taking from one prefetches the
+     * slot of the entry prefetchAhead places on (file comment).
+     * Forced inline like leader(): with the prefetch, GCC outlined it
+     * from drain(), a call on every event.
+     */
+    [[gnu::always_inline]] HeapEntry
     take(Lead top)
     {
         if (!top.source)
             return popTop();
-        if (top.source != &run)
+        SortedSource &src = *top.source;
+        if (&src != &run)
             --orderedPending;
-        return top.source->entries[top.source->pos++];
+        const std::size_t ahead = src.pos + prefetchAhead;
+        if (ahead < src.entries.size()) {
+            const std::uint32_t slot = src.entries[ahead].slot;
+            __builtin_prefetch(&meta[slot], 1);
+            __builtin_prefetch(&callbacks[slot], 1);
+        }
+        return src.entries[src.pos++];
     }
 
     /**
@@ -535,7 +573,12 @@ class Simulator
     spill()
     {
         fillHole();
-        std::sort(heap.begin(), heap.end(), before);
+        // A lambda, not the function pointer, so the comparison is
+        // inlined into the sort.
+        std::sort(heap.begin(), heap.end(),
+                  [](const HeapEntry &a, const HeapEntry &b) {
+                      return before(a, b);
+                  });
         run.entries.clear();
         heap.swap(run.entries);
         run.pos = 0;
@@ -552,11 +595,11 @@ class Simulator
     {
         if (sweepDead(e))
             return false;
-        Slot &s = slots[e.slot];
         // Move the callback out and retire the id before running, so
         // the callback can freely schedule (and even cancel) events —
-        // including ids that land in this same slot.
-        Callback cb = std::move(s.cb);
+        // including ids that land in this same slot. The move leaves
+        // the slot's callback empty, as a free slot's must be.
+        Callback cb = std::move(callbacks[e.slot].cb);
         freeSlot(e.slot);
         --liveEvents;
         currentTick = e.when;
@@ -569,7 +612,7 @@ class Simulator
     bool
     sweepDead(const HeapEntry &e)
     {
-        if (slots[e.slot].state != SlotState::cancelled)
+        if (meta[e.slot].state != SlotState::cancelled)
             return false;
         freeSlot(e.slot);
         --deadEntries;
@@ -667,6 +710,13 @@ class Simulator
      */
     static constexpr std::size_t spillMin = 4096;
 
+    /**
+     * How many entries ahead of the one taken a sorted source's slot
+     * is prefetched: far enough that the line arrives before its
+     * dispatch, near enough that it is not evicted first.
+     */
+    static constexpr std::size_t prefetchAhead = 8;
+
     Tick currentTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t executed = 0;
@@ -680,7 +730,8 @@ class Simulator
     std::size_t orderedPending = 0;   ///< unconsumed entries in queues
     std::uint64_t fallbacks = 0;    ///< see orderedFallbacks()
     std::vector<HeapEntry> batch; ///< drain() scratch, see above
-    std::vector<Slot> slots;
+    std::vector<SlotMeta> meta;           ///< indexed by slot
+    std::vector<CallbackLine> callbacks;  ///< indexed by slot
     std::vector<std::uint32_t> freeSlots;
 };
 

@@ -53,6 +53,31 @@ operator delete(void *p, std::size_t) noexcept
     std::free(p);
 }
 
+// The over-aligned forms too (the event kernel's callback table is
+// cache-line aligned), so no allocation escapes the count.
+[[gnu::noinline]] void *
+operator new(std::size_t n, std::align_val_t al)
+{
+    if (counting.load(std::memory_order_relaxed))
+        allocations.fetch_add(1, std::memory_order_relaxed);
+    // aligned_alloc wants a non-zero multiple of the alignment.
+    const auto a = static_cast<std::size_t>(al);
+    if (void *p = std::aligned_alloc(a, n == 0 ? a : (n + a - 1) / a * a))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
 using namespace corm::sim;
 using namespace corm::coord;
 

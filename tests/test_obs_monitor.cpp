@@ -294,6 +294,38 @@ TEST(HealthMonitor, RetireLanesExceptRetiresInLaneOrder)
     EXPECT_EQ(mon.events()[6].subject, "lane l4");
 }
 
+TEST(HealthMonitor, LaneIdsFollowFirstRegistrationAndSurviveRetire)
+{
+    Simulator sim;
+    MetricRegistry reg;
+    HealthMonitor mon(sim, reg, fastParams());
+    // Fabric-style names, several sharing long prefixes.
+    std::vector<std::string> names;
+    for (int i = 0; i < 300; ++i)
+        names.push_back("fabric." + std::to_string(i % 17) + ">"
+                        + std::to_string(i));
+    for (std::size_t i = 0; i < names.size(); ++i)
+        ASSERT_EQ(mon.lane(names[i]), static_cast<int>(i));
+
+    // Registering again, in any order, returns the first id.
+    for (std::size_t i = names.size(); i-- > 0;)
+        EXPECT_EQ(mon.lane(names[i]), static_cast<int>(i));
+
+    // A retired lane keeps its id, is found again by name, and fresh
+    // traffic revives it; a new name takes the next id.
+    mon.laneSentAt(mon.lane(names[5]), 0);
+    mon.poll(100 * msec); // lane 5 stalls
+    mon.retireLane(5);
+    ASSERT_EQ(mon.events().size(), 2u); // stall, balancing recover
+    EXPECT_EQ(mon.lane(names[5]), 5);
+    mon.laneSentAt(mon.lane(names[5]), 200 * msec);
+    mon.poll(300 * msec); // revived by the send, so it stalls again
+    ASSERT_EQ(mon.events().size(), 3u);
+    EXPECT_EQ(mon.events()[2].kind, HealthEvent::Kind::stall);
+    EXPECT_EQ(mon.events()[2].subject, "lane " + names[5]);
+    EXPECT_EQ(mon.lane("fabric.new"), 300);
+}
+
 TEST(FlightRecorder, BoundedRingAndBreachSnapshot)
 {
     Simulator sim;

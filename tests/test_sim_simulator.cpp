@@ -845,6 +845,124 @@ TEST(SimulatorFuzz, DispatchOrderMatchesReferenceModel)
 
 namespace {
 
+/** A capture larger than SmallCallback's buffer: held on the heap. */
+struct BigCapture
+{
+    std::shared_ptr<int> token;
+    char pad[64];
+};
+
+/**
+ * Schedule at @p when a callback holding a copy of @p token, inline
+ * (with a lifecycle table) or on the heap when @p big.
+ */
+EventId
+scheduleHolding(Simulator &sim, Tick when,
+                const std::shared_ptr<int> &token, bool big,
+                std::uint64_t &fired)
+{
+    if (big) {
+        const BigCapture c{token, {}};
+        return sim.scheduleAt(when, [c, &fired] { fired += 1 + c.pad[0]; });
+    }
+    return sim.scheduleAt(when, [token, &fired] { ++fired; });
+}
+
+} // namespace
+
+TEST(SimulatorSlots, CapturesAreReleasedExactlyOnceOnEveryPath)
+{
+    // Every pending callback holds one reference to the token, and
+    // nothing else does, so use_count() == 1 + pendingEvents() after
+    // every phase. A capture leaked (say, a fresh callback built over
+    // a free slot that was not empty) keeps the count high; one
+    // destroyed twice drops it low, and ASan (the _asan twin) reports
+    // the double free.
+    auto token = std::make_shared<int>(0);
+    std::uint64_t fired = 0, scheduled = 0, cancelled = 0;
+    Rng rng(0x51075);
+    {
+        Simulator sim;
+        const auto q = sim.addOrderedQueue();
+        std::vector<EventId> ids;
+        const auto cancel = [&](EventId id) {
+            const std::size_t before = sim.pendingEvents();
+            sim.cancel(id);
+            cancelled += before - sim.pendingEvents();
+        };
+        const auto expectHeld = [&](const char *phase) {
+            EXPECT_EQ(token.use_count(),
+                      static_cast<long>(1 + sim.pendingEvents()))
+                << phase;
+        };
+
+        // A bulk load well past the spill threshold; one event in
+        // four, when it fires, schedules a follow-up into a freed
+        // slot and cancels a random earlier id (often stale).
+        for (int i = 0; i < 6000; ++i) {
+            const Tick when = 10 + rng.uniformInt(10000);
+            if (i % 4 == 0) {
+                ids.push_back(sim.scheduleAt(
+                    when, [token, &sim, &ids, &rng, &cancel, &fired,
+                           &scheduled] {
+                        ++fired;
+                        scheduleHolding(sim, sim.now() + rng.uniformInt(50),
+                                        token, rng.chance(0.5), fired);
+                        ++scheduled;
+                        cancel(ids[rng.uniformInt(ids.size())]);
+                    }));
+            } else {
+                ids.push_back(
+                    scheduleHolding(sim, when, token, i % 3 == 0, fired));
+            }
+            ++scheduled;
+        }
+        for (Tick t = 10; t < 10010; t += 5) {
+            ids.push_back(sim.scheduleInOrder(
+                q, t, [token, &fired] { ++fired; }));
+            ++scheduled;
+        }
+        expectHeld("scheduled");
+
+        // Spill: the first drain sorts the heap into the run before
+        // anything is due. Cancelling most of it then leaves
+        // tombstones in the run and the ordered queue and trips
+        // compaction.
+        sim.runUntil(1);
+        for (int i = 0; i < 5000; ++i)
+            cancel(ids[rng.uniformInt(ids.size())]);
+        expectHeld("cancelled");
+        EXPECT_GT(cancelled, 2000u);
+
+        sim.runUntil(5000);
+        expectHeld("half run");
+
+        // Stop mid-batch: the rest of the batch stays pending.
+        const Tick at = sim.now() + 7;
+        sim.scheduleAt(at, [&sim] { sim.requestStop(); });
+        ++scheduled;
+        for (int i = 0; i < 3; ++i, ++scheduled)
+            scheduleHolding(sim, at, token, i == 1, fired);
+        sim.runUntil(at);
+        EXPECT_TRUE(sim.stopRequested());
+        expectHeld("stopped mid-batch");
+
+        sim.runToCompletion();
+        EXPECT_EQ(sim.pendingEvents(), 0u);
+        expectHeld("drained");
+        EXPECT_EQ(fired + 1, scheduled - cancelled); // + the stopper
+
+        // A simulator destroyed with events pending releases them.
+        for (int i = 0; i < 100; ++i)
+            scheduleHolding(sim, sim.now() + 1 + rng.uniformInt(100),
+                            token, i % 2 == 0, fired);
+        expectHeld("refilled");
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+namespace {
+
 int plainCalls = 0;
 void plainFunction() { ++plainCalls; }
 
