@@ -192,9 +192,12 @@ main(int argc, char **argv)
                 using R = corm::platform::FabricScenarioResult;
                 CellIdentity id;
                 std::uint64_t events = 0, routeEpochs = 0;
+                std::uint64_t fallbacks = 0, spills = 0;
                 std::int64_t lostTotal = 0;
                 for (const R &r : results) {
                     id.digests.push_back(r.digest);
+                    fallbacks += r.orderedFallbacks;
+                    spills += r.spills;
                     id.applied += r.appliedTunes;
                     id.abandoned += r.abandonedTunes;
                     id.reparents += r.churnReparents;
@@ -293,6 +296,9 @@ main(int argc, char **argv)
                          static_cast<double>(id.skipped)},
                         {"route_epochs",
                          static_cast<double>(routeEpochs)},
+                        {"ordered_fallbacks",
+                         static_cast<double>(fallbacks)},
+                        {"spills", static_cast<double>(spills)},
                         {"wall_seconds", wall},
                     },
                     events);

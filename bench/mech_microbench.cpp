@@ -11,6 +11,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "coord/channel.hpp"
 #include "coord/fabric.hpp"
 #include "coord/reliable.hpp"
@@ -213,7 +218,7 @@ BENCHMARK(BM_HoldShallow);
 void
 BM_SpillDispatch(benchmark::State &state)
 {
-    // The fabric scenario's shape: state.range(0) events scheduled up
+    // An unordered bulk load: state.range(0) events scheduled up
     // front in (pair, epoch) order, each an epoch's start plus a
     // small per-sender skew, with a 40-byte capture, then drained by
     // a fresh, reserved simulator. Dispatch runs in time order, so it
@@ -248,6 +253,61 @@ BM_SpillDispatch(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SpillDispatch)->Arg(4096)->Arg(65536)->Arg(262144);
+
+void
+BM_TimelineDispatch(benchmark::State &state)
+{
+    // BM_SpillDispatch's ticks and 40-byte payload, planned the way
+    // runFabricScenario plans its workload: the payload sits in a
+    // plan array ordered by tick (stably, outside the timed loop), and
+    // one handler serves every event from a timeline. The time covers
+    // construction, copying the ticks in and dispatch.
+    const auto events = static_cast<std::size_t>(state.range(0));
+    constexpr std::size_t kEpochs = 64;
+    constexpr sim::Tick kEpoch = 1000;
+    const std::size_t pairs = events / kEpochs;
+    sim::Rng rng(0x5b111);
+    // The spill bench's 40-byte capture, as a plan record.
+    std::uint64_t sum = 0;
+    struct Payload
+    {
+        std::uint64_t *sum, a, b, c, d;
+    };
+    static_assert(sizeof(Payload) == 40);
+    std::vector<std::pair<sim::Tick, Payload>> plan;
+    plan.reserve(events);
+    for (std::size_t p = 0; p < pairs; ++p)
+        for (std::size_t e = 0; e < kEpochs; ++e) {
+            const std::uint64_t i = plan.size();
+            const sim::Tick at = static_cast<sim::Tick>(e) * kEpoch
+                + static_cast<sim::Tick>(rng.uniformInt(200));
+            plan.push_back({at, {&sum, i, at, i ^ at, ~i}});
+        }
+    std::stable_sort(plan.begin(), plan.end(),
+                     [](const auto &x, const auto &y) {
+                         return x.first < y.first;
+                     });
+    std::vector<sim::Tick> at;
+    std::vector<Payload> payload;
+    for (const auto &[t, p] : plan) {
+        at.push_back(t);
+        payload.push_back(p);
+    }
+    for (auto _ : state) {
+        sim::Simulator simulator;
+        const auto handler = [&payload](std::size_t i) {
+            const Payload &p = payload[i];
+            *p.sum += p.a + p.b + p.c + p.d;
+        };
+        simulator.scheduleTimeline(at, handler);
+        simulator.runToCompletion();
+        benchmark::DoNotOptimize(sum);
+    }
+    state.counters["events/s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * events),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TimelineDispatch)->Arg(4096)->Arg(65536)->Arg(262144);
 
 void
 BM_MessageEncodeDecode(benchmark::State &state)

@@ -199,10 +199,12 @@ main(int argc, char **argv)
 
             using R = corm::platform::FabricScenarioResult;
             CellIdentity id;
-            std::uint64_t events = 0;
+            std::uint64_t events = 0, fallbacks = 0, spills = 0;
             double applied = 0.0, convMs = 0.0;
             for (const R &r : results) {
                 id.digests.push_back(r.digest);
+                fallbacks += r.orderedFallbacks;
+                spills += r.spills;
                 id.shardWindows = r.shardWindows;
                 id.boundaryMessages = r.boundaryMessages;
                 events += r.eventsExecuted;
@@ -293,6 +295,9 @@ main(int argc, char **argv)
                      static_cast<double>(id.boundaryMessages)},
                     {"applied_tunes", applied},
                     {"convergence_ms", convMs},
+                    {"ordered_fallbacks",
+                     static_cast<double>(fallbacks)},
+                    {"spills", static_cast<double>(spills)},
                     {"wall_seconds", wall},
                 },
                 events);

@@ -101,8 +101,10 @@ if [ -n "$update" ]; then
     echo "check_bench: baseline refreshed -> $fabric_baseline"
     # Shard gate: everything pinned here is a pure function of the
     # seed and the global event set — digests, window/boundary
-    # counts, per-cell event totals — so the tolerances are zero
-    # (exact replay). Wall time is deliberately not gated.
+    # counts, per-cell event totals — or of the seed and the shard
+    # count (the kernel's ordered-queue fallbacks and heap spills),
+    # so the tolerances are zero (exact replay). Wall time is
+    # deliberately not gated.
     "$gate" --init "$tmp/shard_fresh.json" --out "$shard_baseline" \
         results.tree_n64_s1.digest_hi=0 \
         results.tree_n64_s1.digest_lo=0 \
@@ -120,7 +122,15 @@ if [ -n "$update" ]; then
         results.tree_n256_s4.boundary_messages=0 \
         results.tree_n256_s4.applied_tunes=0 \
         results.tree_n256_s4.convergence_ms=0 \
-        results.tree_n256_s4.events_executed=0
+        results.tree_n256_s4.events_executed=0 \
+        results.tree_n64_s1.ordered_fallbacks=0 \
+        results.tree_n64_s1.spills=0 \
+        results.tree_n64_s4.ordered_fallbacks=0 \
+        results.tree_n64_s4.spills=0 \
+        results.tree_n256_s1.ordered_fallbacks=0 \
+        results.tree_n256_s1.spills=0 \
+        results.tree_n256_s4.ordered_fallbacks=0 \
+        results.tree_n256_s4.spills=0
     echo "check_bench: baseline refreshed -> $shard_baseline"
     # Observability gate: the capture counts and digests are exact
     # replays (zero tolerance); the captured/flight wall-time ratios
@@ -162,9 +172,10 @@ if [ -n "$update" ]; then
         results.tree_faulty.trace_events=0
     echo "check_bench: baseline refreshed -> $flow_baseline"
     # Churn gate: the applied/abandoned ledger, re-parent and
-    # migration-forward counts and the digests are exact replays of
-    # the seeded schedule, so every metric is pinned at zero
-    # tolerance; tunes_lost is pinned at its only legal value, zero.
+    # migration-forward counts, the kernel's fallback and spill
+    # counts and the digests are exact replays of the seeded
+    # schedule, so every metric is pinned at zero tolerance;
+    # tunes_lost is pinned at its only legal value, zero.
     "$gate" --init "$tmp/churn_fresh.json" --out "$churn_baseline" \
         results.tree_n16_c8_s1.digest_hi=0 \
         results.tree_n16_c8_s1.digest_lo=0 \
@@ -188,7 +199,13 @@ if [ -n "$update" ]; then
         results.tree_n64_c32_s4.mig_forwards=0 \
         results.tree_n64_c32_s4.churn_skipped=0 \
         results.tree_n64_c32_s4.route_epochs=0 \
-        results.tree_n64_c32_s4.events_executed=0
+        results.tree_n64_c32_s4.events_executed=0 \
+        results.tree_n16_c8_s1.ordered_fallbacks=0 \
+        results.tree_n16_c8_s1.spills=0 \
+        results.tree_n64_c32_s1.ordered_fallbacks=0 \
+        results.tree_n64_c32_s1.spills=0 \
+        results.tree_n64_c32_s4.ordered_fallbacks=0 \
+        results.tree_n64_c32_s4.spills=0
     echo "check_bench: baseline refreshed -> $churn_baseline"
 else
     "$gate" "$baseline" "$tmp/fresh.json"

@@ -12,6 +12,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "obs/flowprofile.hpp"
 #include "obs/monitor.hpp"
@@ -486,6 +488,81 @@ class ShardIsland final : public coord::ResourceIsland
     std::string name_;
 };
 
+/** One up-front send of the fabric workload (runFabricScenario). */
+struct PlannedSend
+{
+    enum class Kind : std::uint8_t {
+        tune,    ///< root -> island allocation tune
+        report,  ///< island -> root load report
+        trigger, ///< root -> island reliable trigger
+    };
+    coord::EntityId entity;
+    coord::IslandId island; ///< the non-root end of the send
+    Kind kind;
+    std::int8_t delta; ///< the tune's integer delta; 0 for a trigger
+};
+static_assert(sizeof(PlannedSend) == 8);
+
+/**
+ * The sends one shard's simulator dispatches from its timeline, as
+ * two parallel arrays: the ticks go to Simulator::scheduleTimeline,
+ * the sends stay with the handler.
+ */
+struct SendPlan
+{
+    std::vector<Tick> at;
+    std::vector<PlannedSend> sends;
+
+    void
+    add(Tick when, const PlannedSend &send)
+    {
+        at.push_back(when);
+        sends.push_back(send);
+    }
+};
+
+/**
+ * Order @p plan stably by tick: an LSD radix sort on each tick's
+ * offset from @p base (no tick is earlier), 11 bits a pass, as many
+ * passes as the largest offset needs. Stable, so sends sharing a tick
+ * keep the order they were planned in. The scratch is one plan's size
+ * and is freed on return.
+ */
+void
+sortPlan(SendPlan &plan, Tick base)
+{
+    constexpr unsigned bits = 11;
+    constexpr std::size_t buckets = std::size_t{1} << bits;
+    const std::size_t n = plan.at.size();
+    Tick span = 0;
+    for (const Tick t : plan.at)
+        span = std::max(span, t - base);
+    SendPlan scratch;
+    scratch.at.resize(n);
+    scratch.sends.resize(n);
+    std::vector<std::size_t> next(buckets);
+    for (unsigned shift = 0; shift < 64 && (span >> shift) != 0;
+         shift += bits) {
+        const auto digit = [base, shift](Tick t) {
+            return static_cast<std::size_t>((t - base) >> shift)
+                & (buckets - 1);
+        };
+        std::fill(next.begin(), next.end(), 0);
+        for (const Tick t : plan.at)
+            ++next[digit(t)];
+        std::size_t sum = 0;
+        for (std::size_t &c : next)
+            sum += std::exchange(c, sum);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t dst = next[digit(plan.at[i])]++;
+            scratch.at[dst] = plan.at[i];
+            scratch.sends[dst] = plan.sends[i];
+        }
+        plan.at.swap(scratch.at);
+        plan.sends.swap(scratch.sends);
+    }
+}
+
 } // namespace
 
 FabricScenarioResult
@@ -612,11 +689,6 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         }
     }
 
-    // An island's events must land on its own shard's simulator.
-    const auto simOf = [&](coord::IslandId id) -> corm::sim::Simulator & {
-        return engine.sim(shardOf[id]);
-    };
-
     // Policy intent: the exact weight every (island, tier) should
     // settle at — adjusted down when the fabric reports a delta as
     // abandoned, so convergence targets what the fabric still owes.
@@ -642,6 +714,19 @@ runFabricScenario(const FabricScenarioConfig &cfg)
                 std::string("fabric:") + coord::msgTypeName(m.type)
                 + ",dst=" + std::to_string(static_cast<int>(m.dst)));
     });
+
+    // The slot tables hold only events in flight (deliveries, fold
+    // flushes, retry timers), never the planned workload below. Their
+    // peak grows with the island count and sits on shard 0, which
+    // hosts the root and, under the contiguous placement, every upper
+    // tree hub: 2,972 slots at n=256 and K=1, and 2,583 on shard 0 at
+    // K=4 against at most 200 on each other shard.
+    {
+        std::vector<std::size_t> inFlight(static_cast<std::size_t>(K),
+                                          256);
+        inFlight[0] += 12 * static_cast<std::size_t>(n);
+        engine.reserve(inFlight);
+    }
 
     // Phase 1 — registration bring-up: the root announces every
     // tier binding to every shard through the reliable announcer
@@ -713,24 +798,15 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         rootRec->span(policyTrk, now, m.trace,
                       obs::FlowStamp::decide(now));
     };
-    // Root-originated send callbacks capture one reference to this
-    // context plus the message, which keeps them inside
-    // SmallCallback's inline buffer: scheduling ~10^5 of them up front
-    // allocates nothing per event.
-    struct RootSends
-    {
-        coord::CoordFabric &fabric;
-        coord::ReliableSender &triggers;
-        const decltype(beginSpan) &begin;
-    } const rootSends{fabric, triggerSender, beginSpan};
-
-    // Pre-size the event queues for the up-front scheduled workload,
-    // so heap growth never lands mid-run (Simulator::reserve). The
-    // root's tunes and triggers queue on its simulator (shard 0);
-    // each island's load reports queue on its own shard. The trigger
-    // count is a binomial draw, so it gets a margin of 1/8 of its
-    // mean (about six standard deviations at 256 islands) on top of
-    // the fixed slack for events left over from bring-up.
+    // The workload is planned, then scheduled as one timeline per
+    // shard (Simulator::scheduleTimeline): each send is a compact
+    // record in the plan of the shard that owns its source — the
+    // root's tunes and triggers on shard 0, each island's load
+    // reports on its own shard. Each plan is sized exactly for its
+    // tunes and load reports. The trigger count is a binomial draw,
+    // so shard 0's plan gets a margin of 1/8 of its mean (about six
+    // standard deviations at 256 islands) on top of it.
+    using Kind = PlannedSend::Kind;
     const std::size_t perIsland =
         static_cast<std::size_t>(std::max(cfg.tiers, 1))
         * static_cast<std::size_t>(std::max(cfg.tunesPerPair, 1));
@@ -738,12 +814,18 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         static_cast<std::size_t>(n - 1) * perIsland;
     const auto expectedTriggers = static_cast<std::size_t>(
         static_cast<double>(pairEpochs) * cfg.triggerProb);
-    std::vector<std::size_t> reserved(static_cast<std::size_t>(K), 256);
-    reserved[0] += pairEpochs + expectedTriggers + expectedTriggers / 8;
+    std::vector<std::size_t> reserved(static_cast<std::size_t>(K), 0);
+    reserved[0] = pairEpochs + expectedTriggers + expectedTriggers / 8;
     for (int i = 1; i < n; ++i)
         reserved[static_cast<std::size_t>(
             shardOf[static_cast<std::size_t>(rootId + i)])] += perIsland;
-    engine.reserve(reserved);
+    std::vector<SendPlan> plans(static_cast<std::size_t>(K));
+    for (std::size_t k = 0; k < plans.size(); ++k) {
+        plans[k].at.reserve(reserved[k]);
+        plans[k].sends.reserve(reserved[k]);
+    }
+    SendPlan &rootPlan = plans[0];
+    const Tick workloadStart = sim.now();
     const Tick span = std::max<Tick>(cfg.workloadSpan, 1);
     // Tunes fire in policy epochs (the paper's managers evaluate
     // periodically), with a small per-sender skew. Bursting is what
@@ -753,85 +835,86 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         span / static_cast<Tick>(std::max(cfg.tunesPerPair, 1)), 1);
     const Tick jitter =
         std::min<Tick>(cfg.epochJitter, epochPeriod - 1);
+    /** An epoch-k send time and its integer tune delta. */
+    const auto drawTune = [&](int k) {
+        const Tick at = workloadStart
+            + static_cast<Tick>(k) * epochPeriod
+            + rng.uniformInt(jitter + 1);
+        auto d = static_cast<std::int8_t>(1 + rng.uniformInt(8));
+        if (rng.chance(0.5))
+            d = static_cast<std::int8_t>(-d);
+        return std::pair{at, d};
+    };
     for (int i = 1; i < n; ++i) {
         const auto shard = static_cast<coord::IslandId>(rootId + i);
+        SendPlan &shardPlan = plans[static_cast<std::size_t>(
+            shardOf[static_cast<std::size_t>(shard)])];
         for (int t = 0; t < cfg.tiers; ++t) {
             const auto tier =
                 tierBase + static_cast<coord::EntityId>(t);
+            // Map references stay valid: look each entry up once.
+            double &shardIntent = intent[intentKey(shard, tier)];
+            double &rootIntent = intent[intentKey(rootId, tier)];
             for (int k = 0; k < cfg.tunesPerPair; ++k) {
                 // Root -> shard allocation tune (aggregates at tree
                 // hubs along the downward path, per shard + tier).
-                {
-                    const Tick at = sim.now()
-                        + static_cast<Tick>(k) * epochPeriod
-                        + rng.uniformInt(jitter + 1);
-                    double d = static_cast<double>(
-                        1 + rng.uniformInt(8));
-                    if (rng.chance(0.5))
-                        d = -d;
-                    coord::CoordMessage m;
-                    m.type = coord::MsgType::tune;
-                    m.src = rootId;
-                    m.dst = shard;
-                    m.entity = tier;
-                    m.value = d;
-                    intent[intentKey(shard, tier)] += d;
-                    ++r.logicalTunes;
-                    const auto sendTune = [&rootSends, m] {
-                        auto msg = m;
-                        rootSends.begin(msg);
-                        rootSends.fabric.send(msg);
-                    };
-                    static_assert(sizeof(sendTune)
-                                  <= corm::sim::SmallCallback::inlineSize);
-                    sim.scheduleAt(at, sendTune);
-                }
+                const auto [tuneAt, tune] = drawTune(k);
+                shardIntent += tune;
+                ++r.logicalTunes;
+                rootPlan.add(tuneAt, {tier, shard, Kind::tune, tune});
                 // Shard -> root load report for the same shared tier
                 // entity (aggregates across shards at hubs).
-                {
-                    const Tick at = sim.now()
-                        + static_cast<Tick>(k) * epochPeriod
-                        + rng.uniformInt(jitter + 1);
-                    double d = static_cast<double>(
-                        1 + rng.uniformInt(8));
-                    if (rng.chance(0.5))
-                        d = -d;
-                    coord::CoordMessage m;
-                    m.type = coord::MsgType::tune;
-                    m.src = shard;
-                    m.dst = rootId;
-                    m.entity = tier;
-                    m.value = d;
-                    intent[intentKey(rootId, tier)] += d;
-                    ++r.logicalTunes;
-                    // A send must run on the shard owning its source.
-                    simOf(shard).scheduleAt(at, [&fabric, m] {
-                        auto msg = m;
-                        fabric.send(msg);
-                    });
-                }
+                const auto [reportAt, report] = drawTune(k);
+                rootIntent += report;
+                ++r.logicalTunes;
+                shardPlan.add(reportAt,
+                              {tier, shard, Kind::report, report});
                 // Occasionally the classifier needs a shard serviced
                 // right now: a Trigger on the reliable low-latency
                 // path (bypasses aggregation).
                 if (rng.chance(cfg.triggerProb)) {
-                    const Tick at = sim.now() + rng.uniformInt(span);
-                    coord::CoordMessage m;
-                    m.type = coord::MsgType::trigger;
-                    m.src = rootId;
-                    m.dst = shard;
-                    m.entity = tier;
                     ++triggersSent;
-                    const auto sendTrigger = [&rootSends, m] {
-                        auto msg = m;
-                        rootSends.begin(msg);
-                        rootSends.triggers.send(msg);
-                    };
-                    static_assert(sizeof(sendTrigger)
-                                  <= corm::sim::SmallCallback::inlineSize);
-                    sim.scheduleAt(at, sendTrigger);
+                    rootPlan.add(workloadStart + rng.uniformInt(span),
+                                 {tier, shard, Kind::trigger, 0});
                 }
             }
         }
+    }
+    r.upfrontReserved = true;
+    for (std::size_t k = 0; k < plans.size(); ++k)
+        if (plans[k].at.size() > reserved[k])
+            r.upfrontReserved = false;
+    assert(r.upfrontReserved
+           && "up-front workload outgrew its plan reservation");
+    // Triggers draw their tick over the whole span, so a plan is not
+    // in epoch order; sortPlan keeps ties in planning order. With the
+    // timeline's seqs one block where the per-send scheduleAt() calls
+    // used to take theirs, dispatch order is unchanged.
+    for (std::size_t k = 0; k < plans.size(); ++k) {
+        SendPlan &plan = plans[k];
+        sortPlan(plan, workloadStart);
+        engine.sim(static_cast<int>(k)).scheduleTimeline(
+            std::move(plan.at),
+            [&fabric, &triggerSender, &beginSpan, rootId,
+             &sends = plan.sends](std::size_t i) {
+                const PlannedSend &p = sends[i];
+                coord::CoordMessage m;
+                m.type = p.kind == Kind::trigger ? coord::MsgType::trigger
+                                                 : coord::MsgType::tune;
+                m.src = p.kind == Kind::report ? p.island : rootId;
+                m.dst = p.kind == Kind::report ? rootId : p.island;
+                m.entity = p.entity;
+                m.value = p.delta;
+                if (p.kind == Kind::report) {
+                    fabric.send(m);
+                    return;
+                }
+                beginSpan(m);
+                if (p.kind == Kind::tune)
+                    fabric.send(m);
+                else
+                    triggerSender.send(m);
+            });
     }
 
     // Churn schedule: membership and placement changes mid-workload.
@@ -845,7 +928,6 @@ runFabricScenario(const FabricScenarioConfig &cfg)
                      [](const ChurnEvent &a, const ChurnEvent &b) {
                          return a.at < b.at;
                      });
-    const Tick workloadStart = sim.now();
     std::uint64_t churnSkipped = 0;
 
     const auto applyChurn = [&](const ChurnEvent &ev, Tick now) {
@@ -916,13 +998,6 @@ runFabricScenario(const FabricScenarioConfig &cfg)
           }
         }
     };
-    r.upfrontReserved = true;
-    for (std::size_t k = 0; k < reserved.size(); ++k)
-        if (engine.sim(static_cast<int>(k)).pendingEvents() > reserved[k])
-            r.upfrontReserved = false;
-    assert(r.upfrontReserved
-           && "up-front workload outgrew the event-queue reservation");
-
     // Convergence probe: the first poll tick (after which no later
     // poll disagrees) where every island's applied weights equal the
     // policy intent, exactly.
@@ -1161,8 +1236,10 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     r.boundaryBatches = es.batches;
     r.boundaryDepthHighWater = es.maxBoundaryDepth;
     r.boundaryFullSorts = es.fullSorts;
-    for (int k = 0; k < engine.shardCount(); ++k)
+    for (int k = 0; k < engine.shardCount(); ++k) {
         r.orderedFallbacks += engine.sim(k).orderedFallbacks();
+        r.spills += engine.sim(k).spills();
+    }
     r.barrierWaitNs = es.barrierWaitNs;
     return r;
 }

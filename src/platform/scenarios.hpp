@@ -473,8 +473,8 @@ struct FabricScenarioResult
     /** Most aggregation buckets open at one hub. */
     std::size_t aggOpenHighWater = 0;
     /**
-     * True when the workload scheduled up front fit every event
-     * queue's reservation, so no queue regrew mid-setup.
+     * True when the workload planned up front fit every shard plan's
+     * reservation, so no plan regrew mid-setup.
      */
     bool upfrontReserved = false;
     /** Highest per-island wire-send load (hub bottleneck). */
@@ -526,6 +526,9 @@ struct FabricScenarioResult
     std::uint64_t boundaryFullSorts = 0;
     /** Ordered-queue appends that fell back to a shard's heap. */
     std::uint64_t orderedFallbacks = 0;
+    /** Times a shard's heap was sorted into its spill run
+     *  (Simulator::spills); the planned workload never is. */
+    std::uint64_t spills = 0;
     /**
      * Host nanoseconds the coordinator spent parked at barriers.
      * Wall-clock, nondeterministic — keep it out of digests, replay

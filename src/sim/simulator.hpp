@@ -31,12 +31,12 @@
  *    used up and at least spillMin entries in the heap, it sorts the
  *    heap's buffer in place and swaps it into the run; the heap
  *    carries on in the old run's buffer, so a spill copies nothing
- *    and allocates nothing. A workload scheduled up front (hundreds
- *    of thousands of events) is then consumed sequentially, and only
- *    the events scheduled while it runs pay heap operations — at a
- *    shallow depth.
- *  - The other sources are ordered queues (addOrderedQueue()), one
- *    per call site that schedules in nondecreasing time, such as a
+ *    and allocates nothing (spills() counts them). An unordered bulk
+ *    load is then consumed sequentially, and only the events
+ *    scheduled while it runs pay heap operations — at a shallow
+ *    depth.
+ *  - Ordered queues (addOrderedQueue()) are sources for one call
+ *    site each that schedules in nondecreasing time, such as a
  *    fixed-delay timer or a barrier injecting a sorted batch.
  *    scheduleInOrder() appends to the queue in O(1); the sequence
  *    number is taken at append, so a queue is sorted by (time,
@@ -46,6 +46,20 @@
  *    that is at least half its buffer, so a warm queue allocates
  *    nothing. While no ordered entry is pending, a pop costs one
  *    extra predictable branch over the heap-and-run comparison.
+ *  - Timelines (scheduleTimeline()) are sources for a workload
+ *    planned up front: n nondecreasing ticks and one handler, event
+ *    i dispatched as handler(i). A timeline holds only its ticks and
+ *    a cursor; its events take no slot, callback line, heap entry or
+ *    spill. Scheduling it takes n sequence numbers as one block in
+ *    index order, exactly the seqs n scheduleAt() calls in index
+ *    order would take, so its events merge with every other source
+ *    in the same (time, sequence) order. Its entries carry a tagged
+ *    slot (timelineSlot | timeline), which dispatch resolves to the
+ *    handler and the index seq - firstSeq; no tag is ever a
+ *    tombstone. A stop in mid-batch pushes such an entry into the
+ *    heap like any other. While no timeline entry is pending, a pop
+ *    pays three more predictable branches: leader(), take() and
+ *    dispatch() each check for timelines.
  *  - Callbacks live in a slot table addressed by the heap entries.
  *    An EventId encodes (generation, slot); cancel() flips the
  *    slot's tombstone flag in O(1) — no hash lookup — and the
@@ -64,12 +78,13 @@
  *    a free slot always holds an empty callback (dispatch moves it
  *    out, cancel() resets it, a new slot starts empty), so building
  *    into it only writes the line and never reads it.
- *  - Taking an entry from a sorted source prefetches the liveness
- *    record and the callback line of the entry prefetchAhead places
- *    further on in that source. A workload scheduled up front in one
- *    order and dispatched in another (the spill run) would otherwise
- *    start every dispatch with a cache miss into a table larger than
- *    the caches.
+ *  - Taking an entry from the spill run or an ordered queue
+ *    prefetches the liveness record and the callback line of the
+ *    entry prefetchAhead places further on in that source. A load
+ *    scheduled in one order and dispatched in another (the spill run)
+ *    would otherwise start every dispatch with a cache miss into a
+ *    table larger than the caches. A timeline reads its ticks in
+ *    order and has no slots to prefetch.
  *  - runs batch-pop all events that share a timestamp and dispatch
  *    the batch in insertion order, re-checking tombstones per event
  *    so a batch member may cancel another member.
@@ -79,6 +94,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -195,6 +213,53 @@ class Simulator
     /** scheduleInOrder() calls that went to the heap (out of order). */
     std::uint64_t orderedFallbacks() const { return fallbacks; }
 
+    /** Times drain() turned the heap into the sorted run. */
+    std::uint64_t spills() const { return spillCount; }
+
+    /**
+     * Schedule a timeline: event i fires at @p times[i] and runs
+     * @p handler(i). Same semantics, dispatch order and accounting
+     * as scheduleAt(times[i], [i]{ handler(i); }) for i = 0, 1, ...
+     * in index order — times before now() are clamped to it — but
+     * with no per-event slot, callback or heap entry (file comment).
+     * Timeline events cannot be cancelled. The handler is released
+     * once every event has run.
+     *
+     * @throws std::invalid_argument if @p times decreases anywhere.
+     */
+    template <typename F>
+    void
+    scheduleTimeline(std::vector<Tick> times, F &&handler)
+    {
+        if (!std::is_sorted(times.begin(), times.end()))
+            throw std::invalid_argument(
+                "scheduleTimeline: ticks must be nondecreasing");
+        if (times.empty())
+            return;
+        for (Tick &t : times) {
+            if (t >= currentTick)
+                break;
+            t = currentTick;
+        }
+        std::size_t idx = 0;
+        while (idx < timelines.size() && timelines[idx].unfinished != 0)
+            ++idx;
+        if (idx == timelines.size())
+            timelines.emplace_back();
+        Timeline &tl = timelines[idx];
+        const std::size_t n = times.size();
+        tl.times = std::move(times);
+        tl.pos = 0;
+        tl.firstSeq = nextSeq + 1;
+        tl.unfinished = n;
+        tl.handler = std::forward<F>(handler);
+        tl.head = HeapEntry{tl.times[0], tl.firstSeq,
+                            timelineSlot | static_cast<std::uint32_t>(idx)};
+        nextSeq += n;
+        timelinePending += n;
+        liveEvents += n;
+    }
+
     /**
      * Cancel a previously scheduled event. Cancelling an already-fired
      * or already-cancelled event is a harmless no-op: the generation
@@ -256,7 +321,7 @@ class Simulator
     nextEventAt()
     {
         for (Lead top = leader(); top.entry; top = leader()) {
-            if (meta[top.entry->slot].state != SlotState::cancelled)
+            if (!cancelled(*top.entry))
                 return top.entry->when;
             sweepDead(take(top));
         }
@@ -327,6 +392,27 @@ class Simulator
 
         bool empty() const { return pos == entries.size(); }
     };
+
+    /**
+     * A planned workload (scheduleTimeline()): its ticks, read through
+     * a cursor, and the handler its events run. `head` is the entry
+     * at the cursor, kept ready for leader() to point at.
+     */
+    struct Timeline
+    {
+        std::vector<Tick> times;
+        std::size_t pos = 0;        ///< next unconsumed tick
+        std::uint64_t firstSeq = 0; ///< seq of event 0
+        std::size_t unfinished = 0; ///< events not yet run to the end
+        HeapEntry head{};
+        std::function<void(std::size_t)> handler;
+
+        bool empty() const { return pos == times.size(); }
+    };
+
+    /** Tag bit of a timeline entry's slot; the low bits index
+     *  `timelines`. No slot table grows this large. */
+    static constexpr std::uint32_t timelineSlot = 0x80000000u;
 
     /** Liveness of one slot: all that cancellation and tombstone
      *  checks read. */
@@ -508,7 +594,8 @@ class Simulator
     struct Lead
     {
         const HeapEntry *entry; ///< nullptr when nothing is queued
-        SortedSource *source;   ///< nullptr for the heap
+        SortedSource *source;   ///< nullptr for the heap or a timeline
+        Timeline *timeline;     ///< non-null for a timeline's head
     };
 
     /** Make @p src's head the lead if it fires before @p best's. */
@@ -517,13 +604,22 @@ class Simulator
     {
         if (!src.empty()
             && (!best.entry || before(src.entries[src.pos], *best.entry)))
-            best = {&src.entries[src.pos], &src};
+            best = {&src.entries[src.pos], &src, nullptr};
+    }
+
+    /** Make @p tl's head the lead if it fires before @p best's. */
+    [[gnu::always_inline]] static void
+    consider(Timeline &tl, Lead &best)
+    {
+        if (!tl.empty() && (!best.entry || before(tl.head, *best.entry)))
+            best = {&tl.head, nullptr, &tl};
     }
 
     /**
      * Earliest queued entry across the heap and the sorted sources.
      * The pointer is invalidated by any queue mutation. While no
-     * ordered queue holds an entry, only the run can beat the heap.
+     * ordered queue or timeline holds an entry, only the run can beat
+     * the heap.
      * Forced inline, with consider(): it runs twice per dispatched
      * event, and GCC otherwise outlines one or the other (a measured
      * slowdown of every event).
@@ -531,27 +627,39 @@ class Simulator
     [[gnu::always_inline]] Lead
     leader()
     {
-        Lead best{heapMin(), nullptr};
+        Lead best{heapMin(), nullptr, nullptr};
         consider(run, best);
         if (orderedPending != 0) {
             for (SortedSource &q : queues)
                 consider(q, best);
+        }
+        if (timelinePending != 0) {
+            for (Timeline &tl : timelines)
+                consider(tl, best);
         }
         return best;
     }
 
     /**
      * Remove and return @p top's entry. Requires top.entry. A sorted
-     * source is consumed in order, so taking from one prefetches the
-     * slot of the entry prefetchAhead places on (file comment).
-     * Forced inline like leader(): with the prefetch, GCC outlined it
-     * from drain(), a call on every event.
+     * source is consumed in order, so taking from the run or a queue
+     * prefetches the slot of the entry prefetchAhead places on (file
+     * comment). Forced inline like leader(): with the prefetch, GCC
+     * outlined it from drain(), a call on every event.
      */
     [[gnu::always_inline]] HeapEntry
     take(Lead top)
     {
-        if (!top.source)
-            return popTop();
+        if (!top.source) {
+            if (!top.timeline)
+                return popTop();
+            Timeline &tl = *top.timeline;
+            --timelinePending;
+            const HeapEntry e = tl.head;
+            if (++tl.pos < tl.times.size())
+                tl.head = HeapEntry{tl.times[tl.pos], e.seq + 1, e.slot};
+            return e;
+        }
         SortedSource &src = *top.source;
         if (&src != &run)
             --orderedPending;
@@ -573,6 +681,7 @@ class Simulator
     spill()
     {
         fillHole();
+        ++spillCount;
         // A lambda, not the function pointer, so the comparison is
         // inlined into the sort.
         std::sort(heap.begin(), heap.end(),
@@ -593,6 +702,8 @@ class Simulator
     bool
     dispatch(HeapEntry e)
     {
+        if (e.slot >= timelineSlot)
+            return dispatchTimeline(e);
         if (sweepDead(e))
             return false;
         // Move the callback out and retire the id before running, so
@@ -608,11 +719,42 @@ class Simulator
         return true;
     }
 
+    /**
+     * Run timeline entry @p e's handler. A timeline's handler and
+     * ticks are released once its last event returns; until then the
+     * timeline is not reused, even while a nested run inside a
+     * handler finishes its other events. `timelines` is a deque, so
+     * a handler that schedules another timeline moves no timeline.
+     */
+    bool
+    dispatchTimeline(const HeapEntry &e)
+    {
+        Timeline &tl = timelines[e.slot - timelineSlot];
+        --liveEvents;
+        currentTick = e.when;
+        ++executed;
+        tl.handler(static_cast<std::size_t>(e.seq - tl.firstSeq));
+        if (--tl.unfinished == 0) {
+            tl.handler = nullptr;
+            tl.times = std::vector<Tick>();
+            tl.pos = 0;
+        }
+        return true;
+    }
+
+    /** True if @p e is a tombstone; a timeline entry never is. */
+    bool
+    cancelled(const HeapEntry &e) const
+    {
+        return e.slot < timelineSlot
+            && meta[e.slot].state == SlotState::cancelled;
+    }
+
     /** Free @p e's slot if it is a tombstone; true if it was. */
     bool
     sweepDead(const HeapEntry &e)
     {
-        if (meta[e.slot].state != SlotState::cancelled)
+        if (!cancelled(e))
             return false;
         freeSlot(e.slot);
         --deadEntries;
@@ -729,6 +871,9 @@ class Simulator
     std::vector<SortedSource> queues; ///< the ordered queues
     std::size_t orderedPending = 0;   ///< unconsumed entries in queues
     std::uint64_t fallbacks = 0;    ///< see orderedFallbacks()
+    std::uint64_t spillCount = 0;   ///< see spills()
+    std::deque<Timeline> timelines; ///< by index; reused once finished
+    std::size_t timelinePending = 0; ///< unconsumed timeline entries
     std::vector<HeapEntry> batch; ///< drain() scratch, see above
     std::vector<SlotMeta> meta;           ///< indexed by slot
     std::vector<CallbackLine> callbacks;  ///< indexed by slot

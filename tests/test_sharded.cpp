@@ -259,9 +259,9 @@ TEST(ShardDeterminism, DigestIdenticalAcrossShardCountsAllTopologies)
 
 TEST(ScenarioReserve, UpfrontWorkloadFitsTheEventQueues)
 {
-    // Trigger-heavy: the triggers alone outnumber the fixed slack, so
-    // a reservation that counted only the tunes would let the event
-    // queues regrow mid-setup.
+    // Trigger-heavy: a reservation that counted only the tunes and
+    // load reports would let shard 0's workload plan regrow
+    // mid-setup.
     for (const int k : {1, 2, 3}) {
         SCOPED_TRACE("shards=" + std::to_string(k));
         auto c = shardScenario(corm::coord::FabricTopology::tree, 32, k,

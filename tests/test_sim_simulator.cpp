@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -841,6 +843,225 @@ TEST(SimulatorFuzz, DispatchOrderMatchesReferenceModel)
             where << "\n  got  " << *g << "\n  want " << *w;
         FAIL() << where.str();
     }
+}
+
+namespace {
+
+/**
+ * A random program that mixes timelines with every other way of
+ * scheduling: scheduleAt() events made before, after and from inside
+ * handlers, scheduleInOrder() appends, cancels, steps, stops in
+ * mid-batch and re-entrant runs. With @p asTimeline each timeline goes
+ * through Simulator::scheduleTimeline; without it, the same ticks are
+ * scheduled one scheduleAt() per index, in index order. The two must
+ * log the same observations, draw for draw.
+ */
+std::vector<Obs>
+runTimelineProgram(std::uint64_t seed, bool asTimeline)
+{
+    Simulator sim;
+    Rng rng(seed);
+    std::vector<Obs> log;
+    std::vector<EventId> ids; // by tag; invalidEventId for timelines
+    std::deque<std::function<void(std::size_t)>> handlers;
+    int depth = 0;
+    const Simulator::OrderedQueue queue = sim.addOrderedQueue();
+    Tick lastAppend = 0;
+
+    const auto observe = [&](char what, std::uint64_t tag) {
+        log.push_back({what, tag, sim.now(), sim.pendingEvents(),
+                       sim.executedEvents(), 0});
+    };
+    const auto observeNext = [&](std::uint64_t tag) {
+        log.push_back({'n', tag, sim.now(), sim.pendingEvents(),
+                       sim.executedEvents(), sim.nextEventAt()});
+    };
+    const auto observeStep = [&](std::uint64_t tag) {
+        log.push_back({'s', tag, sim.now(), sim.pendingEvents(),
+                       sim.executedEvents(), sim.step()});
+    };
+    std::function<void(std::uint64_t)> fire;
+    const auto schedule = [&](Tick when) {
+        const std::uint64_t tag = ids.size();
+        ids.push_back(sim.scheduleAt(when, [&fire, tag] { fire(tag); }));
+    };
+    const auto append = [&](Tick delay) {
+        const std::uint64_t tag = ids.size();
+        lastAppend = std::max(lastAppend, sim.now()) + delay;
+        ids.push_back(sim.scheduleInOrder(queue, lastAppend,
+                                          [&fire, tag] { fire(tag); }));
+    };
+    /** A timeline of @p n events with many equal ticks, starting up
+     *  to 40 ticks in the past (clamped to now). */
+    const auto timeline = [&](std::uint64_t n) {
+        std::vector<Tick> times;
+        Tick t = sim.now() + rng.uniformInt(60);
+        t = t > 40 ? t - 40 : 0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            times.push_back(t);
+            t += rng.uniformInt(3) * rng.uniformInt(6);
+        }
+        const std::uint64_t base = ids.size();
+        ids.resize(ids.size() + n, invalidEventId);
+        handlers.emplace_back(
+            [&fire, base](std::size_t i) { fire(base + i); });
+        const auto *h = &handlers.back();
+        if (asTimeline) {
+            sim.scheduleTimeline(std::move(times), *h);
+            return;
+        }
+        for (std::size_t i = 0; i < times.size(); ++i)
+            sim.scheduleAt(times[i], [h, i] { (*h)(i); });
+    };
+    const auto cancelSome = [&] {
+        for (std::uint64_t k = rng.uniformInt(8); k > 0 && !ids.empty(); --k)
+            sim.cancel(ids[rng.uniformInt(ids.size())]);
+    };
+    fire = [&](std::uint64_t tag) {
+        observe('d', tag);
+        const std::uint64_t roll = rng.uniformInt(100);
+        if (roll < 20) {
+            // Children, some at this very timestamp (a later batch).
+            for (std::uint64_t k = 1 + rng.uniformInt(3); k > 0; --k)
+                schedule(sim.now() + rng.uniformInt(3) * rng.uniformInt(9));
+        } else if (roll < 25) {
+            timeline(1 + rng.uniformInt(40));
+        } else if (roll < 32) {
+            append(rng.uniformInt(3));
+        } else if (roll < 38) {
+            cancelSome();
+        } else if (roll < 42) {
+            sim.requestStop();
+        } else if (roll < 46 && depth < 2) {
+            ++depth;
+            sim.runFor(rng.uniformInt(30));
+            --depth;
+            observe('r', tag);
+        } else if (roll < 49 && depth < 2) {
+            ++depth;
+            observeStep(tag);
+            --depth;
+        } else if (roll < 53) {
+            observeNext(tag);
+        }
+    };
+
+    for (int op = 0; op < 400; ++op) {
+        const std::uint64_t roll = rng.uniformInt(100);
+        if (roll < 12) {
+            timeline(1 + rng.uniformInt(300));
+        } else if (roll < 14) {
+            // Above the spill size: in the per-event program these
+            // spill; as a timeline they never enter the heap.
+            timeline(4500 + rng.uniformInt(1000));
+        } else if (roll < 16) {
+            // An unordered bulk load beside the timelines, spilled by
+            // the next run in both programs.
+            for (int k = 0; k < 4500; ++k)
+                schedule(sim.now() + rng.uniformInt(2000));
+        } else if (roll < 30) {
+            for (std::uint64_t k = rng.uniformInt(20); k > 0; --k)
+                schedule(sim.now() + rng.uniformInt(200));
+        } else if (roll < 38) {
+            for (std::uint64_t k = rng.uniformInt(20); k > 0; --k)
+                append(rng.uniformInt(4));
+        } else if (roll < 44) {
+            cancelSome();
+        } else if (roll < 70) {
+            sim.runUntil(sim.now() + rng.uniformInt(150));
+            observe('r', 0);
+        } else if (roll < 82) {
+            for (std::uint64_t k = rng.uniformInt(20); k > 0; --k)
+                observeStep(0);
+        } else {
+            sim.runFor(rng.uniformInt(60));
+            observe('r', 0);
+        }
+        observeNext(0);
+    }
+    sim.runToCompletion();
+    observe('r', 0);
+    return log;
+}
+
+} // namespace
+
+TEST(SimulatorTimeline, MatchesPerEventScheduling)
+{
+    for (std::uint64_t seed = 0x7137e000; seed < 0x7137e000 + 12; ++seed) {
+        const std::vector<Obs> got = runTimelineProgram(seed, true);
+        const std::vector<Obs> want = runTimelineProgram(seed, false);
+        if (got == want)
+            continue;
+        const auto [g, w] =
+            std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+        std::ostringstream where;
+        where << "failing seed 0x" << std::hex << seed << std::dec
+              << ": diverges at observation " << (g - got.begin());
+        if (g != got.end() && w != want.end())
+            where << "\n  got  " << *g << "\n  want " << *w;
+        FAIL() << where.str();
+    }
+}
+
+TEST(Simulator, SpillsCountsEachHeapTurnedIntoTheRun)
+{
+    Simulator sim;
+    int ran = 0;
+    for (Tick i = 0; i < 5000; ++i)
+        sim.scheduleAt((i * 7919) % 5000, [&ran] { ++ran; });
+    EXPECT_EQ(sim.spills(), 0u);
+    sim.runFor(10); // the heap is large and the run empty: it spills
+    EXPECT_EQ(sim.spills(), 1u);
+    sim.runFor(10); // the run still holds entries: no second spill
+    EXPECT_EQ(sim.spills(), 1u);
+    std::vector<Tick> times(5000, 100);
+    sim.scheduleTimeline(std::move(times), [&ran](std::size_t) { ++ran; });
+    sim.runToCompletion();
+    EXPECT_EQ(sim.spills(), 1u); // a timeline never enters the heap
+    EXPECT_EQ(ran, 10000);
+}
+
+TEST(SimulatorTimeline, RejectsDecreasingTicks)
+{
+    Simulator sim;
+    int ran = 0;
+    EXPECT_THROW(sim.scheduleTimeline({10, 20, 15},
+                                      [&ran](std::size_t) { ++ran; }),
+                 std::invalid_argument);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_EQ(sim.nextEventAt(), maxTick);
+    sim.scheduleTimeline({}, [&ran](std::size_t) { ++ran; });
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    sim.runToCompletion();
+    EXPECT_EQ(ran, 0);
+    EXPECT_EQ(sim.executedEvents(), 0u);
+}
+
+TEST(SimulatorTimeline, ClampsPastTicksAndReleasesTheHandler)
+{
+    Simulator sim;
+    sim.runFor(100);
+    std::vector<std::pair<std::size_t, Tick>> fired;
+    auto token = std::make_shared<int>(0);
+    sim.scheduleAt(100, [&] { fired.push_back({99, sim.now()}); });
+    sim.scheduleTimeline({10, 60, 100, 150},
+                         [&fired, &sim, token](std::size_t i) {
+                             fired.push_back({i, sim.now()});
+                         });
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_EQ(sim.pendingEvents(), 5u);
+    EXPECT_EQ(sim.nextEventAt(), 100u);
+    sim.runToCompletion();
+    // The past means now, as for scheduleAt(); ties keep schedule
+    // order, so the earlier scheduleAt() event runs first.
+    const std::vector<std::pair<std::size_t, Tick>> want = {
+        {99, 100}, {0, 100}, {1, 100}, {2, 100}, {3, 150}};
+    EXPECT_EQ(fired, want);
+    EXPECT_EQ(sim.executedEvents(), 5u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(sim.spills(), 0u);
 }
 
 namespace {
