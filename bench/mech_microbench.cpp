@@ -216,6 +216,53 @@ BM_HoldShallow(benchmark::State &state)
 BENCHMARK(BM_HoldShallow);
 
 void
+BM_TimerRearm(benchmark::State &state)
+{
+    // BM_HoldShallow's queue on timers, as the credit scheduler's
+    // segment ends run: one timer per lane, re-armed a near-future
+    // delay ahead from its own callback. One firing in four re-arms
+    // another lane's timer too (a preempted segment end), which
+    // replaces its pending firing instead of leaving a tombstone.
+    constexpr std::uint64_t kLanes = 48;
+    constexpr sim::Tick kTicksPerIter = 64;
+    struct Hold
+    {
+        sim::Simulator &s;
+        sim::Rng rng;
+        std::vector<sim::Timer> lanes;
+
+        void
+        arm(std::uint64_t lane)
+        {
+            lanes[lane].arm(s.now() + 1
+                            + static_cast<sim::Tick>(rng.uniformInt(64)));
+        }
+
+        void
+        fire(std::uint64_t lane)
+        {
+            if (rng.uniformInt(4) == 0)
+                arm((lane + 1 + rng.uniformInt(kLanes - 1)) % kLanes);
+            arm(lane);
+        }
+    };
+    sim::Simulator simulator;
+    Hold hold{simulator, sim::Rng(0x401d), {}};
+    for (std::uint64_t lane = 0; lane < kLanes; ++lane)
+        hold.lanes.emplace_back(simulator,
+                                [&hold, lane] { hold.fire(lane); });
+    for (std::uint64_t lane = 0; lane < kLanes; ++lane)
+        hold.arm(lane);
+    const std::uint64_t before = simulator.executedEvents();
+    for (auto _ : state)
+        simulator.runFor(kTicksPerIter);
+    state.counters["events/s"] = benchmark::Counter(
+        static_cast<double>(simulator.executedEvents() - before),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TimerRearm);
+
+void
 BM_SpillDispatch(benchmark::State &state)
 {
     // An unordered bulk load: state.range(0) events scheduled up

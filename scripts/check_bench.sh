@@ -75,16 +75,17 @@ trap 'rm -rf "$tmp"' EXIT
     --json "$tmp/churn_fresh.json" > /dev/null)
 
 if [ -n "$update" ]; then
-    # The gated metric list and its tolerances. Structural counters
-    # (events, tunes) are tighter than the latency aggregates.
+    # The gated metric list and its tolerances. Event counts are
+    # exact replays, so they are pinned; the latency aggregates and
+    # the tune count keep headroom.
     "$gate" --init "$tmp/fresh.json" --out "$baseline" \
         results.base.throughput_rps.mean=0.15 \
         results.coord.throughput_rps.mean=0.15 \
         results.base.mean_response_ms.mean=0.20 \
         results.coord.mean_response_ms.mean=0.20 \
         results.coord.tunes_sent=0.25 \
-        results.base.events_executed=0.10 \
-        results.coord.events_executed=0.10
+        results.base.events_executed=0 \
+        results.coord.events_executed=0
     echo "check_bench: baseline refreshed -> $baseline"
     # Fabric gate: structural message counts are exact replays, so
     # they run tight; the derived ratios get a little headroom.

@@ -11,6 +11,7 @@
 #include <cassert>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -444,8 +445,19 @@ namespace {
 class ShardIsland final : public coord::ResourceIsland
 {
   public:
-    ShardIsland(coord::IslandId island_id, std::string island_name)
-        : id_(island_id), name_(std::move(island_name))
+    /** One tier's applied weight; `present` once any tune landed. */
+    struct TierWeight
+    {
+        double value = 0.0;
+        bool present = false;
+    };
+
+    /** Tier entities are @p tier_base + 0, 1, ...; the weight table
+     *  grows on the first tune to a tier past its end, so an island
+     *  allocates nothing before the run. */
+    ShardIsland(coord::IslandId island_id, std::string island_name,
+                coord::EntityId tier_base)
+        : tierBase(tier_base), id_(island_id), name_(std::move(island_name))
     {}
 
     coord::IslandId id() const override { return id_; }
@@ -454,7 +466,7 @@ class ShardIsland final : public coord::ResourceIsland
     void
     applyTune(coord::EntityId entity, double delta) override
     {
-        weights[entity] += delta;
+        addWeight(entity, delta);
         tunes.add();
     }
 
@@ -474,11 +486,38 @@ class ShardIsland final : public coord::ResourceIsland
     double
     weight(coord::EntityId entity) const
     {
-        auto it = weights.find(entity);
-        return it == weights.end() ? 0.0 : it->second;
+        const std::size_t i = entity - tierBase;
+        return i < weights.size() ? weights[i].value : 0.0;
     }
 
-    std::map<coord::EntityId, double> weights;
+    /** Add @p delta to @p entity's weight, making it present. */
+    void
+    addWeight(coord::EntityId entity, double delta)
+    {
+        assert(entity >= tierBase && "ShardIsland weights are per tier");
+        const std::size_t i = entity - tierBase;
+        if (i >= weights.size())
+            weights.resize(i + 1);
+        weights[i].value += delta;
+        weights[i].present = true;
+    }
+
+    /** Remove @p entity's weight (a migration handoff); nullopt if it
+     *  was never present. */
+    std::optional<double>
+    takeWeight(coord::EntityId entity)
+    {
+        const std::size_t i = entity - tierBase;
+        if (i >= weights.size() || !weights[i].present)
+            return std::nullopt;
+        const double w = weights[i].value;
+        weights[i] = TierWeight{};
+        return w;
+    }
+
+    /** The first tier's entity: weights[i] is tier entity tierBase + i. */
+    const coord::EntityId tierBase;
+    std::vector<TierWeight> weights;
     std::set<coord::EntityId> learned;
     corm::sim::Counter tunes;
     corm::sim::Counter triggers;
@@ -617,7 +656,8 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         const auto id = static_cast<coord::IslandId>(rootId + i);
         islands.push_back(std::make_unique<ShardIsland>(
             id, (i == 0 ? "classifier" : "shard")
-                    + std::to_string(static_cast<int>(id))));
+                    + std::to_string(static_cast<int>(id)),
+            tierBase));
         fabric.attach(*islands.back());
     }
     ShardIsland &root = *islands.front();
@@ -984,11 +1024,8 @@ runFabricScenario(const FabricScenarioConfig &cfg)
                 *islands[static_cast<std::size_t>(from - rootId)];
             ShardIsland &dstIsl =
                 *islands[static_cast<std::size_t>(ev.dstIsland)];
-            auto wit = fromIsl.weights.find(tier);
-            if (wit != fromIsl.weights.end()) {
-                dstIsl.weights[tier] += wit->second;
-                fromIsl.weights.erase(wit);
-            }
+            if (const std::optional<double> w = fromIsl.takeWeight(tier))
+                dstIsl.addWeight(tier, *w);
             auto iit = intent.find(intentKey(from, tier));
             if (iit != intent.end()) {
                 intent[intentKey(dst, tier)] += iit->second;
@@ -1218,9 +1255,12 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     };
     for (const auto &isl : islands) {
         mix(isl->id());
-        for (const auto &[entity, w] : isl->weights) {
-            mix(entity);
-            mix(std::bit_cast<std::uint64_t>(w));
+        for (std::size_t i = 0; i < isl->weights.size(); ++i) {
+            const ShardIsland::TierWeight &w = isl->weights[i];
+            if (!w.present)
+                continue;
+            mix(isl->tierBase + static_cast<coord::EntityId>(i));
+            mix(std::bit_cast<std::uint64_t>(w.value));
         }
         mix(isl->tunes.value());
         mix(isl->triggers.value());

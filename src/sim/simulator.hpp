@@ -22,11 +22,19 @@
  *    While the root is vacant, the smaller of its children is the
  *    heap's minimum, so peeking needs no fill. A second pop,
  *    compact() and spill() fill the vacancy the old way first.
- *  - Beside the heap sit sorted sources: arrays of the same entries
- *    in ascending (time, sequence) order, each read through a
- *    cursor. Every pop takes the earliest head across the heap and
- *    the sources, so dispatch order is the same total (time,
- *    sequence) order whichever structure holds an entry.
+ *  - Beside the heap sit side sources: sorted arrays of the same
+ *    entries in ascending (time, sequence) order, each read through a
+ *    cursor, and the timers (below). Every pop takes the earliest
+ *    head across the heap and the side sources, so dispatch order is
+ *    the same total (time, sequence) order whichever structure holds
+ *    an entry.
+ *  - The earliest side head is cached (`side`), so leader() is one
+ *    comparison of the heap's minimum against it. The cache is
+ *    recomputed from every side source only when its own entry
+ *    leaves (a take from a side source, a disarm or re-arm of the
+ *    timer it names, a compaction); an entry joining a side source
+ *    (an append to an ordered queue, an arm, a new timeline or run)
+ *    only compares itself against it.
  *  - One source is the spill run. When drain() starts with the run
  *    used up and at least spillMin entries in the heap, it sorts the
  *    heap's buffer in place and swaps it into the run; the heap
@@ -44,8 +52,7 @@
  *    that would go backwards goes to the heap instead and is counted
  *    (orderedFallbacks()). A queue drops its consumed prefix once
  *    that is at least half its buffer, so a warm queue allocates
- *    nothing. While no ordered entry is pending, a pop costs one
- *    extra predictable branch over the heap-and-run comparison.
+ *    nothing.
  *  - Timelines (scheduleTimeline()) are sources for a workload
  *    planned up front: n nondecreasing ticks and one handler, event
  *    i dispatched as handler(i). A timeline holds only its ticks and
@@ -57,9 +64,27 @@
  *    slot (timelineSlot | timeline), which dispatch resolves to the
  *    handler and the index seq - firstSeq; no tag is ever a
  *    tombstone. A stop in mid-batch pushes such an entry into the
- *    heap like any other. While no timeline entry is pending, a pop
- *    pays three more predictable branches: leader(), take() and
- *    dispatch() each check for timelines.
+ *    heap like any other.
+ *  - Timers (addTimer(), Timer) are side entries for call sites that
+ *    keep at most one event pending and fire it again and again: a
+ *    periodic tick, a PCPU's segment end. A timer is one persistent
+ *    callback plus at most one entry (time, sequence, timerSlot |
+ *    timer) in the timer source; arm() takes ++nextSeq exactly where
+ *    scheduleAt() would, so dispatch order is the same as scheduling
+ *    a fresh event each time and cancelling the old one, and
+ *    disarm() drops the entry. A timer takes no slot, heap entry,
+ *    callback move or tombstone. The timer source is a small array
+ *    sorted latest first: a take pops its back, and an arm finds its
+ *    place by counting, without branches, the entries that fire
+ *    after it (an arm's seq is the newest, so its time alone places
+ *    it). A taken timer entry keeps its sequence number; dispatch
+ *    runs it only if the timer is still armed with that number, so an
+ *    earlier member of the same batch that disarms or re-arms the
+ *    timer stops that firing, as a cancel would. A stop in mid-batch
+ *    puts a still-armed timer's entry back into the timer source. The
+ *    callback runs in place (timer callbacks sit in a deque, so
+ *    adding a timer moves none); removing a timer from inside its own
+ *    callback defers the release until the callback returns.
  *  - Callbacks live in a slot table addressed by the heap entries.
  *    An EventId encodes (generation, slot); cancel() flips the
  *    slot's tombstone flag in O(1) — no hash lookup — and the
@@ -204,7 +229,9 @@ class Simulator
             src.pos = 0;
         }
         meta[slot].state = SlotState::pending;
-        src.entries.push_back(HeapEntry{when, ++nextSeq, slot});
+        const HeapEntry e{when, ++nextSeq, slot};
+        src.entries.push_back(e);
+        offer(e, q.index);
         ++orderedPending;
         ++liveEvents;
         return makeId(meta[slot].generation, slot);
@@ -253,11 +280,103 @@ class Simulator
         tl.firstSeq = nextSeq + 1;
         tl.unfinished = n;
         tl.handler = std::forward<F>(handler);
-        tl.head = HeapEntry{tl.times[0], tl.firstSeq,
-                            timelineSlot | static_cast<std::uint32_t>(idx)};
+        const HeapEntry head{tl.times[0], tl.firstSeq,
+                             timelineSlot | static_cast<std::uint32_t>(idx)};
+        offer(head, head.slot);
         nextSeq += n;
         timelinePending += n;
         liveEvents += n;
+    }
+
+    /** Handle of a re-armable timer (see addTimer()). */
+    using TimerId = std::uint32_t;
+
+    /**
+     * Create a disarmed timer that runs @p f each time it fires (file
+     * comment). The timer lives until removeTimer(); Timer does that
+     * on destruction.
+     */
+    template <typename F>
+    TimerId
+    addTimer(F &&f)
+    {
+        TimerId t;
+        if (freeTimers.empty()) {
+            t = static_cast<TimerId>(timerStates.size());
+            timerStates.emplace_back();
+            timerCallbacks.emplace_back();
+        } else {
+            t = freeTimers.back();
+            freeTimers.pop_back();
+        }
+        timerCallbacks[t].emplaceEmpty(std::forward<F>(f));
+        return t;
+    }
+
+    /**
+     * Arm timer @p t to fire at @p when (clamped to now()), replacing
+     * any firing it already has pending. Same semantics and dispatch
+     * order as cancelling that firing and calling scheduleAt(when).
+     */
+    void
+    arm(TimerId t, Tick when)
+    {
+        if (when < currentTick)
+            when = currentTick;
+        TimerState &st = timerStates[t];
+        if (st.seq == 0)
+            ++liveEvents;
+        else if (st.waiting)
+            unqueueTimer(t);
+        st.seq = ++nextSeq;
+        st.waiting = true;
+        // The newest seq fires after every waiting entry of its tick,
+        // so `when` alone places it: behind the entries that fire
+        // later, counted without branches.
+        const HeapEntry e{when, st.seq, timerSlot | t};
+        std::size_t pos = 0;
+        for (const HeapEntry &q : timerQueue)
+            pos += q.when > when;
+        queueTimer(e, pos);
+        if (side.slot == e.slot)
+            refreshSide(); // its old firing was the side head
+        else
+            offer(e, e.slot);
+    }
+
+    /** Drop timer @p t's pending firing, if any. */
+    void
+    disarm(TimerId t)
+    {
+        TimerState &st = timerStates[t];
+        if (st.seq == 0)
+            return;
+        st.seq = 0;
+        --liveEvents;
+        if (!st.waiting)
+            return; // taken: dispatch will find it disarmed
+        st.waiting = false;
+        unqueueTimer(t);
+        if (side.slot == (timerSlot | t))
+            refreshSide();
+    }
+
+    /** True while timer @p t has a firing pending. */
+    bool armed(TimerId t) const { return timerStates[t].seq != 0; }
+
+    /**
+     * Disarm timer @p t and release its callback and id. From inside
+     * the timer's own callback the release waits until it returns.
+     */
+    void
+    removeTimer(TimerId t)
+    {
+        disarm(t);
+        TimerState &st = timerStates[t];
+        if (st.firing != 0)
+            st.removed = true;
+        else
+            releaseTimer(t);
     }
 
     /**
@@ -292,6 +411,9 @@ class Simulator
 
     /** Number of scheduled-and-not-yet-fired (nor cancelled) events. */
     std::size_t pendingEvents() const { return liveEvents; }
+
+    /** Cancelled events whose entries are still queued. */
+    std::size_t tombstones() const { return deadEntries; }
 
     /**
      * Pre-size the heap and slot table for @p events concurrently
@@ -395,8 +517,7 @@ class Simulator
 
     /**
      * A planned workload (scheduleTimeline()): its ticks, read through
-     * a cursor, and the handler its events run. `head` is the entry
-     * at the cursor, kept ready for leader() to point at.
+     * a cursor, and the handler its events run.
      */
     struct Timeline
     {
@@ -404,15 +525,31 @@ class Simulator
         std::size_t pos = 0;        ///< next unconsumed tick
         std::uint64_t firstSeq = 0; ///< seq of event 0
         std::size_t unfinished = 0; ///< events not yet run to the end
-        HeapEntry head{};
         std::function<void(std::size_t)> handler;
 
         bool empty() const { return pos == times.size(); }
     };
 
-    /** Tag bit of a timeline entry's slot; the low bits index
-     *  `timelines`. No slot table grows this large. */
+    /** Tag bits of an entry that names no slot: a timer's entry
+     *  carries (timerSlot | timer), a timeline's (timelineSlot |
+     *  timeline). No slot table grows this large. */
+    static constexpr std::uint32_t timerSlot = 0x40000000u;
     static constexpr std::uint32_t timelineSlot = 0x80000000u;
+
+    /** What arming, dispatch and removal need to know of a timer. */
+    struct TimerState
+    {
+        std::uint64_t seq = 0;    ///< armed firing's seq; 0 when disarmed
+        std::uint32_t firing = 0; ///< its callback's nesting depth
+        bool waiting = false;     ///< its firing is in timerQueue
+        bool removed = false;     ///< removeTimer() waits for `firing`
+    };
+
+    /** seq of the empty side head: later than any real entry. */
+    static constexpr std::uint64_t noSeq = ~std::uint64_t{0};
+    /** sideFrom value naming the spill run. Timer and timeline heads
+     *  are named by their tag, ordered queues by their index. */
+    static constexpr std::uint32_t runSource = timerSlot - 1;
 
     /** Liveness of one slot: all that cancellation and tombstone
      *  checks read. */
@@ -495,6 +632,27 @@ class Simulator
         if (a.when != b.when)
             return a.when < b.when;
         return a.seq < b.seq; // FIFO among simultaneous events
+    }
+
+    /** Insert @p e into timerQueue at index @p pos. */
+    void
+    queueTimer(const HeapEntry &e, std::size_t pos)
+    {
+        timerQueue.push_back(e);
+        for (std::size_t i = timerQueue.size() - 1; i > pos; --i)
+            timerQueue[i] = timerQueue[i - 1];
+        timerQueue[pos] = e;
+    }
+
+    /** Drop waiting timer @p t's entry from timerQueue. */
+    void
+    unqueueTimer(TimerId t)
+    {
+        const std::uint32_t tag = timerSlot | t;
+        std::size_t i = 0;
+        while (timerQueue[i].slot != tag)
+            ++i;
+        timerQueue.erase(timerQueue.begin() + static_cast<std::ptrdiff_t>(i));
     }
 
     void
@@ -594,50 +752,70 @@ class Simulator
     struct Lead
     {
         const HeapEntry *entry; ///< nullptr when nothing is queued
-        SortedSource *source;   ///< nullptr for the heap or a timeline
-        Timeline *timeline;     ///< non-null for a timeline's head
+        bool side;              ///< entry is `side`, not the heap's
     };
 
-    /** Make @p src's head the lead if it fires before @p best's. */
-    [[gnu::always_inline]] static void
-    consider(SortedSource &src, Lead &best)
+    /**
+     * Make @p e the side head if it fires before the current one.
+     * @p from names its source (sideFrom); a timeline's entry can
+     * also sit in the run after a stop and a spill, so the entry's
+     * own tag does not tell.
+     */
+    void
+    offer(const HeapEntry &e, std::uint32_t from)
     {
-        if (!src.empty()
-            && (!best.entry || before(src.entries[src.pos], *best.entry)))
-            best = {&src.entries[src.pos], &src, nullptr};
-    }
-
-    /** Make @p tl's head the lead if it fires before @p best's. */
-    [[gnu::always_inline]] static void
-    consider(Timeline &tl, Lead &best)
-    {
-        if (!tl.empty() && (!best.entry || before(tl.head, *best.entry)))
-            best = {&tl.head, nullptr, &tl};
+        if (before(e, side)) {
+            side = e;
+            sideFrom = from;
+        }
     }
 
     /**
-     * Earliest queued entry across the heap and the sorted sources.
-     * The pointer is invalidated by any queue mutation. While no
-     * ordered queue or timeline holds an entry, only the run can beat
-     * the heap.
-     * Forced inline, with consider(): it runs twice per dispatched
-     * event, and GCC otherwise outlines one or the other (a measured
-     * slowdown of every event).
+     * Recompute the side head from every side source: the earliest
+     * timer, the run, and the ordered queues and timelines while any
+     * holds an entry.
+     */
+    void
+    refreshSide()
+    {
+        side = HeapEntry{maxTick, noSeq, 0};
+        if (!timerQueue.empty()) {
+            side = timerQueue.back();
+            sideFrom = side.slot;
+        }
+        if (!run.empty())
+            offer(run.entries[run.pos], runSource);
+        if (orderedPending != 0) {
+            for (std::uint32_t q = 0; q < queues.size(); ++q) {
+                if (!queues[q].empty())
+                    offer(queues[q].entries[queues[q].pos], q);
+            }
+        }
+        if (timelinePending != 0) {
+            std::uint32_t tag = timelineSlot;
+            for (const Timeline &tl : timelines) {
+                if (!tl.empty())
+                    offer(HeapEntry{tl.times[tl.pos], tl.firstSeq + tl.pos,
+                                    tag},
+                          tag);
+                ++tag;
+            }
+        }
+    }
+
+    /**
+     * Earliest queued entry: the heap's minimum or the cached side
+     * head. The pointer is invalidated by any queue mutation.
+     * Forced inline: it runs twice per dispatched event, and GCC
+     * otherwise outlines it (a measured slowdown of every event).
      */
     [[gnu::always_inline]] Lead
     leader()
     {
-        Lead best{heapMin(), nullptr, nullptr};
-        consider(run, best);
-        if (orderedPending != 0) {
-            for (SortedSource &q : queues)
-                consider(q, best);
-        }
-        if (timelinePending != 0) {
-            for (Timeline &tl : timelines)
-                consider(tl, best);
-        }
-        return best;
+        const HeapEntry *h = heapMin();
+        if (h && before(*h, side))
+            return {h, false};
+        return {side.seq == noSeq ? nullptr : &side, true};
     }
 
     /**
@@ -650,26 +828,31 @@ class Simulator
     [[gnu::always_inline]] HeapEntry
     take(Lead top)
     {
-        if (!top.source) {
-            if (!top.timeline)
-                return popTop();
-            Timeline &tl = *top.timeline;
+        if (!top.side)
+            return popTop();
+        const HeapEntry e = side;
+        if (sideFrom >= timelineSlot) {
             --timelinePending;
-            const HeapEntry e = tl.head;
-            if (++tl.pos < tl.times.size())
-                tl.head = HeapEntry{tl.times[tl.pos], e.seq + 1, e.slot};
-            return e;
+            ++timelines[sideFrom - timelineSlot].pos;
+        } else if (sideFrom >= timerSlot) {
+            // Taken: still armed, no longer waiting in the source.
+            timerStates[sideFrom - timerSlot].waiting = false;
+            timerQueue.pop_back();
+        } else {
+            SortedSource &src = sideFrom == runSource ? run
+                                                      : queues[sideFrom];
+            if (&src != &run)
+                --orderedPending;
+            const std::size_t ahead = src.pos + prefetchAhead;
+            if (ahead < src.entries.size()) {
+                const std::uint32_t slot = src.entries[ahead].slot;
+                __builtin_prefetch(&meta[slot], 1);
+                __builtin_prefetch(&callbacks[slot], 1);
+            }
+            ++src.pos;
         }
-        SortedSource &src = *top.source;
-        if (&src != &run)
-            --orderedPending;
-        const std::size_t ahead = src.pos + prefetchAhead;
-        if (ahead < src.entries.size()) {
-            const std::uint32_t slot = src.entries[ahead].slot;
-            __builtin_prefetch(&meta[slot], 1);
-            __builtin_prefetch(&callbacks[slot], 1);
-        }
-        return src.entries[src.pos++];
+        refreshSide();
+        return e;
     }
 
     /**
@@ -691,6 +874,8 @@ class Simulator
         run.entries.clear();
         heap.swap(run.entries);
         run.pos = 0;
+        if (!run.empty())
+            offer(run.entries[0], runSource);
     }
 
     /**
@@ -702,8 +887,10 @@ class Simulator
     bool
     dispatch(HeapEntry e)
     {
-        if (e.slot >= timelineSlot)
-            return dispatchTimeline(e);
+        if (e.slot >= timerSlot) {
+            return e.slot >= timelineSlot ? dispatchTimeline(e)
+                                          : dispatchTimer(e);
+        }
         if (sweepDead(e))
             return false;
         // Move the callback out and retire the id before running, so
@@ -742,11 +929,63 @@ class Simulator
         return true;
     }
 
-    /** True if @p e is a tombstone; a timeline entry never is. */
+    /**
+     * Run timer entry @p e's callback in place, unless the timer was
+     * disarmed or re-armed since the entry was taken (file comment).
+     * The callback may add timers, which can move timerStates, so the
+     * state is looked up again after it returns.
+     */
+    bool
+    dispatchTimer(const HeapEntry &e)
+    {
+        const std::uint32_t t = e.slot - timerSlot;
+        TimerState &st = timerStates[t];
+        if (st.seq != e.seq)
+            return false;
+        st.seq = 0;
+        ++st.firing;
+        --liveEvents;
+        currentTick = e.when;
+        ++executed;
+        timerCallbacks[t]();
+        TimerState &done = timerStates[t];
+        if (--done.firing == 0 && done.removed)
+            releaseTimer(t);
+        return true;
+    }
+
+    /** Free timer @p t (disarmed, not firing) for reuse by addTimer(). */
+    void
+    releaseTimer(TimerId t)
+    {
+        timerCallbacks[t].reset();
+        timerStates[t].removed = false;
+        freeTimers.push_back(t);
+    }
+
+    /**
+     * Put a taken timer entry @p e back into its key after a stop in
+     * mid-batch, unless the timer has been disarmed or re-armed since.
+     */
+    void
+    restoreTimer(const HeapEntry &e)
+    {
+        TimerState &st = timerStates[e.slot - timerSlot];
+        if (st.seq != e.seq)
+            return;
+        st.waiting = true;
+        std::size_t pos = 0;
+        for (const HeapEntry &q : timerQueue)
+            pos += before(e, q);
+        queueTimer(e, pos);
+        offer(e, e.slot);
+    }
+
+    /** True if @p e is a tombstone; a timer or timeline entry never is. */
     bool
     cancelled(const HeapEntry &e) const
     {
-        return e.slot < timelineSlot
+        return e.slot < timerSlot
             && meta[e.slot].state == SlotState::cancelled;
     }
 
@@ -785,6 +1024,7 @@ class Simulator
         orderedPending = 0;
         for (SortedSource &q : queues)
             orderedPending += filterDead(q);
+        refreshSide(); // the side head may have been a tombstone
     }
 
     /** Drop @p src's consumed prefix and its tombstones, keeping the
@@ -836,10 +1076,16 @@ class Simulator
             for (; i < batch.size() && !stopFlag; ++i)
                 dispatch(batch[i]);
             if (i < batch.size()) {
-                // Stopped mid-batch: the rest stays pending, in the
-                // heap whichever source it came from.
-                for (std::size_t j = i; j < batch.size(); ++j)
-                    pushEntry(batch[j]);
+                // Stopped mid-batch: the rest stays pending, a timer's
+                // entry in its key and any other in the heap,
+                // whichever source it came from.
+                for (std::size_t j = i; j < batch.size(); ++j) {
+                    const HeapEntry &e = batch[j];
+                    if (e.slot >= timerSlot && e.slot < timelineSlot)
+                        restoreTimer(e);
+                    else
+                        pushEntry(e);
+                }
             }
             batch.resize(base);
         }
@@ -874,6 +1120,16 @@ class Simulator
     std::uint64_t spillCount = 0;   ///< see spills()
     std::deque<Timeline> timelines; ///< by index; reused once finished
     std::size_t timelinePending = 0; ///< unconsumed timeline entries
+    /** The timer source: each waiting timer's entry, latest first,
+     *  so the earliest is at the back. */
+    std::vector<HeapEntry> timerQueue;
+    std::vector<TimerState> timerStates; ///< by TimerId
+    std::deque<Callback> timerCallbacks; ///< by TimerId; never moved
+    std::vector<TimerId> freeTimers;
+    /** Earliest head across the side sources (file comment);
+     *  {maxTick, noSeq} when they are all empty. */
+    HeapEntry side{maxTick, noSeq, 0};
+    std::uint32_t sideFrom = 0; ///< the source of side (offer())
     std::vector<HeapEntry> batch; ///< drain() scratch, see above
     std::vector<SlotMeta> meta;           ///< indexed by slot
     std::vector<CallbackLine> callbacks;  ///< indexed by slot
@@ -881,9 +1137,67 @@ class Simulator
 };
 
 /**
+ * RAII owner of one Simulator timer (Simulator::addTimer()): a
+ * persistent callback fired at each arm() time. Move-only; removes
+ * the timer on destruction, which is safe from inside its own
+ * callback. A default-constructed Timer owns nothing.
+ */
+class Timer
+{
+  public:
+    Timer() = default;
+
+    /** A disarmed timer of @p simulator (which must outlive it). */
+    template <typename F>
+    Timer(Simulator &simulator, F &&f)
+        : sim(&simulator), id(simulator.addTimer(std::forward<F>(f)))
+    {}
+
+    Timer(Timer &&other) noexcept
+        : sim(std::exchange(other.sim, nullptr)), id(other.id)
+    {}
+
+    Timer &
+    operator=(Timer &&other) noexcept
+    {
+        if (this != &other) {
+            release();
+            sim = std::exchange(other.sim, nullptr);
+            id = other.id;
+        }
+        return *this;
+    }
+
+    ~Timer() { release(); }
+
+    /** Fire at absolute tick @p when, replacing any pending firing. */
+    void arm(Tick when) { sim->arm(id, when); }
+
+    /** Drop the pending firing, if any. */
+    void disarm() { sim->disarm(id); }
+
+    /** True while a firing is pending. */
+    bool armed() const { return sim != nullptr && sim->armed(id); }
+
+  private:
+    void
+    release()
+    {
+        if (sim != nullptr)
+            sim->removeTimer(id);
+        sim = nullptr;
+    }
+
+    Simulator *sim = nullptr;
+    Simulator::TimerId id = 0;
+};
+
+/**
  * RAII helper for a periodic event: fires a callback every @p period
  * ticks until stopped or destroyed. Used for scheduler ticks,
- * accounting periods, polling loops and monitors.
+ * accounting periods, polling loops and monitors. It rides on one
+ * Simulator timer, re-armed before each callback runs, so every
+ * firing takes the sequence number a freshly scheduled event would.
  */
 class PeriodicEvent
 {
@@ -897,40 +1211,33 @@ class PeriodicEvent
      */
     PeriodicEvent(Simulator &simulator, Tick period,
                   Simulator::Callback cb, Tick start_offset = 0)
-        : sim(simulator), interval(period), callback(std::move(cb))
+        : sim(simulator), interval(period), callback(std::move(cb)),
+          timer(simulator, [this] { fire(); })
     {
-        const Tick first = start_offset == 0 ? interval : start_offset;
-        pending = sim.schedule(first, [this] { fire(); });
+        timer.arm(sim.now() + (start_offset == 0 ? interval : start_offset));
     }
-
-    ~PeriodicEvent() { stop(); }
 
     PeriodicEvent(const PeriodicEvent &) = delete;
     PeriodicEvent &operator=(const PeriodicEvent &) = delete;
 
     /** Stop firing; safe to call repeatedly. */
-    void
-    stop()
-    {
-        sim.cancel(pending);
-        pending = invalidEventId;
-    }
+    void stop() { timer.disarm(); }
 
     /** True while the periodic event is armed. */
-    bool running() const { return pending != invalidEventId; }
+    bool running() const { return timer.armed(); }
 
   private:
     void
     fire()
     {
-        pending = sim.schedule(interval, [this] { fire(); });
+        timer.arm(sim.now() + interval);
         callback();
     }
 
     Simulator &sim;
     Tick interval;
     Simulator::Callback callback;
-    EventId pending = invalidEventId;
+    Timer timer; ///< last member: destroyed (removed) first
 };
 
 } // namespace corm::sim

@@ -110,8 +110,12 @@ CreditScheduler::CreditScheduler(corm::sim::Simulator &simulator,
     : sim(simulator), cfg(params)
 {
     pcpus.resize(static_cast<std::size_t>(num_pcpus));
-    for (int i = 0; i < num_pcpus; ++i)
-        pcpus[static_cast<std::size_t>(i)].index = i;
+    for (int i = 0; i < num_pcpus; ++i) {
+        PCpu &pc = pcpus[static_cast<std::size_t>(i)];
+        pc.index = i;
+        pc.segTimer =
+            corm::sim::Timer(sim, [this, &pc] { onSegmentEnd(pc); });
+    }
 
     // Stagger per-PCPU ticks as Xen does, so simultaneous debits on
     // all cores don't create lockstep artifacts.
@@ -250,8 +254,7 @@ CreditScheduler::setPcpuSpeed(int pcpu, double speed)
     accrue(pc);
     pc.speed = speed;
     if (pc.current != nullptr) {
-        sim.cancel(pc.segEvent);
-        pc.segEvent = corm::sim::invalidEventId;
+        pc.segTimer.disarm();
         if (!pc.current->jobs.empty()
             && pc.current->jobs.front().remaining == 0) {
             // The speed change landed exactly at a job boundary.
@@ -408,16 +411,15 @@ CreditScheduler::startSegment(PCpu &pc)
     // Wall time to finish the job at this PCPU's DVFS speed (round
     // up so rounding can never schedule the end before the work is
     // done; the residual converges across segments).
+    // At full speed the quotient is the work itself, so skip the
+    // division (the cast through double keeps it bit-identical).
     const double remaining =
         static_cast<double>(pc.current->jobs.front().remaining);
-    const Tick job_wall = static_cast<Tick>(
-        std::ceil(remaining / pc.speed));
+    const Tick job_wall = pc.speed == 1.0
+        ? static_cast<Tick>(remaining)
+        : static_cast<Tick>(std::ceil(remaining / pc.speed));
     const Tick job_end = sim.now() + job_wall;
-    const Tick seg_end = std::min(job_end, pc.sliceEnd);
-    pc.segEvent = sim.scheduleAt(seg_end, [this, &pc] {
-        pc.segEvent = corm::sim::invalidEventId;
-        onSegmentEnd(pc);
-    });
+    pc.segTimer.arm(std::min(job_end, pc.sliceEnd));
 }
 
 void
@@ -534,8 +536,7 @@ CreditScheduler::preemptIfNeeded(PCpu &pc)
     if (!preempt)
         return;
 
-    sim.cancel(pc.segEvent);
-    pc.segEvent = corm::sim::invalidEventId;
+    pc.segTimer.disarm();
     cur.st = VcpuState::runnable;
     cur.prio = priorityFromCredits(cur);
     pc.current = nullptr;

@@ -488,7 +488,7 @@ class CreditScheduler
         Vcpu *current = nullptr;
         corm::sim::Tick segStart = 0;
         corm::sim::Tick sliceEnd = 0;
-        corm::sim::EventId segEvent = corm::sim::invalidEventId;
+        corm::sim::Timer segTimer; ///< fires at the running segment's end
         RunQueue runq[3]; ///< indexed by Priority
         corm::sim::Tick busy = 0;
         double speed = 1.0; ///< DVFS factor: work done per wall tick

@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -216,6 +217,141 @@ TEST(PeriodicEvent, DestructionCancelsCleanly)
     EXPECT_EQ(fires, 1);
 }
 
+TEST(PeriodicEvent, DestroyedInsideItsOwnCallback)
+{
+    Simulator sim;
+    int fires = 0;
+    std::unique_ptr<PeriodicEvent> tick;
+    tick = std::make_unique<PeriodicEvent>(sim, 10, [&] {
+        if (++fires == 3)
+            tick.reset();
+    });
+    sim.runUntil(100);
+    EXPECT_EQ(fires, 3);
+    EXPECT_EQ(tick, nullptr);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    // The released timer is reused cleanly.
+    int later = 0;
+    PeriodicEvent again(sim, 10, [&] { ++later; });
+    sim.runUntil(125);
+    EXPECT_EQ(later, 2);
+}
+
+TEST(SimulatorTimer, FiresInScheduleOrderAmongEvents)
+{
+    Simulator sim;
+    std::vector<int> order;
+    Timer t(sim, [&] { order.push_back(2); });
+    sim.scheduleAt(10, [&] { order.push_back(1); });
+    t.arm(10);
+    sim.scheduleAt(10, [&] { order.push_back(3); });
+    EXPECT_TRUE(t.armed());
+    sim.runToCompletion();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_FALSE(t.armed());
+    EXPECT_EQ(sim.executedEvents(), 3u);
+}
+
+TEST(SimulatorTimer, BatchMemberThatDisarmsOrReArmsStopsTheFiring)
+{
+    // Four members share tick 10: an event, timers a and b, another
+    // event. The first event disarms a and re-arms b at the same tick,
+    // so neither timer's batch entry may run; b's new firing has a
+    // later sequence number and joins the next batch.
+    Simulator sim;
+    std::vector<std::string> log;
+    Timer a(sim, [&] { log.push_back("a"); });
+    Timer b(sim, [&] { log.push_back("b"); });
+    sim.scheduleAt(10, [&] {
+        log.push_back("e");
+        a.disarm();
+        b.arm(10);
+    });
+    a.arm(10);
+    b.arm(10);
+    sim.scheduleAt(10, [&] { log.push_back("f"); });
+    EXPECT_EQ(sim.pendingEvents(), 4u);
+    sim.runToCompletion();
+    EXPECT_EQ(log, (std::vector<std::string>{"e", "f", "b"}));
+    EXPECT_EQ(sim.executedEvents(), 3u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(SimulatorTimer, StopMidBatchLeavesTheTimerPending)
+{
+    Simulator sim;
+    int fired = 0;
+    Timer t(sim, [&] { ++fired; });
+    Timer parked(sim, [&] { fired += 100; });
+    sim.scheduleAt(5, [&] { sim.requestStop(); });
+    t.arm(5);
+    parked.arm(5);
+    sim.runUntil(100);
+    EXPECT_TRUE(sim.stopRequested());
+    EXPECT_EQ(sim.now(), 5u);
+    EXPECT_EQ(fired, 0);
+    EXPECT_TRUE(t.armed());
+    EXPECT_EQ(sim.pendingEvents(), 2u);
+    EXPECT_EQ(sim.nextEventAt(), 5u);
+    // A parked firing is dropped by disarm() like any other.
+    parked.disarm();
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    sim.runUntil(100);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_EQ(sim.executedEvents(), 2u);
+}
+
+TEST(SimulatorTimer, PendingEventsAndNextEventAtCountArmedTimers)
+{
+    Simulator sim;
+    Timer t(sim, [] {});
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_EQ(sim.nextEventAt(), maxTick);
+    t.arm(50);
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    EXPECT_EQ(sim.nextEventAt(), 50u);
+    t.arm(30); // a re-arm replaces the firing
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    EXPECT_EQ(sim.nextEventAt(), 30u);
+    sim.scheduleAt(40, [] {});
+    EXPECT_EQ(sim.pendingEvents(), 2u);
+    EXPECT_EQ(sim.nextEventAt(), 30u);
+    t.disarm();
+    t.disarm(); // idempotent
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    EXPECT_EQ(sim.nextEventAt(), 40u);
+    t.arm(45);
+    EXPECT_EQ(sim.nextEventAt(), 40u);
+    sim.runToCompletion();
+    EXPECT_EQ(sim.now(), 45u);
+    EXPECT_EQ(sim.executedEvents(), 2u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_EQ(sim.tombstones(), 0u);
+}
+
+TEST(SimulatorTimer, RemovedInsideItsOwnCallbackLivesUntilItReturns)
+{
+    // The capture (80 bytes) is past SmallCallback's inline buffer, so
+    // it lives on the heap: releasing it while the callback still runs
+    // would be a use-after-free (the _asan twin catches it).
+    Simulator sim;
+    std::array<std::uint64_t, 8> big{};
+    big.fill(7);
+    std::uint64_t sum = 0;
+    auto t = std::make_unique<Timer>();
+    *t = Timer(sim, [&t, &sum, big] {
+        t.reset(); // removes this very timer
+        for (const std::uint64_t v : big)
+            sum += v;
+    });
+    t->arm(10);
+    sim.runToCompletion();
+    EXPECT_EQ(sum, 56u);
+    EXPECT_EQ(t, nullptr);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
 TEST(Simulator, CancelAfterFireKeepsPendingCountCorrect)
 {
     // Regression: cancelling an id whose event already fired used to
@@ -392,7 +528,9 @@ namespace {
  * Simulator's public semantics — (when, seq) order, same-timestamp
  * batches, stop mid-batch, re-entrant runs — over a std::set, with
  * none of its data-structure tricks (slot table, tombstones, heap,
- * sorted run, ordered queues, compaction).
+ * sorted run, ordered queues, timers, the cached side head,
+ * compaction). A timer is scheduleAt() plus cancel(): arming cancels
+ * the pending firing and schedules a fresh one.
  */
 class ReferenceSim
 {
@@ -433,6 +571,34 @@ class ReferenceSim
     {
         return scheduleAt(when, std::move(cb));
     }
+
+    using TimerId = std::size_t;
+
+    TimerId
+    addTimer(std::function<void()> cb)
+    {
+        timers.push_back({std::move(cb), 0});
+        return timers.size() - 1;
+    }
+
+    void
+    arm(TimerId t, Tick when)
+    {
+        cancel(timers[t].pending);
+        timers[t].pending = scheduleAt(when, [this, t] {
+            timers[t].pending = 0;
+            timers[t].cb();
+        });
+    }
+
+    void
+    disarm(TimerId t)
+    {
+        cancel(timers[t].pending);
+        timers[t].pending = 0;
+    }
+
+    void removeTimer(TimerId t) { disarm(t); }
 
     Tick
     nextEventAt() const
@@ -496,6 +662,12 @@ class ReferenceSim
     bool stop = false;
     std::set<Key> queue;
     std::map<std::uint64_t, std::pair<Tick, std::function<void()>>> live;
+    struct RefTimer
+    {
+        std::function<void()> cb;
+        std::uint64_t pending; ///< id of the armed firing; 0 if none
+    };
+    std::deque<RefTimer> timers; ///< a callback may add a timer
 };
 
 /** One observation: what happened, at which time, with what state. */
@@ -544,10 +716,20 @@ operator<<(std::ostream &os, const Obs &o)
  * entries; the mass cancels, nested runs and spills then act on
  * them too. Without it, the program's random draws are those of the
  * two programs above.
+ *
+ * With @p timers, five re-armable timers join in. Main loops and
+ * event callbacks arm, re-arm (twice in a row, too), disarm, and
+ * remove and re-add them, often at the current tick, so a timer
+ * shares a batch with the events and timers that change it. A
+ * firing timer mostly re-arms itself from its own callback (as
+ * PeriodicEvent does); it also stops the run mid-batch, re-enters
+ * runs, peeks, schedules events and removes itself. Without it, the
+ * random draws are those of the programs above.
  */
 template <typename Sim>
 std::vector<Obs>
-runProgram(std::uint64_t seed, bool shallowFirst, bool ordered)
+runProgram(std::uint64_t seed, bool shallowFirst, bool ordered,
+           bool timers = false)
 {
     Sim sim;
     corm::sim::Rng rng(seed);
@@ -601,6 +783,31 @@ runProgram(std::uint64_t seed, bool shallowFirst, bool ordered)
     /** Near-future delay; one in four lands on the current tick. */
     const auto nearDelay = [&]() -> Tick {
         return rng.uniformInt(4) == 0 ? 0 : 1 + rng.uniformInt(60);
+    };
+    constexpr std::size_t kTimers = 5;
+    constexpr std::uint64_t timerTag = std::uint64_t{1} << 40;
+    std::vector<typename Sim::TimerId> timerIds;
+    std::function<void(std::size_t)> fireTimer;
+    const auto addTimer = [&](std::size_t k) {
+        return sim.addTimer([&fireTimer, k] { fireTimer(k); });
+    };
+    /** Arm, re-arm, disarm or replace a random timer. */
+    const auto timerOp = [&] {
+        const std::size_t k = rng.uniformInt(kTimers);
+        const std::uint64_t roll = rng.uniformInt(100);
+        if (roll < 55) {
+            sim.arm(timerIds[k], sim.now() + nearDelay());
+        } else if (roll < 75) {
+            sim.disarm(timerIds[k]);
+        } else if (roll < 93) {
+            // Re-armed twice: the first firing must never run.
+            sim.arm(timerIds[k], sim.now() + nearDelay());
+            sim.arm(timerIds[k], sim.now() + nearDelay());
+        } else {
+            sim.removeTimer(timerIds[k]);
+            timerIds[k] = addTimer(k);
+            sim.arm(timerIds[k], sim.now() + nearDelay());
+        }
     };
     const auto shallowFire = [&](std::uint64_t tag) {
         if (ordered && rng.uniformInt(3) == 0) {
@@ -659,6 +866,8 @@ runProgram(std::uint64_t seed, bool shallowFirst, bool ordered)
     const auto fire = [&](std::uint64_t tag) {
         pendingTags.erase({whenOf[tag], tag});
         observe('d', tag);
+        if (timers && rng.uniformInt(4) == 0)
+            timerOp();
         if (shallow) {
             shallowFire(tag);
             return;
@@ -717,6 +926,37 @@ runProgram(std::uint64_t seed, bool shallowFirst, bool ordered)
         orderedTags.push_back(tag);
         lastAppend[q] = std::max(lastAppend[q], when);
     };
+    fireTimer = [&](std::size_t k) {
+        const std::uint64_t tag = timerTag + k;
+        observe('d', tag);
+        const std::uint64_t roll = rng.uniformInt(100);
+        if (roll < 45) {
+            sim.arm(timerIds[k], sim.now() + nearDelay());
+        } else if (roll < 60) {
+            timerOp();
+            timerOp();
+        } else if (roll < 65) {
+            sim.requestStop();
+            sim.arm(timerIds[k], sim.now());
+        } else if (roll < 70 && depth < 2) {
+            ++depth;
+            sim.runFor(rng.uniformInt(30));
+            --depth;
+            observe('r', tag);
+        } else if (roll < 75) {
+            observeNext(tag);
+        } else if (roll < 85) {
+            schedule(sim.now(), nearDelay());
+        } else if (roll < 88) {
+            // Removed from inside its own callback, then replaced.
+            sim.removeTimer(timerIds[k]);
+            timerIds[k] = addTimer(k);
+        }
+    };
+    if (timers) {
+        for (std::size_t k = 0; k < kTimers; ++k)
+            timerIds.push_back(addTimer(k));
+    }
     /** One ordered-queue operation of the main loops. */
     const auto orderedOp = [&] {
         const std::size_t q = rng.uniformInt(2);
@@ -747,6 +987,11 @@ runProgram(std::uint64_t seed, bool shallowFirst, bool ordered)
         for (int i = 0; i < 48; ++i)
             schedule(sim.now(), rng.uniformInt(60));
         for (int op = 0; op < 300; ++op) {
+            if (timers && rng.uniformInt(5) == 0) {
+                timerOp();
+                observeNext(0);
+                continue;
+            }
             if (ordered && rng.uniformInt(5) == 0) {
                 orderedOp();
                 observeNext(0);
@@ -778,6 +1023,11 @@ runProgram(std::uint64_t seed, bool shallowFirst, bool ordered)
         for (std::uint64_t i = 0; i < n; ++i)
             schedule(sim.now(), rng.uniformInt(4000));
         for (int op = 0; op < 60; ++op) {
+            if (timers && rng.uniformInt(5) == 0) {
+                timerOp();
+                observeNext(0);
+                continue;
+            }
             if (ordered && rng.uniformInt(4) == 0) {
                 orderedOp();
                 observeNext(0);
@@ -820,16 +1070,21 @@ runProgram(std::uint64_t seed, bool shallowFirst, bool ordered)
 
 TEST(SimulatorFuzz, DispatchOrderMatchesReferenceModel)
 {
-    // Per seed: bulk-only, shallow phase first, and with ordered
-    // queues (shallow phase first on odd seeds).
-    for (std::uint64_t i = 0; i < 36; ++i) {
-        const std::uint64_t seed = 0x51de5eed00000000ULL + i / 3;
-        const bool ordered = i % 3 == 2;
-        const bool shallowFirst = ordered ? (i / 3) % 2 == 1 : i % 3 == 1;
+    // Per seed: bulk-only, shallow phase first, with ordered queues
+    // (shallow phase first on odd seeds), and with timers beside the
+    // ordered queues (shallow phase first on even seeds).
+    for (std::uint64_t i = 0; i < 48; ++i) {
+        const std::uint64_t seed = 0x51de5eed00000000ULL + i / 4;
+        const std::uint64_t mode = i % 4;
+        const bool timers = mode == 3;
+        const bool ordered = mode >= 2;
+        const bool oddSeed = (i / 4) % 2 == 1;
+        const bool shallowFirst =
+            mode == 1 || (mode == 2 && oddSeed) || (timers && !oddSeed);
         const std::vector<Obs> got =
-            runProgram<Simulator>(seed, shallowFirst, ordered);
+            runProgram<Simulator>(seed, shallowFirst, ordered, timers);
         const std::vector<Obs> want =
-            runProgram<ReferenceSim>(seed, shallowFirst, ordered);
+            runProgram<ReferenceSim>(seed, shallowFirst, ordered, timers);
         if (got == want)
             continue;
         const auto [g, w] =
@@ -838,6 +1093,7 @@ TEST(SimulatorFuzz, DispatchOrderMatchesReferenceModel)
         where << "failing seed 0x" << std::hex << seed << std::dec
               << (shallowFirst ? " (shallow phase first)" : "")
               << (ordered ? " (ordered queues)" : "")
+              << (timers ? " (timers)" : "")
               << ": diverges at observation " << (g - got.begin());
         if (g != got.end() && w != want.end())
             where << "\n  got  " << *g << "\n  want " << *w;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -195,6 +196,44 @@ TEST(CreditSched, TriggerBoostDispatchesRunnableDomainImmediately)
     const double sa = toSeconds(userBusy(a2));
     const double sb = toSeconds(userBusy(b2));
     EXPECT_NEAR(sa / (sa + sb), 0.5, 0.05);
+}
+
+TEST(CreditSched, PreemptHeavyRunLeavesNoTombstones)
+{
+    // Every preemption and every DVFS re-plan drops the running
+    // segment's pending end. It is a disarm of the PCPU's segment
+    // timer, so the event queue never holds a cancelled entry.
+    Simulator sim;
+    CreditScheduler sched(sim, 2);
+    sched.setTraceCapacity(std::size_t{1} << 20);
+    Domain hog_a(sched, 1, "hog-a", 256);
+    Domain hog_b(sched, 2, "hog-b", 256);
+    Hog ha(hog_a, 10 * msec), hb(hog_b, 10 * msec);
+    std::vector<std::unique_ptr<Domain>> lat;
+    for (std::uint32_t i = 0; i < 4; ++i)
+        lat.push_back(std::make_unique<Domain>(
+            sched, 10 + i, "lat" + std::to_string(i), 256));
+    // A blocked domain wakes every 700 us with a short job and BOOSTs
+    // past a hog; PCPU 0 flips between full and half speed.
+    std::size_t next = 0;
+    PeriodicEvent waker(sim, 700 * usec, [&] {
+        lat[next++ % lat.size()]->submit(100 * usec, JobKind::user);
+    });
+    bool slow = false;
+    PeriodicEvent dvfs(sim, 3 * msec, [&] {
+        slow = !slow;
+        sched.setPcpuSpeed(0, slow ? 0.5 : 1.0);
+    });
+    std::size_t worst = 0;
+    for (int i = 0; i < 2000; ++i) {
+        sim.runFor(250 * usec);
+        worst = std::max(worst, sim.tombstones());
+    }
+    std::size_t preempts = 0;
+    for (const SchedEvent &e : sched.trace())
+        preempts += e.kind == SchedEvent::Kind::preempt;
+    EXPECT_GT(preempts, 100u);
+    EXPECT_EQ(worst, 0u);
 }
 
 TEST(CreditSched, WeightChangeShiftsShareAfterAccounting)
