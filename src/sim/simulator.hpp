@@ -28,13 +28,6 @@
  *    head across the heap and the side sources, so dispatch order is
  *    the same total (time, sequence) order whichever structure holds
  *    an entry.
- *  - The earliest side head is cached (`side`), so leader() is one
- *    comparison of the heap's minimum against it. The cache is
- *    recomputed from every side source only when its own entry
- *    leaves (a take from a side source, a disarm or re-arm of the
- *    timer it names, a compaction); an entry joining a side source
- *    (an append to an ordered queue, an arm, a new timeline or run)
- *    only compares itself against it.
  *  - One source is the spill run. When drain() starts with the run
  *    used up and at least spillMin entries in the heap, it sorts the
  *    heap's buffer in place and swaps it into the run; the heap
@@ -52,7 +45,8 @@
  *    that would go backwards goes to the heap instead and is counted
  *    (orderedFallbacks()). A queue drops its consumed prefix once
  *    that is at least half its buffer, so a warm queue allocates
- *    nothing.
+ *    nothing. While no ordered entry is pending, a pop costs one
+ *    extra predictable branch over the heap-and-run comparison.
  *  - Timelines (scheduleTimeline()) are sources for a workload
  *    planned up front: n nondecreasing ticks and one handler, event
  *    i dispatched as handler(i). A timeline holds only its ticks and
@@ -64,27 +58,31 @@
  *    slot (timelineSlot | timeline), which dispatch resolves to the
  *    handler and the index seq - firstSeq; no tag is ever a
  *    tombstone. A stop in mid-batch pushes such an entry into the
- *    heap like any other.
+ *    heap like any other. While no timeline entry is pending, a pop
+ *    pays three more predictable branches: leader(), take() and
+ *    dispatch() each check for timelines.
  *  - Timers (addTimer(), Timer) are side entries for call sites that
  *    keep at most one event pending and fire it again and again: a
  *    periodic tick, a PCPU's segment end. A timer is one persistent
- *    callback plus at most one entry (time, sequence, timerSlot |
- *    timer) in the timer source; arm() takes ++nextSeq exactly where
- *    scheduleAt() would, so dispatch order is the same as scheduling
- *    a fresh event each time and cancelling the old one, and
- *    disarm() drops the entry. A timer takes no slot, heap entry,
- *    callback move or tombstone. The timer source is a small array
- *    sorted latest first: a take pops its back, and an arm finds its
- *    place by counting, without branches, the entries that fire
- *    after it (an arm's seq is the newest, so its time alone places
- *    it). A taken timer entry keeps its sequence number; dispatch
- *    runs it only if the timer is still armed with that number, so an
- *    earlier member of the same batch that disarms or re-arms the
- *    timer stops that firing, as a cancel would. A stop in mid-batch
- *    puts a still-armed timer's entry back into the timer source. The
- *    callback runs in place (timer callbacks sit in a deque, so
- *    adding a timer moves none); removing a timer from inside its own
- *    callback defers the release until the callback returns.
+ *    callback plus one key (time, sequence) in the timer source;
+ *    arm() takes ++nextSeq exactly where scheduleAt() would, so
+ *    dispatch order is the same as scheduling a fresh event each time
+ *    and cancelling the old one, and disarm() clears the key. A timer
+ *    takes no slot, heap entry, callback move or tombstone. The timer
+ *    source is the array of keys, indexed by timer, plus a copy of
+ *    the earliest (timerHead) for leader() to compare: an arm that
+ *    fires before it replaces it, and a take, or a disarm or re-arm
+ *    of the timer it names, scans the keys again without branches (a
+ *    RUBiS testbed has about a dozen timers). A taken timer entry
+ *    keeps its sequence number; dispatch runs it only if the timer is
+ *    still armed with that number, so an earlier member of the same
+ *    batch that disarms or re-arms the timer stops that firing, as a
+ *    cancel would. A stop in mid-batch writes a still-armed timer's
+ *    entry back into its key. The callback runs in place (timer
+ *    callbacks sit in blocks that never move, so adding a timer moves
+ *    none); removing a timer from inside its own callback defers the
+ *    release until the callback returns. While no timer is waiting,
+ *    a pop pays one more predictable branch.
  *  - Callbacks live in a slot table addressed by the heap entries.
  *    An EventId encodes (generation, slot); cancel() flips the
  *    slot's tombstone flag in O(1) — no hash lookup — and the
@@ -121,6 +119,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -229,9 +228,7 @@ class Simulator
             src.pos = 0;
         }
         meta[slot].state = SlotState::pending;
-        const HeapEntry e{when, ++nextSeq, slot};
-        src.entries.push_back(e);
-        offer(e, q.index);
+        src.entries.push_back(HeapEntry{when, ++nextSeq, slot});
         ++orderedPending;
         ++liveEvents;
         return makeId(meta[slot].generation, slot);
@@ -280,9 +277,8 @@ class Simulator
         tl.firstSeq = nextSeq + 1;
         tl.unfinished = n;
         tl.handler = std::forward<F>(handler);
-        const HeapEntry head{tl.times[0], tl.firstSeq,
-                             timelineSlot | static_cast<std::uint32_t>(idx)};
-        offer(head, head.slot);
+        tl.head = HeapEntry{tl.times[0], tl.firstSeq,
+                            timelineSlot | static_cast<std::uint32_t>(idx)};
         nextSeq += n;
         timelinePending += n;
         liveEvents += n;
@@ -300,16 +296,19 @@ class Simulator
     TimerId
     addTimer(F &&f)
     {
-        TimerId t;
-        if (freeTimers.empty()) {
-            t = static_cast<TimerId>(timerStates.size());
-            timerStates.emplace_back();
-            timerCallbacks.emplace_back();
+        TimerId t = freeTimer;
+        if (t == noTimer) {
+            t = static_cast<TimerId>(timerKeys.size());
+            if (t % timerBlock == 0) {
+                if (t == 0)
+                    timerKeys.reserve(timerBlock);
+                timerBlocks.push_back(std::make_unique<TimerBlock>());
+            }
+            timerKeys.push_back(idleKey);
         } else {
-            t = freeTimers.back();
-            freeTimers.pop_back();
+            freeTimer = timer(t).nextFree;
         }
-        timerCallbacks[t].emplaceEmpty(std::forward<F>(f));
+        timer(t).cb.emplaceEmpty(std::forward<F>(f));
         return t;
     }
 
@@ -323,46 +322,35 @@ class Simulator
     {
         if (when < currentTick)
             when = currentTick;
-        TimerState &st = timerStates[t];
-        if (st.seq == 0)
+        TimerCell &c = timer(t);
+        if (c.seq == 0)
             ++liveEvents;
-        else if (st.waiting)
-            unqueueTimer(t);
-        st.seq = ++nextSeq;
-        st.waiting = true;
-        // The newest seq fires after every waiting entry of its tick,
-        // so `when` alone places it: behind the entries that fire
-        // later, counted without branches.
-        const HeapEntry e{when, st.seq, timerSlot | t};
-        std::size_t pos = 0;
-        for (const HeapEntry &q : timerQueue)
-            pos += q.when > when;
-        queueTimer(e, pos);
-        if (side.slot == e.slot)
-            refreshSide(); // its old firing was the side head
-        else
-            offer(e, e.slot);
+        c.seq = ++nextSeq;
+        timerKeys[t] = keyOf(when, c.seq);
+        const HeapEntry e{when, c.seq, timerSlot | t};
+        if (timerHead.slot == e.slot)
+            findTimerHead(); // its old firing was the head
+        else if (before(e, timerHead))
+            timerHead = e;
     }
 
     /** Drop timer @p t's pending firing, if any. */
     void
     disarm(TimerId t)
     {
-        TimerState &st = timerStates[t];
-        if (st.seq == 0)
+        TimerCell &c = timer(t);
+        if (c.seq == 0)
             return;
-        st.seq = 0;
+        c.seq = 0;
         --liveEvents;
-        if (!st.waiting)
-            return; // taken: dispatch will find it disarmed
-        st.waiting = false;
-        unqueueTimer(t);
-        if (side.slot == (timerSlot | t))
-            refreshSide();
+        // A taken firing has no key; dispatch will find it disarmed.
+        timerKeys[t] = idleKey;
+        if (timerHead.slot == (timerSlot | t))
+            findTimerHead();
     }
 
     /** True while timer @p t has a firing pending. */
-    bool armed(TimerId t) const { return timerStates[t].seq != 0; }
+    bool armed(TimerId t) const { return timer(t).seq != 0; }
 
     /**
      * Disarm timer @p t and release its callback and id. From inside
@@ -372,9 +360,9 @@ class Simulator
     removeTimer(TimerId t)
     {
         disarm(t);
-        TimerState &st = timerStates[t];
-        if (st.firing != 0)
-            st.removed = true;
+        TimerCell &c = timer(t);
+        if (c.firing != 0)
+            c.removed = true;
         else
             releaseTimer(t);
     }
@@ -517,7 +505,8 @@ class Simulator
 
     /**
      * A planned workload (scheduleTimeline()): its ticks, read through
-     * a cursor, and the handler its events run.
+     * a cursor, and the handler its events run. `head` is the entry
+     * at the cursor, kept ready for leader() to point at.
      */
     struct Timeline
     {
@@ -525,6 +514,7 @@ class Simulator
         std::size_t pos = 0;        ///< next unconsumed tick
         std::uint64_t firstSeq = 0; ///< seq of event 0
         std::size_t unfinished = 0; ///< events not yet run to the end
+        HeapEntry head{};
         std::function<void(std::size_t)> handler;
 
         bool empty() const { return pos == times.size(); }
@@ -536,20 +526,55 @@ class Simulator
     static constexpr std::uint32_t timerSlot = 0x40000000u;
     static constexpr std::uint32_t timelineSlot = 0x80000000u;
 
-    /** What arming, dispatch and removal need to know of a timer. */
-    struct TimerState
+    /** A timer's callback and what arming, dispatch and removal need
+     *  to know of it. */
+    struct TimerCell
     {
+        Callback cb;
         std::uint64_t seq = 0;    ///< armed firing's seq; 0 when disarmed
         std::uint32_t firing = 0; ///< its callback's nesting depth
-        bool waiting = false;     ///< its firing is in timerQueue
         bool removed = false;     ///< removeTimer() waits for `firing`
+        TimerId nextFree = 0;     ///< free list link while released
     };
 
-    /** seq of the empty side head: later than any real entry. */
+    /** freeTimer value when no released timer is left. */
+    static constexpr TimerId noTimer = ~TimerId{0};
+
+    /**
+     * Timer cells are allocated timerBlock at a time, in blocks that
+     * never move, so a callback runs in place while another timer is
+     * added; the key array reserves a block's worth up front. A RUBiS
+     * testbed fits in one block.
+     */
+    static constexpr TimerId timerBlock = 16;
+    struct TimerBlock
+    {
+        TimerCell cells[timerBlock];
+    };
+
+    /**
+     * A timer's waiting firing in the timer source: (when, seq) as
+     * one 128-bit number, so (time, sequence) order is integer order
+     * and the scan for the earliest compiles to conditional moves.
+     */
+    using TimerKey = unsigned __int128;
+
+    /** seq of an empty timer head: later than any real entry. */
     static constexpr std::uint64_t noSeq = ~std::uint64_t{0};
-    /** sideFrom value naming the spill run. Timer and timeline heads
-     *  are named by their tag, ordered queues by their index. */
-    static constexpr std::uint32_t runSource = timerSlot - 1;
+    /** Key of a timer with no firing waiting: (maxTick, noSeq). */
+    static constexpr TimerKey idleKey = ~TimerKey{0};
+
+    static TimerKey
+    keyOf(Tick when, std::uint64_t seq)
+    {
+        return (static_cast<TimerKey>(when) << 64) | seq;
+    }
+
+    TimerCell &
+    timer(TimerId t) const
+    {
+        return timerBlocks[t / timerBlock]->cells[t % timerBlock];
+    }
 
     /** Liveness of one slot: all that cancellation and tombstone
      *  checks read. */
@@ -634,25 +659,20 @@ class Simulator
         return a.seq < b.seq; // FIFO among simultaneous events
     }
 
-    /** Insert @p e into timerQueue at index @p pos. */
+    /** Point timerHead at the earliest waiting timer, or empty it. */
     void
-    queueTimer(const HeapEntry &e, std::size_t pos)
+    findTimerHead()
     {
-        timerQueue.push_back(e);
-        for (std::size_t i = timerQueue.size() - 1; i > pos; --i)
-            timerQueue[i] = timerQueue[i - 1];
-        timerQueue[pos] = e;
-    }
-
-    /** Drop waiting timer @p t's entry from timerQueue. */
-    void
-    unqueueTimer(TimerId t)
-    {
-        const std::uint32_t tag = timerSlot | t;
-        std::size_t i = 0;
-        while (timerQueue[i].slot != tag)
-            ++i;
-        timerQueue.erase(timerQueue.begin() + static_cast<std::ptrdiff_t>(i));
+        TimerKey best = idleKey;
+        std::uint32_t at = 0;
+        for (std::uint32_t t = 0; t < timerKeys.size(); ++t) {
+            const bool earlier = timerKeys[t] < best;
+            best = earlier ? timerKeys[t] : best;
+            at = earlier ? t : at;
+        }
+        const auto seq = static_cast<std::uint64_t>(best);
+        timerHead = HeapEntry{static_cast<Tick>(best >> 64), seq,
+                              seq == noSeq ? 0 : timerSlot | at};
     }
 
     void
@@ -752,70 +772,54 @@ class Simulator
     struct Lead
     {
         const HeapEntry *entry; ///< nullptr when nothing is queued
-        bool side;              ///< entry is `side`, not the heap's
+        SortedSource *source;   ///< nullptr for the heap, timerHead
+                                ///< or a timeline
+        Timeline *timeline;     ///< non-null for a timeline's head
     };
 
-    /**
-     * Make @p e the side head if it fires before the current one.
-     * @p from names its source (sideFrom); a timeline's entry can
-     * also sit in the run after a stop and a spill, so the entry's
-     * own tag does not tell.
-     */
-    void
-    offer(const HeapEntry &e, std::uint32_t from)
+    /** Make @p src's head the lead if it fires before @p best's. */
+    [[gnu::always_inline]] static void
+    consider(SortedSource &src, Lead &best)
     {
-        if (before(e, side)) {
-            side = e;
-            sideFrom = from;
-        }
+        if (!src.empty()
+            && (!best.entry || before(src.entries[src.pos], *best.entry)))
+            best = {&src.entries[src.pos], &src, nullptr};
+    }
+
+    /** Make @p tl's head the lead if it fires before @p best's. */
+    [[gnu::always_inline]] static void
+    consider(Timeline &tl, Lead &best)
+    {
+        if (!tl.empty() && (!best.entry || before(tl.head, *best.entry)))
+            best = {&tl.head, nullptr, &tl};
     }
 
     /**
-     * Recompute the side head from every side source: the earliest
-     * timer, the run, and the ordered queues and timelines while any
-     * holds an entry.
-     */
-    void
-    refreshSide()
-    {
-        side = HeapEntry{maxTick, noSeq, 0};
-        if (!timerQueue.empty()) {
-            side = timerQueue.back();
-            sideFrom = side.slot;
-        }
-        if (!run.empty())
-            offer(run.entries[run.pos], runSource);
-        if (orderedPending != 0) {
-            for (std::uint32_t q = 0; q < queues.size(); ++q) {
-                if (!queues[q].empty())
-                    offer(queues[q].entries[queues[q].pos], q);
-            }
-        }
-        if (timelinePending != 0) {
-            std::uint32_t tag = timelineSlot;
-            for (const Timeline &tl : timelines) {
-                if (!tl.empty())
-                    offer(HeapEntry{tl.times[tl.pos], tl.firstSeq + tl.pos,
-                                    tag},
-                          tag);
-                ++tag;
-            }
-        }
-    }
-
-    /**
-     * Earliest queued entry: the heap's minimum or the cached side
-     * head. The pointer is invalidated by any queue mutation.
-     * Forced inline: it runs twice per dispatched event, and GCC
-     * otherwise outlines it (a measured slowdown of every event).
+     * Earliest queued entry across the heap, the sorted sources and
+     * the timers. The pointer is invalidated by any queue mutation.
+     * While no ordered queue or timeline holds an entry, only the run
+     * and timerHead can beat the heap.
+     * Forced inline, with consider(): it runs twice per dispatched
+     * event, and GCC otherwise outlines one or the other (a measured
+     * slowdown of every event).
      */
     [[gnu::always_inline]] Lead
     leader()
     {
-        const HeapEntry *h = heapMin();
-        if (h && before(*h, side))
-            return {h, false};
-        return {side.seq == noSeq ? nullptr : &side, true};
+        Lead best{heapMin(), nullptr, nullptr};
+        consider(run, best);
+        if (timerHead.seq != noSeq
+            && (!best.entry || before(timerHead, *best.entry)))
+            best = {&timerHead, nullptr, nullptr};
+        if (orderedPending != 0) {
+            for (SortedSource &q : queues)
+                consider(q, best);
+        }
+        if (timelinePending != 0) {
+            for (Timeline &tl : timelines)
+                consider(tl, best);
+        }
+        return best;
     }
 
     /**
@@ -828,31 +832,33 @@ class Simulator
     [[gnu::always_inline]] HeapEntry
     take(Lead top)
     {
-        if (!top.side)
-            return popTop();
-        const HeapEntry e = side;
-        if (sideFrom >= timelineSlot) {
-            --timelinePending;
-            ++timelines[sideFrom - timelineSlot].pos;
-        } else if (sideFrom >= timerSlot) {
-            // Taken: still armed, no longer waiting in the source.
-            timerStates[sideFrom - timerSlot].waiting = false;
-            timerQueue.pop_back();
-        } else {
-            SortedSource &src = sideFrom == runSource ? run
-                                                      : queues[sideFrom];
-            if (&src != &run)
-                --orderedPending;
-            const std::size_t ahead = src.pos + prefetchAhead;
-            if (ahead < src.entries.size()) {
-                const std::uint32_t slot = src.entries[ahead].slot;
-                __builtin_prefetch(&meta[slot], 1);
-                __builtin_prefetch(&callbacks[slot], 1);
+        if (!top.source) {
+            if (top.entry == &timerHead) {
+                // Taken: still armed, no longer waiting in its key.
+                const HeapEntry e = timerHead;
+                timerKeys[e.slot - timerSlot] = idleKey;
+                findTimerHead();
+                return e;
             }
-            ++src.pos;
+            if (!top.timeline)
+                return popTop();
+            Timeline &tl = *top.timeline;
+            --timelinePending;
+            const HeapEntry e = tl.head;
+            if (++tl.pos < tl.times.size())
+                tl.head = HeapEntry{tl.times[tl.pos], e.seq + 1, e.slot};
+            return e;
         }
-        refreshSide();
-        return e;
+        SortedSource &src = *top.source;
+        if (&src != &run)
+            --orderedPending;
+        const std::size_t ahead = src.pos + prefetchAhead;
+        if (ahead < src.entries.size()) {
+            const std::uint32_t slot = src.entries[ahead].slot;
+            __builtin_prefetch(&meta[slot], 1);
+            __builtin_prefetch(&callbacks[slot], 1);
+        }
+        return src.entries[src.pos++];
     }
 
     /**
@@ -874,17 +880,17 @@ class Simulator
         run.entries.clear();
         heap.swap(run.entries);
         run.pos = 0;
-        if (!run.empty())
-            offer(run.entries[0], runSource);
     }
 
     /**
      * Resolve one popped entry: free tombstones, else run the
      * callback. Returns true if a live event was dispatched. Takes
      * the entry by value: the callback may re-enter drain() and
-     * reallocate the vectors a reference would point into.
+     * reallocate the vectors a reference would point into. Forced
+     * inline: with the timer path GCC outlined it from drain(), a
+     * call on every event.
      */
-    bool
+    [[gnu::always_inline]] bool
     dispatch(HeapEntry e)
     {
         if (e.slot >= timerSlot) {
@@ -932,24 +938,22 @@ class Simulator
     /**
      * Run timer entry @p e's callback in place, unless the timer was
      * disarmed or re-armed since the entry was taken (file comment).
-     * The callback may add timers, which can move timerStates, so the
-     * state is looked up again after it returns.
+     * Kept out of line, so dispatch() stays small enough to inline.
      */
-    bool
+    [[gnu::noinline]] bool
     dispatchTimer(const HeapEntry &e)
     {
         const std::uint32_t t = e.slot - timerSlot;
-        TimerState &st = timerStates[t];
-        if (st.seq != e.seq)
+        TimerCell &c = timer(t);
+        if (c.seq != e.seq)
             return false;
-        st.seq = 0;
-        ++st.firing;
+        c.seq = 0;
+        ++c.firing;
         --liveEvents;
         currentTick = e.when;
         ++executed;
-        timerCallbacks[t]();
-        TimerState &done = timerStates[t];
-        if (--done.firing == 0 && done.removed)
+        c.cb();
+        if (--c.firing == 0 && c.removed)
             releaseTimer(t);
         return true;
     }
@@ -958,27 +962,26 @@ class Simulator
     void
     releaseTimer(TimerId t)
     {
-        timerCallbacks[t].reset();
-        timerStates[t].removed = false;
-        freeTimers.push_back(t);
+        TimerCell &c = timer(t);
+        c.cb.reset();
+        c.removed = false;
+        c.nextFree = freeTimer;
+        freeTimer = t;
     }
 
     /**
-     * Put a taken timer entry @p e back into its key after a stop in
+     * Write a taken timer entry @p e back into its key after a stop in
      * mid-batch, unless the timer has been disarmed or re-armed since.
      */
     void
     restoreTimer(const HeapEntry &e)
     {
-        TimerState &st = timerStates[e.slot - timerSlot];
-        if (st.seq != e.seq)
+        const std::uint32_t t = e.slot - timerSlot;
+        if (timer(t).seq != e.seq)
             return;
-        st.waiting = true;
-        std::size_t pos = 0;
-        for (const HeapEntry &q : timerQueue)
-            pos += before(e, q);
-        queueTimer(e, pos);
-        offer(e, e.slot);
+        timerKeys[t] = keyOf(e.when, e.seq);
+        if (before(e, timerHead))
+            timerHead = e;
     }
 
     /** True if @p e is a tombstone; a timer or timeline entry never is. */
@@ -1024,7 +1027,6 @@ class Simulator
         orderedPending = 0;
         for (SortedSource &q : queues)
             orderedPending += filterDead(q);
-        refreshSide(); // the side head may have been a tombstone
     }
 
     /** Drop @p src's consumed prefix and its tombstones, keeping the
@@ -1120,16 +1122,13 @@ class Simulator
     std::uint64_t spillCount = 0;   ///< see spills()
     std::deque<Timeline> timelines; ///< by index; reused once finished
     std::size_t timelinePending = 0; ///< unconsumed timeline entries
-    /** The timer source: each waiting timer's entry, latest first,
-     *  so the earliest is at the back. */
-    std::vector<HeapEntry> timerQueue;
-    std::vector<TimerState> timerStates; ///< by TimerId
-    std::deque<Callback> timerCallbacks; ///< by TimerId; never moved
-    std::vector<TimerId> freeTimers;
-    /** Earliest head across the side sources (file comment);
-     *  {maxTick, noSeq} when they are all empty. */
-    HeapEntry side{maxTick, noSeq, 0};
-    std::uint32_t sideFrom = 0; ///< the source of side (offer())
+    std::vector<std::unique_ptr<TimerBlock>> timerBlocks; ///< by TimerId
+    TimerId freeTimer = noTimer; ///< head of the released timers
+    /** The timer source: each timer's waiting firing, by TimerId
+     *  (idleKey when none), and the earliest of them, {maxTick, noSeq,
+     *  0} when none is waiting. */
+    std::vector<TimerKey> timerKeys;
+    HeapEntry timerHead{maxTick, noSeq, 0};
     std::vector<HeapEntry> batch; ///< drain() scratch, see above
     std::vector<SlotMeta> meta;           ///< indexed by slot
     std::vector<CallbackLine> callbacks;  ///< indexed by slot

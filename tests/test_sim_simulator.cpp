@@ -352,6 +352,75 @@ TEST(SimulatorTimer, RemovedInsideItsOwnCallbackLivesUntilItReturns)
     EXPECT_EQ(sim.pendingEvents(), 0u);
 }
 
+TEST(SimulatorTimer, ManyTimersFireInTimeThenArmOrder)
+{
+    // More timers than one storage block, armed out of id order with
+    // ties on the tick: the earliest-key scan must order by time, then
+    // by arm order, and re-scan correctly after disarms and re-arms.
+    Simulator sim;
+    std::vector<int> order;
+    std::vector<Timer> timers;
+    constexpr int n = 40;
+    for (int i = 0; i < n; ++i)
+        timers.emplace_back(sim, [&order, i] { order.push_back(i); });
+    for (int i = n - 1; i >= 0; --i)
+        timers[i].arm(100 + (i % 5) * 10); // ids fall within a tick
+    for (int i = 0; i < n; i += 7)
+        timers[i].disarm();
+    timers[3].arm(100); // re-armed: now last among tick 100
+    std::vector<int> expect;
+    for (int tick = 100; tick <= 140; tick += 10) {
+        for (int i = n - 1; i >= 0; --i) {
+            if (100 + (i % 5) * 10 == tick && i % 7 != 0 && i != 3)
+                expect.push_back(i);
+        }
+        if (tick == 100)
+            expect.push_back(3);
+    }
+    EXPECT_EQ(sim.pendingEvents(), expect.size());
+    sim.runToCompletion();
+    EXPECT_EQ(order, expect);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(SimulatorTimer, CallbackAddingTimersAcrossABlockRunsInPlace)
+{
+    // A timer's callback adds enough timers to start new storage
+    // blocks, then reads its own (heap-stored) capture: the running
+    // callback must not move (the _asan twin catches a use-after-free).
+    // Removed timers' ids are reused.
+    Simulator sim;
+    std::vector<std::unique_ptr<Timer>> added;
+    std::array<std::uint64_t, 8> big{};
+    big.fill(3);
+    std::uint64_t sum = 0;
+    int fired = 0;
+    std::vector<Timer> first;
+    for (int i = 0; i < 15; ++i)
+        first.emplace_back(sim, [] {});
+    Timer grower(sim, [&, big] {
+        for (int i = 0; i < 40; ++i) {
+            added.push_back(std::make_unique<Timer>(sim, [&] { ++fired; }));
+            added.back()->arm(sim.now() + 1 + i % 3);
+        }
+        for (const std::uint64_t v : big)
+            sum += v;
+    });
+    grower.arm(5);
+    sim.runUntil(5);
+    EXPECT_EQ(sum, 24u);
+    EXPECT_EQ(sim.pendingEvents(), 40u);
+    first.clear(); // 15 ids go back on the free list
+    for (int i = 0; i < 15; ++i) {
+        added.push_back(std::make_unique<Timer>(sim, [&] { fired += 100; }));
+        added.back()->arm(20);
+    }
+    sim.runToCompletion();
+    EXPECT_EQ(fired, 40 + 1500);
+    EXPECT_EQ(sim.now(), 20u);
+    EXPECT_EQ(sim.executedEvents(), 1u + 40u + 15u);
+}
+
 TEST(Simulator, CancelAfterFireKeepsPendingCountCorrect)
 {
     // Regression: cancelling an id whose event already fired used to
@@ -528,8 +597,7 @@ namespace {
  * Simulator's public semantics — (when, seq) order, same-timestamp
  * batches, stop mid-batch, re-entrant runs — over a std::set, with
  * none of its data-structure tricks (slot table, tombstones, heap,
- * sorted run, ordered queues, timers, the cached side head,
- * compaction). A timer is scheduleAt() plus cancel(): arming cancels
+ * sorted run, ordered queues, timers, compaction). A timer is scheduleAt() plus cancel(): arming cancels
  * the pending firing and schedules a fresh one.
  */
 class ReferenceSim
